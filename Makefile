@@ -12,13 +12,15 @@
 #   make policy  recovery-policy conformance (cost-model strategy picks) at world 32
 #   make cover   per-package coverage summary + gates (floors, baseline)
 #   make bench-gate  data-plane benchmarks vs the committed baseline
+#   make bench-check vet + test the elasticbench module (bench/), incl. one real kill episode
+#   make bench WORKLOAD=kill_shrink SEED=1 SECONDS=16   one elasticbench workload, end to end
 #   make check   everything above, in CI order
 
 GO      ?= go
 BIN     := bin
 SEEDS   ?= 1 7 42
 
-.PHONY: all build vet lint vet-fix-check test race chaos cluster grow policy cover bench-gate check clean
+.PHONY: all build vet lint vet-fix-check test race chaos cluster grow policy cover bench-gate bench-check bench check clean
 
 # World size for the clustertest conformance suite (CI: 32 per PR,
 # 64/128 nightly).
@@ -66,7 +68,9 @@ race:
 		./internal/kvstore/... \
 		./internal/trace/... \
 		./internal/vtime/... \
-		./internal/dataplane/...
+		./internal/dataplane/... \
+		./internal/ulfm/... \
+		./internal/autopilot/...
 
 chaos:
 	@for seed in $(SEEDS); do \
@@ -138,7 +142,22 @@ bench-gate:
 	$(GO) run ./cmd/benchgate -controlplane -baseline BENCH_controlplane.json \
 		-fresh fresh_controlplane.json -tolerance 0.10 -max-decision-us 200
 
-check: build vet lint test race chaos cluster grow policy
+# bench-check: bench/ is a module of its own, so nothing above descends
+# into it. This is what notices a change that breaks the benchmark's
+# compile surface (the layers' public calls its probe uses) or a log line
+# it parses: its tests play one real kill episode of the shipped elasticd
+# against the oracle (~3 s).
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# bench: one elasticbench workload end to end, as BENCHMARK.json runs it.
+WORKLOAD ?= kill_shrink
+SEED     ?= 1
+SECONDS  ?= 16
+bench:
+	bash bench/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds $(SECONDS) --trace 0
+
+check: build vet lint test race bench-check chaos cluster grow policy
 
 clean:
-	rm -rf $(BIN) cover.out cover.html fresh_dataplane.json fresh_controlplane.json
+	rm -rf $(BIN) .bench_build cover.out cover.html fresh_dataplane.json fresh_controlplane.json

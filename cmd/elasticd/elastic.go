@@ -134,11 +134,14 @@ type daemon struct {
 // ulfm.ErrDropped propagates for the caller to report.
 func (d *daemon) runSteps(r *ulfm.ResilientComm, start int) error {
 	tensorBytes := int64(d.n) * 8
+	// One tensor for the life of the run, refilled every step: the
+	// reduction overwrites it in place, and everything that outlives the
+	// step (the checkpoint model, the newcomer state blob) copies out.
+	data := make([]float64, d.n)
 	for step := start; step < d.steps; step++ {
 		transport.Hit(d.cl.Proc(), transport.PointElasticRound)
 		plan := mpi.PlanAllreduce(tensorBytes, r.Size(), d.opts)
 		d.rec.Plan(d.ep.VClock().Now(), int(d.cl.Proc()), step, plan.Algo.String(), plan.Chunks, plan.Codec.String(), plan.Tuned)
-		data := make([]float64, d.n)
 		for i := range data {
 			data[i] = float64(d.cl.Proc()) + 1
 		}

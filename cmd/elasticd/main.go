@@ -214,6 +214,12 @@ func main() {
 			log.Printf("elasticd: rendezvous declared proc %d down", d)
 			ep.MarkDead(d)
 		},
+		// A clean exit is not a death, but the member is just as gone:
+		// the same MarkDead releases anything still addressed to it.
+		OnPeerLeft: func(d transport.ProcID) {
+			log.Printf("elasticd: proc %d left", d)
+			ep.MarkDead(d)
+		},
 		OnPeerUp:  teach,
 		OnSpareUp: teach,
 	})

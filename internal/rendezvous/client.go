@@ -282,10 +282,15 @@ func (c *Client) ReportDead(dead transport.ProcID) error {
 // Notifications are the membership callbacks delivered by Start's reader
 // goroutine.
 type Notifications struct {
-	// OnPeerDown is invoked for every failure or departure the server
-	// declares; wire it to the transport's MarkDead so declarations
-	// become CtlPeerDown injections.
+	// OnPeerDown is invoked for every failure the server declares — and,
+	// unless OnPeerLeft is set, for every clean departure; wire it to the
+	// transport's MarkDead so declarations become CtlPeerDown injections.
 	OnPeerDown func(transport.ProcID)
+	// OnPeerLeft, if set, is invoked instead of OnPeerDown when a member
+	// left cleanly. The member is out of the communicator either way, so
+	// it needs the same MarkDead; what differs is what to tell the
+	// operator.
+	OnPeerLeft func(transport.ProcID)
 	// OnPeerUp is invoked for every late joiner published as a peerup
 	// delta (gossip mode) and for every activated spare (both modes);
 	// wire it to the transport's Start and the gossip runtime's AddPeer.
@@ -356,8 +361,12 @@ func (c *Client) StartNotify(n Notifications) {
 					c.mapVer = msg.Ver
 				}
 				c.mu.Unlock()
-				if n.OnPeerDown != nil {
-					n.OnPeerDown(transport.ProcID(msg.Proc))
+				down := n.OnPeerDown
+				if msg.Left && n.OnPeerLeft != nil {
+					down = n.OnPeerLeft
+				}
+				if down != nil {
+					down(transport.ProcID(msg.Proc))
 				}
 			case "doubt":
 				// The hub is arbitrating a death verdict against this

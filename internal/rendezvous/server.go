@@ -2,11 +2,13 @@ package rendezvous
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/internal/trace"
@@ -24,7 +26,8 @@ import (
 // answering a doubt).
 // server -> client: {"op":"welcome",...} once the world has gathered,
 // then incremental deltas: {"op":"peerdown","proc":N} for each declared
-// failure or clean departure, {"op":"spareup",...} for each registered
+// failure, the same with "left":true for each clean departure,
+// {"op":"spareup",...} for each registered
 // spare (both modes — the autopilot's pool is mode-independent),
 // {"op":"peerup",...} for each activated spare (both modes) or late
 // joiner (gossip mode), and in gossip mode {"op":"doubt"} to a member
@@ -42,6 +45,7 @@ type wireMsg struct {
 	Peers      map[string]string `json:"peers,omitempty"`   // welcome: ProcID (decimal) -> transport address
 	Gossips    map[string]string `json:"gossips,omitempty"` // welcome: ProcID (decimal) -> gossip address (gossip mode)
 	Spare      bool              `json:"spare,omitempty"`   // join: register as a warm spare
+	Left       bool              `json:"left,omitempty"`    // peerdown: a clean departure, not a conviction
 }
 
 // Config tunes the rendezvous service.
@@ -240,9 +244,11 @@ func (s *Server) acceptLoop() {
 
 // handle runs one worker's connection: a join, then heartbeats until the
 // connection drops or the worker leaves. A dropped connection is NOT an
-// immediate declaration — the worker merely stops heartbeating and the
-// detector times it out, so transient network blips inside the timeout
-// window are survivable.
+// immediate declaration: the worker's silence is left to the detector,
+// so every conviction takes the same path and carries the same latency.
+// It is terminal all the same — Client never re-dials, so a worker whose
+// hub connection dropped can heartbeat no more and is declared dead
+// DeadAfter later, however alive it is.
 func (s *Server) handle(conn net.Conn) {
 	defer s.wg.Done()
 	defer conn.Close()
@@ -422,20 +428,14 @@ func (s *Server) join(conn net.Conn, addr, gaddr string, spare bool) *member {
 		op = "spareup"
 	}
 	for _, mm := range deltaTo {
-		obsDeltas.Inc()
-		if err := mm.send(&wireMsg{Op: op, Proc: int(proc), Addr: addr, GossipAddr: gaddr, Ver: ver}); err != nil {
-			s.logf("rendezvous: %s(%d) to proc %d failed: %v", op, proc, mm.proc, err)
-		}
+		s.sendDelta(mm, &wireMsg{Op: op, Proc: int(proc), Addr: addr, GossipAddr: gaddr, Ver: ver})
 	}
 	for _, sp := range spareUps {
 		for _, mm := range recipients {
 			if mm.proc == sp.proc {
 				continue
 			}
-			obsDeltas.Inc()
-			if err := mm.send(&wireMsg{Op: "spareup", Proc: int(sp.proc), Addr: sp.addr, GossipAddr: sp.gaddr, Ver: ver}); err != nil {
-				s.logf("rendezvous: spareup(%d) to proc %d failed: %v", sp.proc, mm.proc, err)
-			}
+			s.sendDelta(mm, &wireMsg{Op: "spareup", Proc: int(sp.proc), Addr: sp.addr, GossipAddr: sp.gaddr, Ver: ver})
 		}
 	}
 	return m
@@ -468,10 +468,7 @@ func (s *Server) activate(from *member, proc transport.ProcID) {
 	s.cfg.Trace.Membership(now, int(proc), "spare_activate", map[string]any{"by": int(from.proc)})
 	s.logf("rendezvous: spare %d activated by proc %d", proc, from.proc)
 	for _, o := range rest {
-		obsDeltas.Inc()
-		if err := o.send(&wireMsg{Op: "peerup", Proc: int(proc), Addr: addr, GossipAddr: gaddr, Ver: ver}); err != nil {
-			s.logf("rendezvous: peerup(%d) to proc %d failed: %v", proc, o.proc, err)
-		}
+		s.sendDelta(o, &wireMsg{Op: "peerup", Proc: int(proc), Addr: addr, GossipAddr: gaddr, Ver: ver})
 	}
 }
 
@@ -577,7 +574,7 @@ func (s *Server) convict(dead transport.ProcID, by transport.ProcID) {
 	s.cfg.Trace.Membership(now, int(dead), "gossip_dead", map[string]any{"by": int(by)})
 	s.logf("rendezvous: proc %d declared dead by proc %d's verdict", dead, by)
 	mm.conn.Close()
-	s.broadcastDownVer(rest, dead, ver)
+	s.broadcastDownVer(rest, dead, ver, false)
 }
 
 // acquit clears a pending doubt: the accused answered, so the verdict
@@ -644,27 +641,47 @@ func (s *Server) leave(m *member) {
 
 	s.cfg.Trace.Membership(now, int(m.proc), "member_leave", nil)
 	s.logf("rendezvous: proc %d left", m.proc)
-	s.broadcastDownVer(rest, m.proc, ver)
+	s.broadcastDownVer(rest, m.proc, ver, true)
 }
 
-// othersLocked snapshots every member except id.
+// othersLocked snapshots the members a delta about id goes to: everyone
+// else whose connection is still up. A member whose reader already saw
+// EOF (killed and not yet convicted, or exiting without a leave) stays a
+// member until the detector says otherwise, but nothing written to it can
+// arrive, so no delta is attempted.
 func (s *Server) othersLocked(id transport.ProcID) []*member {
 	out := make([]*member, 0, len(s.members))
 	for pid, mm := range s.members {
-		if pid != id {
+		if pid != id && !mm.gone {
 			out = append(out, mm)
 		}
 	}
 	return out
 }
 
-func (s *Server) broadcastDownVer(to []*member, dead transport.ProcID, ver uint64) {
+// broadcastDownVer publishes a member's removal: a conviction, or with
+// left set a clean departure, which survivors act on alike (the member is
+// gone from the communicator either way) but need not report as a death.
+func (s *Server) broadcastDownVer(to []*member, dead transport.ProcID, ver uint64, left bool) {
 	for _, mm := range to {
-		obsDeltas.Inc()
-		if err := mm.send(&wireMsg{Op: "peerdown", Proc: int(dead), Ver: ver}); err != nil {
-			s.logf("rendezvous: peerdown(%d) to proc %d failed: %v", dead, mm.proc, err)
-		}
+		s.sendDelta(mm, &wireMsg{Op: "peerdown", Proc: int(dead), Ver: ver, Left: left})
 	}
+}
+
+// sendDelta writes one membership delta to mm. The recipients of a delta
+// are snapshotted under the lock and written to outside it, so by the
+// time of the write mm may itself have left, been convicted, or exited:
+// a write that fails because the connection is closed — by the hub
+// (net.ErrClosed) or by the member (EPIPE, ECONNRESET) — is expected,
+// the member's own reader reports its fate, and nothing is logged. Any
+// other failure is toward a member that may still be there, and is.
+func (s *Server) sendDelta(mm *member, msg *wireMsg) {
+	obsDeltas.Inc()
+	err := mm.send(msg)
+	if err == nil || errors.Is(err, net.ErrClosed) || errors.Is(err, syscall.EPIPE) || errors.Is(err, syscall.ECONNRESET) {
+		return
+	}
+	s.logf("rendezvous: %s(%d) to proc %d failed: %v", msg.Op, msg.Proc, mm.proc, err)
 }
 
 // sweepLoop drives the detector on wall time and acts on its verdicts:
@@ -731,7 +748,7 @@ func (s *Server) sweepLoop() {
 			if d.conn != nil {
 				d.conn.Close()
 			}
-			s.broadcastDownVer(d.rest, d.proc, d.ver)
+			s.broadcastDownVer(d.rest, d.proc, d.ver, false)
 		}
 	}
 }

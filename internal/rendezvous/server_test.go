@@ -3,6 +3,7 @@ package rendezvous
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -239,5 +240,81 @@ func TestLateJoinGetsWelcome(t *testing.T) {
 	}
 	if len(late.Peers()) != 3 {
 		t.Fatalf("late joiner peers = %v, want 3 entries", late.Peers())
+	}
+}
+
+// TestLeftIsNotDied: a clean departure and a conviction both remove the
+// member, but a client that asks can tell them apart — the leave arrives
+// through OnPeerLeft only, the death through OnPeerDown only.
+func TestLeftIsNotDied(t *testing.T) {
+	_, cls := gather(t, 3, Config{
+		HeartbeatInterval: 20 * time.Millisecond,
+		SuspectAfter:      80 * time.Millisecond,
+		DeadAfter:         200 * time.Millisecond,
+	})
+	observer, leaver, victim := cls[0], cls[1], cls[2]
+	left := make(chan transport.ProcID, 8)
+	died := make(chan transport.ProcID, 8)
+	observer.StartNotify(Notifications{
+		OnPeerDown: func(p transport.ProcID) { died <- p },
+		OnPeerLeft: func(p transport.ProcID) { left <- p },
+	})
+	leaver.Start(nil) // both heartbeat, so only Close and Abandon below remove them
+	victim.Start(nil)
+
+	leaver.Close()
+	waitDown(t, left, leaver.Proc(), 3*time.Second)
+	victim.Abandon()
+	waitDown(t, died, victim.Proc(), 5*time.Second)
+	select {
+	case p := <-left:
+		t.Fatalf("proc %d reported as left a second time or in error", p)
+	case p := <-died:
+		t.Fatalf("proc %d reported as died; the only death was proc %d", p, victim.Proc())
+	default:
+	}
+	if got := observer.Procs(); len(got) != 1 || got[0] != observer.Proc() {
+		t.Fatalf("observer's world after a leave and a death = %v, want only itself", got)
+	}
+}
+
+// TestNoDeltaToGoneConnection: a member whose connection dropped without
+// a leave stays a member until the detector convicts it, but deltas are
+// no longer written to it — they cannot arrive, and the failed writes
+// were the broken-pipe lines at the end of every run.
+func TestNoDeltaToGoneConnection(t *testing.T) {
+	var logs syncBuf
+	srv, cls := gather(t, 4, Config{
+		HeartbeatInterval: 50 * time.Millisecond,
+		SuspectAfter:      30 * time.Second, // no conviction within the test
+		DeadAfter:         60 * time.Second,
+		Logf: func(format string, args ...any) {
+			fmt.Fprintf(&logs, format+"\n", args...)
+		},
+	})
+	dropped, leaver, rest := cls[0], cls[1], cls[2:]
+	chans := make([]<-chan transport.ProcID, len(rest))
+	for i, cl := range rest {
+		chans[i], _ = collectDown(cl)
+	}
+
+	dropped.Abandon()
+	if !vtime.WaitUntil(3*time.Second, func() bool {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return srv.members[dropped.Proc()].gone
+	}) {
+		t.Fatal("server never noticed the dropped connection")
+	}
+	deltas0 := obsDeltas.Value()
+	leaver.Close()
+	for _, ch := range chans {
+		waitDown(t, ch, leaver.Proc(), 3*time.Second)
+	}
+	if d := obsDeltas.Value() - deltas0; d != uint64(len(rest)) {
+		t.Errorf("%d deltas written for one leave, want %d: one per member with a live connection", d, len(rest))
+	}
+	if s := logs.String(); strings.Contains(s, "failed") {
+		t.Errorf("a delta was attempted on a dead connection:\n%s", s)
 	}
 }

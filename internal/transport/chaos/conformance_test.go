@@ -169,6 +169,12 @@ func (f *fixture) startWorker() (*worker, error) {
 	// the conn hook reads it through this atomic (dials happen post-Start).
 	var self atomic.Int64
 	self.Store(-1)
+	// 4 retries from 20 ms is 300 ms of back-off, level with the 250 ms
+	// detector: a survivor redialing a corpse gives up locally about when
+	// the verdict lands, so this fixture cannot show a sender still
+	// backing off long after it. The shipped defaults (1.55 s) can;
+	// tcpnet's own tests run on them (verdict_test.go,
+	// TestLoopbackKillBetweenRoundsOnDefaults).
 	ep, err := tcpnet.Listen("127.0.0.1:0", tcpnet.Config{
 		DialRetries: 4,
 		DialBackoff: 20 * time.Millisecond,

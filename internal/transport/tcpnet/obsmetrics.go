@@ -17,7 +17,7 @@ var (
 	obsRxBytes = obs.Default().Counter("tcpnet_rx_bytes_total",
 		"Wire bytes read off inbound connections, length prefixes included.")
 	obsSendErrors = obs.Default().Counter("tcpnet_send_errors_total",
-		"Sends reported as peer failures after exhausting dial/write retries.")
+		"Sends reported as failures: dial/write retries exhausted, or cut short by a death verdict or Close.")
 	obsDials = obs.Default().Counter("tcpnet_dials_total",
 		"Successful peer dials (first connections and reconnects).")
 	obsDialRetries = obs.Default().Counter("tcpnet_dial_retries_total",

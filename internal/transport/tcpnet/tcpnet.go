@@ -13,11 +13,14 @@
 // cascade of resets), while authoritative declarations come from the
 // rendezvous service's wall-clock heartbeat detector, which the process
 // feeds into MarkDead to trigger the same CtlPeerDown control path the
-// simulator's perfect detector exercises.
+// simulator's perfect detector exercises. The declaration outranks the
+// local reading: a sender still retrying toward the declared peer stops
+// the moment MarkDead runs, wherever it is waiting.
 package tcpnet
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"net"
 	"sync"
@@ -90,18 +93,65 @@ var _ transport.Endpoint = (*Endpoint)(nil)
 // oversized payloads straight through).
 const writeBufSize = 64 << 10
 
-// peer is the dial-side state for one remote process. Its mutex
-// serializes writers and protects the cached connection and its buffered
-// writer (flushed at message boundaries, so a frame never straddles an
-// unflushed buffer when Send returns).
+// peer is the dial-side state for one remote process. It has one
+// cancellation signal and two locks with two jobs. ctx derives from the
+// endpoint's: MarkDead cancels it, Close cancels them all, and every wait
+// on the send path — back-off, dial, write — ends when it fires. wmu
+// serializes writers and is held for a whole Send, dial and back-off
+// included, so nothing that must not wait ever takes it. mu only
+// publishes the live connection and is never held across I/O, which is
+// what lets MarkDead and Close close the connection underneath a writer
+// blocked in write(2).
 type peer struct {
-	addr string
-	mu   sync.Mutex
-	conn net.Conn
-	bw   *bufio.Writer
+	addr   string
+	ctx    context.Context
+	cancel context.CancelFunc
+
+	wmu sync.Mutex // serializes writers; guards bw and everConnected
+	// bw buffers writes to the live connection (flushed at message
+	// boundaries, so a frame never straddles an unflushed buffer when
+	// Send returns).
+	bw *bufio.Writer
 	// everConnected distinguishes a first dial from a reconnect after a
 	// working connection was lost (the reconnects metric).
 	everConnected bool
+
+	mu   sync.Mutex // guards conn; never held across I/O
+	conn net.Conn
+}
+
+// drop unpublishes the live connection, if any, and closes it. Whoever
+// unpublishes it closes it, so a writer dropping a broken connection and
+// a shut racing it close it exactly once.
+func (p *peer) drop() {
+	p.mu.Lock()
+	conn := p.conn
+	p.conn = nil
+	p.mu.Unlock()
+	if conn != nil {
+		conn.Close()
+	}
+}
+
+// publish makes conn the live connection, unless the peer was cancelled
+// while it was being dialed: shut cancels before it drops, so a
+// connection published after the cancel would never be closed.
+func (p *peer) publish(conn net.Conn) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.ctx.Err() != nil {
+		return false
+	}
+	p.conn = conn
+	return true
+}
+
+// shut cancels the peer for good and closes its connection, releasing a
+// sender wherever it waits. It takes no lock a sender holds while
+// waiting, so it cannot block behind one.
+func (p *peer) shut() {
+	p.cancel()
+	p.drop()
 }
 
 // Endpoint is a process's TCP attachment: listener, mailbox, peer table,
@@ -114,12 +164,15 @@ type Endpoint struct {
 	epoch time.Time
 	clock vtime.Clock
 
+	// ctx is cancelled by Close; every peer's context derives from it.
+	ctx    context.Context
+	cancel context.CancelFunc
+
 	mu     sync.Mutex
 	cond   *sync.Cond
 	id     transport.ProcID
 	queue  []*transport.Message
 	closed bool
-	done   chan struct{}
 	ctl    transport.CtlHandler
 	peers  map[transport.ProcID]*peer
 	dead   map[transport.ProcID]bool
@@ -142,11 +195,11 @@ func Listen(addr string, cfg Config) (*Endpoint, error) {
 		ln:    ln,
 		epoch: time.Now(),
 		id:    -1,
-		done:  make(chan struct{}),
 		peers: make(map[transport.ProcID]*peer),
 		dead:  make(map[transport.ProcID]bool),
 		conns: make(map[net.Conn]bool),
 	}
+	e.ctx, e.cancel = context.WithCancel(context.Background())
 	e.cond = sync.NewCond(&e.mu)
 	e.wg.Add(1)
 	go e.acceptLoop()
@@ -169,7 +222,9 @@ func (e *Endpoint) Start(id transport.ProcID, peers map[transport.ProcID]string)
 			continue
 		}
 		if _, ok := e.peers[pid]; !ok {
-			e.peers[pid] = &peer{addr: addr}
+			p := &peer{addr: addr}
+			p.ctx, p.cancel = context.WithCancel(e.ctx)
+			e.peers[pid] = p
 		}
 	}
 }
@@ -182,7 +237,7 @@ func (e *Endpoint) ID() transport.ProcID {
 }
 
 // Done returns a channel closed when the endpoint shuts down.
-func (e *Endpoint) Done() <-chan struct{} { return e.done }
+func (e *Endpoint) Done() <-chan struct{} { return e.ctx.Done() }
 
 // Closed reports whether the endpoint has been shut down.
 func (e *Endpoint) Closed() bool {
@@ -223,8 +278,10 @@ func (e *Endpoint) Compute(d float64) { e.touch() }
 
 // MarkDead records an authoritative failure declaration for a peer (from
 // the rendezvous heartbeat detector) and injects the CtlPeerDown control
-// notice, waking any blocked Recv so the ULFM recovery path can run. It
-// is idempotent and safe from any goroutine.
+// notice, waking any blocked Recv so the ULFM recovery path can run. A
+// Send to the peer that is backing off, dialing or blocked in a write
+// returns PeerFailedError at once instead of sitting out its retries.
+// It is idempotent, safe from any goroutine, and never waits on a sender.
 func (e *Endpoint) MarkDead(id transport.ProcID) {
 	e.mu.Lock()
 	if e.closed || e.dead[id] {
@@ -239,19 +296,14 @@ func (e *Endpoint) MarkDead(id transport.ProcID) {
 	e.cond.Broadcast()
 	e.mu.Unlock()
 	if p != nil {
-		p.mu.Lock()
-		if p.conn != nil {
-			p.conn.Close()
-			p.conn = nil
-			p.bw = nil
-		}
-		p.mu.Unlock()
+		p.shut()
 	}
 }
 
 // Close shuts the endpoint down gracefully: the listener and all
 // connections are closed, reader goroutines drain, and pending or future
-// operations on the endpoint return ErrDead. Peers observe the closed
+// operations on the endpoint — a Send backing off, dialing or blocked in
+// a write included — return ErrDead. Peers observe the closed
 // connections as send failures and, authoritatively, a heartbeat
 // declaration from the rendezvous service.
 func (e *Endpoint) Close() error {
@@ -261,7 +313,7 @@ func (e *Endpoint) Close() error {
 		return nil
 	}
 	e.closed = true
-	close(e.done)
+	e.cancel()
 	for _, m := range e.queue {
 		// Undelivered lazy payloads still own pooled read buffers; give
 		// them back so the post-shutdown leak checks stay at zero.
@@ -284,13 +336,7 @@ func (e *Endpoint) Close() error {
 		c.Close()
 	}
 	for _, p := range peers {
-		p.mu.Lock()
-		if p.conn != nil {
-			p.conn.Close()
-			p.conn = nil
-			p.bw = nil
-		}
-		p.mu.Unlock()
+		p.shut()
 	}
 	e.wg.Wait()
 	return nil
@@ -404,7 +450,8 @@ func (e *Endpoint) deliver(m *transport.Message) {
 // backoff, flushed at the message boundary). Exhausted retries are
 // reported as a peer failure — the Gloo-style reading of connection
 // resets — which the rendezvous heartbeat detector later confirms or
-// refutes globally.
+// refutes globally; a declaration that arrives first (MarkDead) ends the
+// retries at once with the same error.
 func (e *Endpoint) Send(dst transport.ProcID, tag int, data any, bytes int64) error {
 	e.mu.Lock()
 	if e.closed {
@@ -503,13 +550,12 @@ func (e *oversizeError) Error() string { return e.err.Error() }
 func (e *oversizeError) Unwrap() error { return e.err }
 
 // writeToPeer writes one assembled frame onto p's connection, dialing (or
-// redialing) with exponential backoff. The peer mutex serializes
-// concurrent writers; the frame goes through the peer's buffered writer
-// and is flushed before returning, so every Send leaves the wire at a
-// message boundary.
+// redialing) with exponential backoff. The frame goes through the peer's
+// buffered writer and is flushed before returning, so every Send leaves
+// the wire at a message boundary.
 func (e *Endpoint) writeToPeer(p *peer, buf []byte) error {
-	return e.writeToPeerFn(p, func(p *peer) error {
-		return writeBuffered(p.bw, buf)
+	return e.writeToPeerFn(p, func(_ net.Conn, bw *bufio.Writer) error {
+		return writeBuffered(bw, buf)
 	})
 }
 
@@ -518,66 +564,101 @@ func (e *Endpoint) writeToPeer(p *peer, buf []byte) error {
 // attempt rewrites the whole frame on the fresh connection, so the
 // net.Buffers list (which WriteTo consumes) is rebuilt per attempt.
 func (e *Endpoint) writeVecToPeer(p *peer, hdr, body []byte) error {
-	return e.writeToPeerFn(p, func(p *peer) error {
+	return e.writeToPeerFn(p, func(conn net.Conn, bw *bufio.Writer) error {
 		// The buffered writer is empty at message boundaries, but flush
 		// defensively: header bytes must never pass buffered ones.
-		if err := p.bw.Flush(); err != nil {
+		if err := bw.Flush(); err != nil {
 			return err
 		}
 		v := net.Buffers{hdr, body}
-		_, err := v.WriteTo(p.conn)
+		_, err := v.WriteTo(conn)
 		return err
 	})
 }
 
 // writeToPeerFn runs one frame-write attempt function against p's live
-// connection, dialing (or redialing) with exponential backoff between
-// attempts. The write function sees a connected peer (p.conn, p.bw
-// valid) under p.mu; any error it returns drops the connection and
-// retries the whole frame on a fresh one.
-func (e *Endpoint) writeToPeerFn(p *peer, write func(p *peer) error) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+// connection and its buffered writer, dialing (or redialing) with
+// exponential backoff between attempts; any error the function returns
+// drops the connection and retries the whole frame on a fresh one. The
+// peer's write lock serializes concurrent senders for the whole call.
+//
+// Every wait in here ends when p.ctx is cancelled: the context is
+// checked before each attempt, the back-off selects on it, the dial runs
+// under it, and shut closes the published connection underneath a
+// blocked write. A verdict (MarkDead) or Close therefore costs a sender
+// nothing further; the retry count and back-off only pace the case
+// where no verdict arrives, and exhausting them is a local failure
+// report the detector later confirms or refutes.
+func (e *Endpoint) writeToPeerFn(p *peer, write func(conn net.Conn, bw *bufio.Writer) error) error {
+	p.wmu.Lock()
+	defer p.wmu.Unlock()
 	var lastErr error
+	var timer *time.Timer // one timer for all back-offs; none on the failure-free path
 	backoff := e.cfg.DialBackoff
 	for attempt := 0; attempt <= e.cfg.DialRetries; attempt++ {
+		if err := p.ctx.Err(); err != nil {
+			return err
+		}
 		if attempt > 0 {
 			obsDialRetries.Inc()
+			if timer == nil {
+				timer = time.NewTimer(backoff)
+			} else {
+				timer.Reset(backoff) // fired and drained below: safe to rearm
+			}
 			select {
-			case <-e.done:
-				return transport.ErrDead
-			case <-time.After(backoff):
+			case <-p.ctx.Done():
+				timer.Stop()
+				return p.ctx.Err()
+			case <-timer.C:
 			}
 			backoff *= 2
 		}
-		if p.conn == nil {
-			conn, err := net.DialTimeout("tcp", p.addr, e.cfg.DialTimeout)
-			if err != nil {
+		p.mu.Lock()
+		conn := p.conn
+		p.mu.Unlock()
+		if conn == nil {
+			var err error
+			if conn, err = e.dial(p); err != nil {
 				lastErr = err
 				continue
 			}
-			setNoDelay(conn)
-			if e.cfg.WrapConn != nil {
-				conn = e.cfg.WrapConn(conn, true)
-			}
-			obsDials.Inc()
-			if p.everConnected {
-				obsReconnects.Inc()
-			}
-			p.everConnected = true
-			p.conn = conn
-			p.bw = bufio.NewWriterSize(conn, writeBufSize)
 		}
-		if err := write(p); err != nil {
-			p.conn.Close()
-			p.conn = nil
-			p.bw = nil
+		if err := write(conn, p.bw); err != nil {
+			p.drop() // a no-op if shut got there first
 			lastErr = err
 			continue
 		}
 		return nil
 	}
 	return lastErr
+}
+
+// dial connects to p under the peer's context — so a verdict or Close
+// cuts a black-holed connect short instead of waiting out DialTimeout —
+// and publishes the connection with a fresh buffered writer. Called with
+// p.wmu held.
+func (e *Endpoint) dial(p *peer) (net.Conn, error) {
+	d := net.Dialer{Timeout: e.cfg.DialTimeout}
+	conn, err := d.DialContext(p.ctx, "tcp", p.addr)
+	if err != nil {
+		return nil, err
+	}
+	setNoDelay(conn)
+	if e.cfg.WrapConn != nil {
+		conn = e.cfg.WrapConn(conn, true)
+	}
+	if !p.publish(conn) {
+		conn.Close()
+		return nil, p.ctx.Err()
+	}
+	obsDials.Inc()
+	if p.everConnected {
+		obsReconnects.Inc()
+	}
+	p.everConnected = true
+	p.bw = bufio.NewWriterSize(conn, writeBufSize)
+	return conn, nil
 }
 
 // writeBuffered pushes one frame through a buffered writer and flushes it.
