@@ -316,6 +316,13 @@ func main() {
 		d.awaitSpares(*spares, 2*time.Minute)
 		return d.runSteps(r, 0)
 	}()
+	if runErr == nil || errors.Is(runErr, ulfm.ErrDropped) {
+		// This worker is leaving while others may go on: it may have
+		// returned early from an agreement a peer is still inside, and
+		// once its endpoint closes (the deferred ep.Close) nobody can ask
+		// it for the decision. Hand it over first.
+		p.Leave()
+	}
 	if runErr != nil {
 		if errors.Is(runErr, ulfm.ErrDropped) {
 			log.Printf("elasticd: dropped from the communicator, exiting")

@@ -16,6 +16,7 @@ const (
 
 	// The collective-protocol points, mirroring hooks.go.
 	PointAgreeContrib    = "mpi.agree.contrib"
+	PointAgreeDecide     = "mpi.agree.decide"
 	PointPipelineRSChunk = "mpi.pipeline.rs.chunk"
 	PointPipelineAGChunk = "mpi.pipeline.ag.chunk"
 	PointGrowSend        = "mpi.grow.send"

@@ -358,12 +358,18 @@ func (w *Worker) Die() {
 	w.EP.Close()
 }
 
-// Leave is the clean scale-down departure: a rendezvous leave (the hub
+// Leave is the clean scale-down departure: the agreement hand-off (a
+// member that returned from an agreement early may be the only one
+// holding its decision — see mpi.Proc.Leave), a rendezvous leave (the hub
 // broadcasts the peerdown immediately, so survivors MarkDead without
 // waiting out a detection window), then gossip and transport shutdown.
-// The next collective repairs the evictee out.
+// The next collective repairs the evictee out. Call it from the worker's
+// own goroutine.
 func (w *Worker) Leave() {
 	w.Killed.Store(true)
+	if w.R != nil {
+		w.R.Comm().Proc().Leave()
+	}
 	w.CL.Close()
 	w.G.Close()
 	w.EP.Close()

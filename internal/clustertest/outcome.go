@@ -45,11 +45,14 @@ func (c *Cluster) Run(body func(w *Worker) *Outcome) []*Outcome {
 	}
 	// A single shared core is the worst supported case: every survivor's
 	// repair round and the whole gossip fabric time-share it, so the
-	// budget grows with world size — quadratically, like the detector
-	// windows, because agreement traffic is O(n²) messages and each
-	// message needs two schedulings whose latency grows with the
-	// runnable backlog (world 128 has been observed to need ~6 minutes
-	// for one repair on one core).
+	// budget grows with world size — quadratically, because a repair
+	// cannot start before the detector's verdict and DetectorDefaults
+	// stretches the protocol period as world² beyond 32 (the suspicion
+	// window is 2·log n + 6 of those periods). The agreement inside the
+	// repair no longer contributes: it is 2(n−1) messages, not the
+	// n(n−1) this deadline was first derived for (world 128 then needed
+	// ~6 minutes for one repair on one core). The term stays for the
+	// detector; shrinking it is a measurement at world 128, not a guess.
 	n := len(c.Workers)
 	deadline := time.After(45*time.Second +
 		time.Duration(n)*1500*time.Millisecond +
@@ -151,6 +154,53 @@ func (c *Cluster) CheckOutcomes(outs []*Outcome, wantProcs []transport.ProcID) {
 	if survivors != len(want) {
 		c.T.Errorf("%d survivor outcomes, want %d", survivors, len(want))
 	}
+	c.checkMailboxes(outs)
+}
+
+// checkMailboxes asserts what no exit-time leak check can see, because
+// Close empties the mailbox first: once the scenario's last collective has
+// returned everywhere and each survivor has polled its control plane one
+// last time, no agreement message is set aside anywhere — duplicated,
+// reordered and late ones were dropped at delivery — and, unless a fault
+// fired that strands data frames (see chaos.Engine.StrandsData) or a
+// worker was killed, the mailbox itself is empty.
+func (c *Cluster) checkMailboxes(outs []*Outcome) {
+	c.T.Helper()
+	strands := c.Eng.StrandsData()
+	for _, ws := range [][]*Worker{c.Workers, c.Spares} {
+		for _, w := range ws {
+			strands = strands || w.Killed.Load()
+		}
+	}
+	for _, o := range outs {
+		if o == nil || o.Died || o.Err != nil {
+			continue
+		}
+		w := c.workerOf(o.Rank)
+		if w == nil || w.R == nil {
+			continue
+		}
+		p := w.R.Comm().Proc()
+		_ = p.Poll()
+		if n := p.AgreeBacklog(); n != 0 {
+			c.T.Errorf("rank %d: %d agreement messages set aside after the last collective", o.Rank, n)
+		}
+		if n := w.EP.QueueLen(); n != 0 && !strands {
+			c.T.Errorf("rank %d: %d messages parked in the mailbox after the last collective", o.Rank, n)
+		}
+	}
+}
+
+// workerOf resolves an outcome's rank: workers first, then (RunGrow's
+// numbering) the spares.
+func (c *Cluster) workerOf(rank int) *Worker {
+	switch {
+	case rank < len(c.Workers):
+		return c.Workers[rank]
+	case rank-len(c.Workers) < len(c.Spares):
+		return c.Spares[rank-len(c.Workers)]
+	}
+	return nil
 }
 
 // CheckEveryRound asserts the no-membership-change invariant: every

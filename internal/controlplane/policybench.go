@@ -27,8 +27,8 @@ import (
 // only if the prediction or EWMA arithmetic changes.
 const (
 	policyDecisionIters = 2000
-	policyScriptEvents  = 30 // EWMA warmup + measured tail
-	policyRegretTail    = 10 // events averaged into the regret row
+	policyScriptEvents  = 30  // EWMA warmup + measured tail
+	policyRegretTail    = 10  // events averaged into the regret row
 	policyEventGapSec   = 100 // far apart: every event classifies as proc-drop
 
 	// Realized costs alternate around their mean, so the EWMA chases a

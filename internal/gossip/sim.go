@@ -69,9 +69,9 @@ func (h simHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h simHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *simHeap) Push(x any)        { *h = append(*h, x.(*simEvent)) }
-func (h *simHeap) Pop() any          { old := *h; n := len(old); ev := old[n-1]; *h = old[:n-1]; return ev }
+func (h simHeap) Swap(i, j int)          { h[i], h[j] = h[j], h[i] }
+func (h *simHeap) Push(x any)            { *h = append(*h, x.(*simEvent)) }
+func (h *simHeap) Pop() any              { old := *h; n := len(old); ev := old[n-1]; *h = old[:n-1]; return ev }
 func simAddr(id transport.ProcID) string { return fmt.Sprintf("sim://%d", id) }
 
 // simMember is one simulated process.

@@ -19,9 +19,10 @@ type Comm struct {
 	procs  []ProcID // rank -> process
 	rankOf map[ProcID]int
 
-	opSeq      int // collective sequence number, advances in lockstep SPMD
-	agreeSeq   int // out-of-band agreement sequence (see agreeTag)
-	derivedSeq int // number of derived communicators created from this one
+	opSeq      int             // collective sequence number, advances in lockstep SPMD
+	agreeSeq   int             // out-of-band agreement sequence (see nextAgreeSeq)
+	members    map[ProcID]bool // memberSet, built on first use
+	derivedSeq int             // number of derived communicators created from this one
 }
 
 // World builds the initial communicator over the given process list. Every
@@ -107,7 +108,7 @@ func (c *Comm) Compute(d float64) { c.p.ep.Compute(d) }
 // Layout (positive 64-bit int):
 //   bits [32..63]: communicator context id
 //   bit  31      : point-to-point flag
-//   bit  30      : agreement (out-of-band) flag
+//   bit  30      : agreement wait flag (nothing is ever sent on it)
 //   bits [8..29] : sequence number or user tag (22 bits)
 //   bits [0..7]  : phase within a collective
 
@@ -122,14 +123,11 @@ func (c *Comm) collTag(seq, phase int) int {
 	return int(c.id)<<32 | (seq&seqMask)<<tagShift | (phase & 0xff)
 }
 
-// agreeTag lives in a separate tag plane from data collectives: agreement
-// must work even when ranks disagree on how many data collectives started
-// (an operation interrupted by a failure consumes a sequence number at
-// some ranks but not others). Recovery call sequences, by contrast, are
-// aligned across survivors, so a dedicated agreement counter stays in
-// lockstep.
-func (c *Comm) agreeTag(seq int) int {
-	return int(c.id)<<32 | agreeFlag | (seq&seqMask)<<tagShift
+// agreeWaitTag is the tag an agreement blocks in Recv on. No message ever
+// carries it: agreement traffic rides transport.CtlAgree and reaches the
+// agreement through the control handler, which ends the Recv.
+func (c *Comm) agreeWaitTag() int {
+	return int(c.id)<<32 | agreeFlag
 }
 
 func (c *Comm) p2pTag(utag int) int {
@@ -147,7 +145,12 @@ func (c *Comm) nextSeq() int {
 	return c.opSeq
 }
 
-// nextAgreeSeq reserves an agreement sequence number.
+// nextAgreeSeq reserves an agreement sequence number. Agreement keeps a
+// counter of its own because it must work even when ranks disagree on how
+// many data collectives started (an operation interrupted by a failure
+// consumes a sequence number at some ranks but not others). Recovery call
+// sequences, by contrast, are aligned across survivors, so this counter
+// stays in lockstep. It travels whole in every agreement message.
 func (c *Comm) nextAgreeSeq() int {
 	c.agreeSeq++
 	return c.agreeSeq
@@ -276,13 +279,16 @@ func (c *Comm) checkCollective() error {
 	return nil
 }
 
-// memberSet returns the proc-set view used by operation scopes.
+// memberSet returns the proc-set view used by operation scopes. It is
+// read-only and shared by every scope on this communicator.
 func (c *Comm) memberSet() map[ProcID]bool {
-	m := make(map[ProcID]bool, len(c.procs))
-	for _, pr := range c.procs {
-		m[pr] = true
+	if c.members == nil {
+		c.members = make(map[ProcID]bool, len(c.procs))
+		for _, pr := range c.procs {
+			c.members[pr] = true
+		}
 	}
-	return m
+	return c.members
 }
 
 // sendRaw transmits payload to a rank with transport-error translation.

@@ -16,9 +16,21 @@ var (
 	obsTunerDecisions   [algoCount]*obs.Counter
 	obsAllreduceErrors  = obs.Default().Counter("mpi_allreduce_errors_total",
 		"Allreduces that returned an error (peer failure, revoked comm, shutdown).")
+
+	obsAgreeSeconds = obs.Default().Histogram("mpi_agree_seconds",
+		"Wall latency of one fault-tolerant agreement at this rank (entry to early return).",
+		obs.SecondsBuckets())
+	// obsAgreeMsgs is indexed by agreement message kind (agree.go), with
+	// agreeReply for decisions sent outside the tree.
+	obsAgreeMsgs [agreeReply + 1]*obs.Counter
 )
 
 func init() {
+	for k, label := range [...]string{agreeUp: "up", agreeDown: "down", agreeQuery: "query", agreeReply: "reply"} {
+		obsAgreeMsgs[k] = obs.Default().Counter("mpi_agree_messages_total",
+			"Agreement messages sent: contributions up the tree, decisions down it, queries to adopted children, and decisions replied to latecomers or handed off on leaving.",
+			obs.L("kind", label))
+	}
 	for a := AlgoAuto; int(a) < algoCount; a++ {
 		obsAllreduceSeconds[a] = obs.Default().Histogram("mpi_allreduce_seconds",
 			"Wall latency of one allreduce, by schedule.",

@@ -45,7 +45,6 @@ func init() {
 	// The MPI layer's own control and recovery messages must survive a
 	// real wire, not just in-process delivery.
 	transport.RegisterWireType(revokeNotice{})
-	transport.RegisterWireType(agreeMsg{})
 	transport.RegisterWireType(joinInfo{})
 }
 
@@ -60,7 +59,7 @@ type revokeNotice struct {
 type opScope struct {
 	comm          *Comm
 	members       map[ProcID]bool // procs whose death aborts the op
-	abortOnRevoke bool                   // false for recovery ops (agree/shrink)
+	abortOnRevoke bool            // false for recovery ops (agree/shrink)
 }
 
 // Proc is a process's MPI runtime state: its endpoint, its local knowledge
@@ -75,6 +74,19 @@ type Proc struct {
 	revoked map[uint64]bool
 	comms   map[uint64][]ProcID
 	cur     *opScope
+
+	// failGen counts the failures learned so far and learned records the
+	// count each one brought it to, so an agreement can tell whether its
+	// tree is current and what it knew when it last contributed.
+	failGen int
+	learned map[ProcID]int
+
+	// Agreement state (agree.go): the agreement this rank is inside, the
+	// last decision per communicator, and messages for agreements it has
+	// not entered yet.
+	agree  *agreement
+	agreed map[uint64]*agreeMsg
+	early  []earlyAgree
 }
 
 // Attach wires MPI onto a transport endpoint, installing the control
@@ -86,6 +98,8 @@ func Attach(ep transport.Endpoint) *Proc {
 		acked:   make(map[ProcID]bool),
 		revoked: make(map[uint64]bool),
 		comms:   make(map[uint64][]ProcID),
+		learned: make(map[ProcID]int),
+		agreed:  make(map[uint64]*agreeMsg),
 	}
 	ep.SetCtlHandler(p.handleCtl)
 	return p
@@ -100,13 +114,24 @@ func (p *Proc) ID() ProcID { return p.ep.ID() }
 // handleCtl processes control messages on the rank goroutine. A returned
 // error aborts the operation currently blocked in Recv.
 func (p *Proc) handleCtl(m *transport.Message) error {
+	gen := p.failGen
+	err := p.dispatchCtl(m)
+	if err == nil && p.agree != nil && p.failGen != gen {
+		// A failure learned on the side (answering a latecomer that turned
+		// out dead, say) reshapes the tree of the agreement in progress.
+		err = errAgreeWake
+	}
+	return err
+}
+
+func (p *Proc) dispatchCtl(m *transport.Message) error {
 	switch m.Tag {
 	case transport.CtlPeerDown:
 		dead := m.From
 		if p.failed[dead] {
 			return nil // already known (e.g. via a transport error)
 		}
-		p.failed[dead] = true
+		p.noteFailure(dead)
 		if p.cur != nil && p.cur.members[dead] {
 			c := p.cur.comm
 			return &ProcFailedError{Comm: c.id, Rank: c.rankOfProc(dead), Proc: dead}
@@ -120,6 +145,8 @@ func (p *Proc) handleCtl(m *transport.Message) error {
 		if p.cur != nil && p.cur.abortOnRevoke && p.cur.comm.id == n.CommID {
 			return &RevokedError{Comm: n.CommID}
 		}
+	case transport.CtlAgree:
+		return p.onAgree(m)
 	}
 	return nil
 }
@@ -163,7 +190,11 @@ func (p *Proc) KnownFailed() []ProcID {
 // noteFailure records an externally discovered failure (e.g. a transport
 // error observed before the detector notice arrived).
 func (p *Proc) noteFailure(id ProcID) {
-	p.failed[id] = true
+	if !p.failed[id] {
+		p.failed[id] = true
+		p.failGen++
+		p.learned[id] = p.failGen
+	}
 }
 
 // begin installs an operation scope; end removes it.

@@ -16,32 +16,13 @@ import (
 //   Grow / Join                   <->  MPI_Comm_spawn + intercomm merge
 //
 // Agree and Shrink operate on revoked communicators, as the specification
-// requires — they are the recovery path.
+// requires — they are the recovery path. The agreement protocol itself is
+// in agree.go.
 
 // tagJoin is the plain endpoint tag used to hand membership to newly
 // spawned processes that do not yet own a communicator. It lives far below
 // any communicator tag (which all carry a context id in the high bits).
 const tagJoin = 7
-
-// agreement message kinds.
-const (
-	agreeContrib = iota
-	agreeDecided
-)
-
-type agreeMsg struct {
-	Kind   int
-	Round  int
-	Flags  uint32
-	Failed []ProcID // sender's failure knowledge within the comm
-	// Unacked is set when the sender knows of a member failure it has not
-	// acknowledged. The coordinator ORs the bit across contributions so the
-	// resulting ProcFailedError is raised uniformly: either every survivor
-	// sees it, or none does. Deciding it locally instead would let a late
-	// failure notice split the membership — members that had acked return
-	// success while the rest launch a repair nobody else will join.
-	Unacked bool
-}
 
 type joinInfo struct {
 	CommID uint64
@@ -118,211 +99,6 @@ func failedProcOf(err error) (ProcID, bool) {
 		return pf.Proc, true
 	}
 	return 0, false
-}
-
-// agreeFull is the protocol engine shared by Agree and Shrink. It returns
-// the agreed flags, the agreed set of failed member processes, and the
-// agreed unacknowledged-failure flag (see Agree).
-//
-// The protocol is a rotating-coordinator consensus backed by the perfect
-// failure detector the simulated runtime provides (failure notices are
-// delivered to every live process, and receives from dead processes fail):
-//
-//   - Round k's coordinator is the comm member with rank k mod n.
-//   - Every non-coordinator sends its contribution (flags + failure
-//     knowledge) to the coordinator and waits for the decision.
-//   - The coordinator collects contributions from every member it does not
-//     know to be dead, decides (AND of flags, union of failure sets), and
-//     floods the decision to all live members.
-//   - Any process receiving a decision re-floods it once and adopts it, so
-//     a coordinator crash after a partial flood cannot strand survivors.
-//   - If the coordinator dies before deciding, survivors move to the next
-//     round.
-func (c *Comm) agreeFull(flags uint32) (uint32, []ProcID, bool, error) {
-	_ = c.p.Poll()
-	seq := c.nextAgreeSeq()
-	tag := c.agreeTag(seq)
-	me := c.rank
-	n := c.Size()
-	if n == 1 {
-		return flags, c.failedMembers(), c.hasUnackedMembers(), nil
-	}
-
-	scope := &opScope{comm: c, members: c.memberSet(), abortOnRevoke: false}
-	c.p.begin(scope)
-	defer c.p.end()
-
-	// Contributions can reach this rank before it becomes their round's
-	// coordinator (it may still be awaiting an earlier round's decision).
-	// They are stashed, not discarded, and replayed when coordinating.
-	var stash []*transport.Message
-
-	flood := func(dec agreeMsg) {
-		for r, pr := range c.procs {
-			if r == me || c.p.failed[pr] {
-				continue
-			}
-			_ = c.p.ep.Send(pr, tag, dec, int64(16+8*len(dec.Failed)))
-		}
-	}
-
-	for round := 0; round < 4*n+16; round++ {
-		coord := round % n
-		if c.p.failed[c.procs[coord]] {
-			continue // everyone skips known-dead coordinators
-		}
-		if coord == me {
-			dec, decided, err := c.coordinateRound(tag, flags, flood, &stash)
-			if err != nil {
-				return 0, nil, false, err
-			}
-			if decided {
-				return dec.Flags, dec.Failed, dec.Unacked, nil
-			}
-			continue
-		}
-		// Participant: contribute, then wait for a decision or for the
-		// coordinator's death.
-		contrib := agreeMsg{
-			Kind: agreeContrib, Round: round, Flags: flags,
-			Failed: c.failedMembers(), Unacked: c.hasUnackedMembers(),
-		}
-		if err := c.p.ep.Send(c.procs[coord], tag, contrib, int64(16+8*len(contrib.Failed))); err != nil {
-			if proc, ok := failedProcOf(err); ok {
-				c.p.noteFailure(proc)
-				continue // coordinator died; next round
-			}
-			return 0, nil, false, err
-		}
-		transport.Hit(c.p.ep.ID(), transport.PointAgreeContrib)
-		dec, ok, err := c.awaitDecision(tag, c.procs[coord], flood, &stash)
-		if err != nil {
-			return 0, nil, false, err
-		}
-		if ok {
-			return dec.Flags, dec.Failed, dec.Unacked, nil
-		}
-		// Coordinator died before deciding; advance to the next round.
-	}
-	return 0, nil, false, fmt.Errorf("mpi: comm %#x: agreement did not converge", c.id)
-}
-
-// coordinateRound runs the coordinator side of one agreement round: it
-// collects one contribution from every member not known dead, decides,
-// and floods. It may instead adopt a decision flooded by a crashed
-// earlier coordinator.
-func (c *Comm) coordinateRound(tag int, flags uint32, flood func(agreeMsg), stash *[]*transport.Message) (dec agreeMsg, decided bool, err error) {
-	me := c.rank
-	agreedFlags := flags
-	unacked := c.hasUnackedMembers()
-	union := make(map[ProcID]bool)
-	for _, pr := range c.failedMembers() {
-		union[pr] = true
-	}
-	pending := make(map[int]bool)
-	for r, pr := range c.procs {
-		if r != me && !c.p.failed[pr] {
-			pending[r] = true
-		}
-	}
-	// drop folds a failure notice into the round. Only member deaths enter
-	// the agreed failed set: a notice about a proc outside this comm (a
-	// stale detector verdict for an already-shrunken-out process) is noted
-	// locally but must not pollute the decision, or survivors would
-	// "agree" on a failure no current member has.
-	drop := func(pr ProcID) {
-		c.p.noteFailure(pr)
-		if r := c.rankOfProc(pr); r >= 0 {
-			union[pr] = true
-			if !c.p.acked[pr] {
-				unacked = true
-			}
-			delete(pending, r)
-		}
-	}
-	apply := func(m *transport.Message) (agreeMsg, bool, error) {
-		msg, ok := m.Data.(agreeMsg)
-		if !ok {
-			return dec, false, fmt.Errorf("mpi: comm %#x: malformed agreement message", c.id)
-		}
-		switch msg.Kind {
-		case agreeDecided:
-			// An earlier coordinator's flood outlived it. Adopt, re-flood.
-			flood(msg)
-			return msg, true, nil
-		case agreeContrib:
-			agreedFlags &= msg.Flags
-			unacked = unacked || msg.Unacked
-			for _, pr := range msg.Failed {
-				drop(pr)
-			}
-			delete(pending, c.rankOfProc(m.From))
-		}
-		return dec, false, nil
-	}
-	// Replay contributions that arrived while awaiting earlier rounds.
-	replay := *stash
-	*stash = nil
-	for _, m := range replay {
-		if d, done, aerr := apply(m); done || aerr != nil {
-			return d, done, aerr
-		}
-	}
-	for len(pending) > 0 {
-		m, rerr := c.p.ep.Recv(transport.AnySource, tag)
-		if rerr != nil {
-			if proc, ok := failedProcOf(rerr); ok {
-				drop(proc)
-				continue
-			}
-			return dec, false, c.translate(rerr)
-		}
-		if d, done, aerr := apply(m); done || aerr != nil {
-			return d, done, aerr
-		}
-	}
-	out := agreeMsg{Kind: agreeDecided, Flags: agreedFlags, Failed: setToList(union), Unacked: unacked}
-	flood(out)
-	return out, true, nil
-}
-
-// awaitDecision waits for a decision flood or the coordinator's death.
-// ok=false means the coordinator died undecided and the caller should move
-// to the next round.
-func (c *Comm) awaitDecision(tag int, coordProc ProcID, flood func(agreeMsg), stash *[]*transport.Message) (agreeMsg, bool, error) {
-	for {
-		m, err := c.p.ep.Recv(transport.AnySource, tag)
-		if err != nil {
-			if proc, ok := failedProcOf(err); ok {
-				c.p.noteFailure(proc)
-				if proc == coordProc {
-					return agreeMsg{}, false, nil
-				}
-				continue // some other member died; keep waiting
-			}
-			return agreeMsg{}, false, c.translate(err)
-		}
-		msg, ok := m.Data.(agreeMsg)
-		if !ok {
-			return agreeMsg{}, false, fmt.Errorf("mpi: comm %#x: malformed agreement message", c.id)
-		}
-		if msg.Kind == agreeDecided {
-			flood(msg)
-			return msg, true, nil
-		}
-		// A contribution addressed to us as a (future) coordinator: stash
-		// it for replay when we coordinate, and merge its failure
-		// knowledge. If the gossip reveals that our current coordinator is
-		// dead, advance — the detector notice alone would no longer abort
-		// this wait, because the failure is now "already known".
-		*stash = append(*stash, m)
-		for _, pr := range msg.Failed {
-			c.p.noteFailure(pr)
-		}
-		if c.p.failed[coordProc] {
-			return agreeMsg{}, false, nil
-		}
-	}
 }
 
 // Shrink agrees on the failed-member set and returns a new communicator
@@ -418,13 +194,4 @@ func (c *Comm) hasUnackedMembers() bool {
 		}
 	}
 	return false
-}
-
-func setToList(set map[ProcID]bool) []ProcID {
-	out := make([]ProcID, 0, len(set))
-	for pr := range set {
-		out = append(out, pr)
-	}
-	sortProcs(out)
-	return out
 }

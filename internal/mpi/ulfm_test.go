@@ -2,10 +2,8 @@ package mpi
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/simnet"
 )
@@ -557,67 +555,6 @@ func TestGrowAdmitsNewWorkers(t *testing.T) {
 		if s != 5 {
 			t.Fatalf("proc %d sum = %v, want 5", id, s)
 		}
-	}
-}
-
-// Property: agreement returns a uniform value at all survivors for random
-// failure patterns injected concurrently with the protocol.
-func TestAgreeUniformityProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 3 + rng.Intn(6) // 3..8 ranks
-		nVictims := rng.Intn(n - 1)
-		victims := map[int]bool{}
-		for len(victims) < nVictims {
-			victims[rng.Intn(n)] = true
-		}
-		c := simnet.New(simnet.Config{
-			Nodes: 1, ProcsPerNode: n,
-			IntraNodeLatency: 1e-6, InterNodeLatency: 3e-6,
-			IntraNodeBandwidth: 1e9, InterNodeBandwidth: 1e9,
-			DetectLatency: 1e-3,
-		})
-		procs := c.Procs()
-		var mu sync.Mutex
-		vals := map[int]uint32{}
-		errs := simnet.RunAll(c, procs, func(rank int, ep *simnet.Endpoint) error {
-			p := Attach(ep)
-			comm, err := World(p, procs)
-			if err != nil {
-				return err
-			}
-			if victims[rank] {
-				c.Kill(ep.ID())
-				return nil
-			}
-			v, err := comm.Agree(uint32(1 << uint(rank%8)))
-			if err != nil && !IsProcFailed(err) {
-				return err
-			}
-			mu.Lock()
-			vals[rank] = v
-			mu.Unlock()
-			return nil
-		})
-		if err := simnet.FirstError(errs); err != nil {
-			return false
-		}
-		if len(vals) != n-len(victims) {
-			return false
-		}
-		var first uint32
-		got := false
-		for _, v := range vals {
-			if !got {
-				first, got = v, true
-			} else if v != first {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -110,7 +110,7 @@ func TestExpositionHistogramMonotone(t *testing.T) {
 
 func TestValidateTextRejectsMalformed(t *testing.T) {
 	cases := map[string]string{
-		"bad sample":        "# HELP m x\n# TYPE m counter\nm{ 3\n",
+		"bad sample":         "# HELP m x\n# TYPE m counter\nm{ 3\n",
 		"sample before type": "m 3\n",
 		"non-cumulative": "# HELP h x\n# TYPE h histogram\n" +
 			"h_bucket{le=\"1\"} 5\nh_bucket{le=\"2\"} 3\nh_bucket{le=\"+Inf\"} 5\nh_sum 1\nh_count 5\n",

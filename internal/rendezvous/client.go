@@ -34,6 +34,9 @@ type Client struct {
 	spares  map[transport.ProcID]string // warm spares: ProcID -> transport address
 	spareGs map[transport.ProcID]string // warm spares: ProcID -> gossip address
 	mapVer  uint64
+	// early holds notifications that overtook the welcome; the reader
+	// StartNotify launches delivers them before anything newer.
+	early []wireMsg
 
 	mu      sync.Mutex
 	started bool
@@ -105,6 +108,11 @@ func JoinWith(serverAddr string, opts JoinOptions) (*Client, error) {
 	}
 	var msg wireMsg
 	for {
+		// A fresh struct per message: Decode leaves fields the JSON omits
+		// untouched, and the welcome omits every zero field — so a delta
+		// read first (a spare registering before the world has gathered)
+		// would lend proc 0 its own "proc".
+		msg = wireMsg{}
 		if err := c.dec.Decode(&msg); err != nil {
 			conn.Close()
 			return nil, fmt.Errorf("rendezvous: waiting for welcome: %w", err)
@@ -112,6 +120,10 @@ func JoinWith(serverAddr string, opts JoinOptions) (*Client, error) {
 		if msg.Op == "welcome" {
 			break
 		}
+		// The server writes deltas and welcomes from different
+		// goroutines, so one can overtake this client's welcome. It is
+		// news all the same; the notification reader delivers it first.
+		c.early = append(c.early, msg)
 	}
 	conn.SetReadDeadline(time.Time{})
 	c.proc = transport.ProcID(msg.Proc)
@@ -345,72 +357,82 @@ func (c *Client) StartNotify(n Notifications) {
 	c.wg.Add(1)
 	go func() { // notification reader
 		defer c.wg.Done()
+		for i := range c.early {
+			c.handle(&c.early[i], n)
+		}
+		c.early = nil
 		for {
 			var msg wireMsg
 			if err := c.dec.Decode(&msg); err != nil {
 				return
 			}
-			switch msg.Op {
-			case "peerdown":
-				c.mu.Lock()
-				delete(c.peers, transport.ProcID(msg.Proc))
-				delete(c.gossips, transport.ProcID(msg.Proc))
-				delete(c.spares, transport.ProcID(msg.Proc))
-				delete(c.spareGs, transport.ProcID(msg.Proc))
-				if msg.Ver > c.mapVer {
-					c.mapVer = msg.Ver
-				}
-				c.mu.Unlock()
-				down := n.OnPeerDown
-				if msg.Left && n.OnPeerLeft != nil {
-					down = n.OnPeerLeft
-				}
-				if down != nil {
-					down(transport.ProcID(msg.Proc))
-				}
-			case "doubt":
-				// The hub is arbitrating a death verdict against this
-				// member: answer immediately to be acquitted. Responding
-				// here, on the reader goroutine over the hub TCP
-				// connection, is deliberately independent of the gossip
-				// runtime the accusation came from.
-				c.mu.Lock()
-				if !c.closed {
-					c.enc.Encode(&wireMsg{Op: "pong"})
-				}
-				c.mu.Unlock()
-			case "peerup":
-				c.mu.Lock()
-				c.peers[transport.ProcID(msg.Proc)] = msg.Addr
-				if msg.GossipAddr != "" {
-					c.gossips[transport.ProcID(msg.Proc)] = msg.GossipAddr
-				}
-				// An activated spare moves pool -> world.
-				delete(c.spares, transport.ProcID(msg.Proc))
-				delete(c.spareGs, transport.ProcID(msg.Proc))
-				if msg.Ver > c.mapVer {
-					c.mapVer = msg.Ver
-				}
-				c.mu.Unlock()
-				if n.OnPeerUp != nil {
-					n.OnPeerUp(transport.ProcID(msg.Proc), msg.Addr, msg.GossipAddr)
-				}
-			case "spareup":
-				c.mu.Lock()
-				c.spares[transport.ProcID(msg.Proc)] = msg.Addr
-				if msg.GossipAddr != "" {
-					c.spareGs[transport.ProcID(msg.Proc)] = msg.GossipAddr
-				}
-				if msg.Ver > c.mapVer {
-					c.mapVer = msg.Ver
-				}
-				c.mu.Unlock()
-				if n.OnSpareUp != nil {
-					n.OnSpareUp(transport.ProcID(msg.Proc), msg.Addr, msg.GossipAddr)
-				}
-			}
+			c.handle(&msg, n)
 		}
 	}()
+}
+
+// handle applies one server notification to the client's maps and runs
+// its callback. It runs on the notification reader's goroutine.
+func (c *Client) handle(msg *wireMsg, n Notifications) {
+	switch msg.Op {
+	case "peerdown":
+		c.mu.Lock()
+		delete(c.peers, transport.ProcID(msg.Proc))
+		delete(c.gossips, transport.ProcID(msg.Proc))
+		delete(c.spares, transport.ProcID(msg.Proc))
+		delete(c.spareGs, transport.ProcID(msg.Proc))
+		if msg.Ver > c.mapVer {
+			c.mapVer = msg.Ver
+		}
+		c.mu.Unlock()
+		down := n.OnPeerDown
+		if msg.Left && n.OnPeerLeft != nil {
+			down = n.OnPeerLeft
+		}
+		if down != nil {
+			down(transport.ProcID(msg.Proc))
+		}
+	case "doubt":
+		// The hub is arbitrating a death verdict against this
+		// member: answer immediately to be acquitted. Responding
+		// here, on the reader goroutine over the hub TCP
+		// connection, is deliberately independent of the gossip
+		// runtime the accusation came from.
+		c.mu.Lock()
+		if !c.closed {
+			c.enc.Encode(&wireMsg{Op: "pong"})
+		}
+		c.mu.Unlock()
+	case "peerup":
+		c.mu.Lock()
+		c.peers[transport.ProcID(msg.Proc)] = msg.Addr
+		if msg.GossipAddr != "" {
+			c.gossips[transport.ProcID(msg.Proc)] = msg.GossipAddr
+		}
+		// An activated spare moves pool -> world.
+		delete(c.spares, transport.ProcID(msg.Proc))
+		delete(c.spareGs, transport.ProcID(msg.Proc))
+		if msg.Ver > c.mapVer {
+			c.mapVer = msg.Ver
+		}
+		c.mu.Unlock()
+		if n.OnPeerUp != nil {
+			n.OnPeerUp(transport.ProcID(msg.Proc), msg.Addr, msg.GossipAddr)
+		}
+	case "spareup":
+		c.mu.Lock()
+		c.spares[transport.ProcID(msg.Proc)] = msg.Addr
+		if msg.GossipAddr != "" {
+			c.spareGs[transport.ProcID(msg.Proc)] = msg.GossipAddr
+		}
+		if msg.Ver > c.mapVer {
+			c.mapVer = msg.Ver
+		}
+		c.mu.Unlock()
+		if n.OnSpareUp != nil {
+			n.OnSpareUp(transport.ProcID(msg.Proc), msg.Addr, msg.GossipAddr)
+		}
+	}
 }
 
 // Close announces a clean departure and tears the connection down. The

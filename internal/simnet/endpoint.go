@@ -229,7 +229,14 @@ func (e *Endpoint) drainCtlLocked() error {
 		e.queue = append(e.queue[:idx], e.queue[idx+1:]...)
 		h := e.ctl
 		e.mu.Unlock()
-		e.Clock.AdvanceTo(m.ArriveAt)
+		if m.Tag != transport.CtlAgree {
+			// A notice interrupts whatever the owner is doing, so it is
+			// "now" on arrival. An agreement message is not: it may be from
+			// a peer further along in virtual time, for an agreement the
+			// owner has yet to reach, and is only set aside. The MPI layer
+			// advances the clock when it uses one.
+			e.Clock.AdvanceTo(m.ArriveAt)
+		}
 		var err error
 		if h != nil {
 			err = h(m)

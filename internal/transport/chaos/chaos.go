@@ -20,7 +20,10 @@
 // Faults are applied on the SEND side only and never touch control-plane
 // traffic (tags at or below transport.CtlTagBase) unless a rule names a
 // control tag explicitly, so the failure detector and revocation floods
-// stay truthful while the data plane misbehaves.
+// stay truthful while the data plane misbehaves. The one exception is
+// transport.CtlAgree: agreement messages are protocol traffic that rides
+// the control plane only to be consumed at delivery, so AnyTag rules and
+// partitions fault them like data.
 package chaos
 
 import (
@@ -110,9 +113,14 @@ func (o Op) String() string {
 // AnyProc matches any process in a rule predicate.
 const AnyProc transport.ProcID = -1
 
-// AnyTag matches any data-plane tag (control tags are never matched by
-// AnyTag; name a control tag explicitly to fault it).
+// AnyTag matches any data-plane tag and agreement traffic (other control
+// tags are never matched by AnyTag; name one explicitly to fault it).
 const AnyTag int = math.MinInt
+
+// dataLike reports whether tag is subject to data-plane faults.
+func dataLike(tag int) bool {
+	return tag > transport.CtlTagBase || tag == transport.CtlAgree
+}
 
 // Rule is one entry of a scenario script: a predicate over messages (or
 // protocol points) plus the fault to inject when it matches.
@@ -339,6 +347,24 @@ func (e *Engine) Events() []Event {
 	return append([]Event(nil), e.events...)
 }
 
+// StrandsData reports whether a fault has fired that legitimately leaves
+// unmatched data messages in somebody's mailbox: a duplicate (its second
+// copy), a drop, a kill or a partition (the aborted collective's frames,
+// sent to a receiver that gave up first). Mailbox-flatness checks hold a
+// scenario to an empty mailbox only while this is false; a process a test
+// kills by hand is the test's to account for.
+func (e *Engine) StrandsData() bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for _, ev := range e.events {
+		switch ev.Op {
+		case OpDup, OpDrop, OpKill, OpKillGroup, OpCascade, OpPartition:
+			return true
+		}
+	}
+	return false
+}
+
 // String renders the scenario header and fired-event journal — the
 // reproduction recipe a failing test prints.
 func (e *Engine) String() string {
@@ -377,7 +403,7 @@ func ruleMatches(r *Rule, proc, dst transport.ProcID, tag int, bytes int64) bool
 		return false
 	}
 	if r.Tag == AnyTag {
-		if tag <= transport.CtlTagBase {
+		if !dataLike(tag) {
 			return false
 		}
 	} else if r.Tag != tag {
@@ -418,13 +444,15 @@ type verdict struct {
 
 // onSend consults the script for one outbound message and returns the
 // verdict plus any held message that must be released after this send.
-func (e *Engine) onSend(proc, dst transport.ProcID, tag int, bytes int64) (verdict, []heldMsg) {
+// canHold is false for a send issued from inside the sender's own receive
+// (see Endpoint.receiving): OpHold rules pass it by.
+func (e *Engine) onSend(proc, dst transport.ProcID, tag int, bytes int64, canHold bool) (verdict, []heldMsg) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var v verdict
 	st := e.stateFor(proc)
 
-	if tag > transport.CtlTagBase && e.crossesPartitionLocked(proc, dst) {
+	if dataLike(tag) && e.crossesPartitionLocked(proc, dst) {
 		v.partitioned = true
 		e.events = append(e.events, Event{Rule: "partition", Op: OpPartition, Proc: proc, To: dst, Tag: tag})
 		return v, e.takeHeldLocked(st)
@@ -432,7 +460,7 @@ func (e *Engine) onSend(proc, dst transport.ProcID, tag int, bytes int64) (verdi
 
 	for i := range e.sc.Rules {
 		r := &e.sc.Rules[i]
-		if !ruleMatches(r, proc, dst, tag, bytes) {
+		if !ruleMatches(r, proc, dst, tag, bytes) || (r.Op == OpHold && !canHold) {
 			continue
 		}
 		fire, n := e.fireCounted(i, r, st)

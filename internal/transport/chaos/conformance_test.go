@@ -240,12 +240,13 @@ func (f *fixture) run(body func(w *worker) *outcome) []*outcome {
 // outstanding pooled frame buffers behind.
 func (f *fixture) finish() {
 	f.t.Helper()
+	f.eng.Quiesce() // delayed deliveries land before the mailboxes are read
+	f.checkMailboxes()
 	for _, w := range f.workers {
 		w.cl.Close()
 		w.ep.Close()
 	}
 	f.srv.Close()
-	f.eng.Quiesce()
 	f.eng.Uninstall()
 	if s := chaos.Leaked(5 * time.Second); s != "" {
 		f.t.Errorf("goroutines leaked after scenario:\n%s", s)
@@ -256,6 +257,34 @@ func (f *fixture) finish() {
 	}
 	if f.t.Failed() {
 		f.t.Logf("%s", f.eng)
+	}
+}
+
+// checkMailboxes asserts what no exit-time leak check can see, because
+// Close empties the mailbox first: once the scenario's last collective has
+// returned everywhere and each survivor has polled its control plane one
+// last time, no agreement message is set aside anywhere — duplicated,
+// reordered and late ones were dropped at delivery — and, unless a fault
+// fired that strands data frames (see Engine.StrandsData) or a worker was
+// killed, the mailbox itself is empty.
+func (f *fixture) checkMailboxes() {
+	f.t.Helper()
+	strands := f.eng.StrandsData()
+	for _, w := range f.workers {
+		strands = strands || w.killed.Load()
+	}
+	for _, w := range f.workers {
+		if w.killed.Load() {
+			continue
+		}
+		p := w.r.Comm().Proc()
+		_ = p.Poll()
+		if n := p.AgreeBacklog(); n != 0 {
+			f.t.Errorf("rank %d: %d agreement messages set aside after the last collective", w.rank, n)
+		}
+		if n := w.ep.QueueLen(); n != 0 && !strands {
+			f.t.Errorf("rank %d: %d messages parked in the mailbox after the last collective", w.rank, n)
+		}
 	}
 }
 
@@ -655,6 +684,63 @@ func TestChaosConformance(t *testing.T) {
 			joiner.ep.Close()
 		}
 	})
+}
+
+// TestPresetsLeaveNoAgreementBehind runs the three reorder-class presets
+// cmd/elasticd ships (-chaos dup|reorder|delay) over twenty rounds each
+// and holds them to the mailbox invariant: every agreement message the
+// preset duplicated, held back or delayed was consumed or dropped at
+// delivery, none parked (fixture.finish checks it). Each run must have
+// faulted agreement traffic at least once, or the property was not
+// exercised. Under dup, what is left in a mailbox is bounded by the data
+// frames duplicated toward it: second copies the data plane never matches.
+func TestPresetsLeaveNoAgreementBehind(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration suite")
+	}
+	const rounds = 20
+	for _, name := range []string{"dup", "reorder", "delay"} {
+		t.Run(name, func(t *testing.T) {
+			sc, err := chaos.Preset(name, *chaosSeed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := newFixture(t, 4, sc)
+			defer f.finish()
+			outs := f.run(roundsBody(mpi.AlgoRecursiveDoubling, rounds, func(w *worker, round int) bool {
+				// As in the reorder scenario: a hold taken on the run's very
+				// last message would have nothing behind it to release it.
+				if round == rounds-1 && w.rank == 0 {
+					f.eng.Disable(sc.Rules[0].Name)
+				}
+				return true
+			}))
+			f.checkOutcomes(outs, procsOfRanks(f, 0, 1, 2, 3))
+			f.checkEveryRound(outs, procsOfRanks(f, 0, 1, 2, 3))
+
+			agree := 0
+			dataDups := map[transport.ProcID]int{}
+			for _, ev := range f.eng.Events() {
+				switch {
+				case ev.Tag == transport.CtlAgree:
+					agree++
+				case ev.Op == chaos.OpDup:
+					dataDups[ev.To]++
+				}
+			}
+			if agree == 0 {
+				t.Errorf("preset %q never touched an agreement message in %d rounds:\n%s", name, rounds, f.eng)
+			}
+			f.eng.Quiesce()
+			for _, w := range f.workers {
+				_ = w.r.Comm().Proc().Poll()
+				if n := w.ep.QueueLen(); n > dataDups[w.proc] {
+					t.Errorf("rank %d: %d messages parked, but only %d data frames were duplicated toward it",
+						w.rank, n, dataDups[w.proc])
+				}
+			}
+		})
+	}
 }
 
 // newJoiner brings up a late-joining member: endpoint, late rendezvous

@@ -14,6 +14,12 @@ import (
 type Endpoint struct {
 	inner transport.Endpoint
 	eng   *Engine
+	// receiving is set while the owner is inside Recv, TryRecv or PollCtl,
+	// so a Send issued from there is the control handler's (a revoke
+	// forward, an agreement reply). Such a send is never held: a hold is
+	// released at the owner's next receive, and the receive it would wait
+	// for is the one already in progress.
+	receiving bool
 }
 
 var _ transport.Endpoint = (*Endpoint)(nil)
@@ -33,7 +39,7 @@ func (c *Endpoint) Inner() transport.Endpoint { return c.inner }
 // outlive the message stream that anchors it.
 func (c *Endpoint) Send(dst transport.ProcID, tag int, data any, bytes int64) error {
 	id := c.inner.ID()
-	v, held := c.eng.onSend(id, dst, tag, bytes)
+	v, held := c.eng.onSend(id, dst, tag, bytes, !c.receiving)
 
 	if v.hold {
 		c.eng.holdMessage(id, heldMsg{dst: dst, tag: tag, data: data, bytes: bytes})
@@ -87,31 +93,43 @@ func (c *Endpoint) flush(held []heldMsg) {
 	}
 }
 
-// Recv releases any held sends first (a blocked receiver must not sit on
-// captured messages its peers are waiting for), then delegates.
-func (c *Endpoint) Recv(src transport.ProcID, tag int) (*transport.Message, error) {
+// enterRecv opens every receive: it releases any held sends first (a
+// blocked receiver must not sit on captured messages its peers are waiting
+// for) and marks the owner as receiving until leaveRecv.
+func (c *Endpoint) enterRecv() {
 	c.flush(c.eng.takeHeld(c.inner.ID()))
+	c.receiving = true
+}
+
+func (c *Endpoint) leaveRecv() { c.receiving = false }
+
+// Recv releases held sends, then delegates.
+func (c *Endpoint) Recv(src transport.ProcID, tag int) (*transport.Message, error) {
+	c.enterRecv()
+	defer c.leaveRecv()
 	return c.inner.Recv(src, tag)
 }
 
 // TryRecv releases held sends, then delegates.
 func (c *Endpoint) TryRecv(src transport.ProcID, tag int) (*transport.Message, error) {
-	c.flush(c.eng.takeHeld(c.inner.ID()))
+	c.enterRecv()
+	defer c.leaveRecv()
 	return c.inner.TryRecv(src, tag)
 }
 
 // PollCtl releases held sends, then delegates.
 func (c *Endpoint) PollCtl() error {
-	c.flush(c.eng.takeHeld(c.inner.ID()))
+	c.enterRecv()
+	defer c.leaveRecv()
 	return c.inner.PollCtl()
 }
 
 // The rest of the interface delegates untouched.
 
-func (c *Endpoint) ID() transport.ProcID                  { return c.inner.ID() }
-func (c *Endpoint) SetCtlHandler(h transport.CtlHandler)  { c.inner.SetCtlHandler(h) }
-func (c *Endpoint) CtlHandler() transport.CtlHandler      { return c.inner.CtlHandler() }
-func (c *Endpoint) Done() <-chan struct{}                 { return c.inner.Done() }
-func (c *Endpoint) Closed() bool                          { return c.inner.Closed() }
-func (c *Endpoint) VClock() *vtime.Clock                  { return c.inner.VClock() }
-func (c *Endpoint) Compute(d float64)                     { c.inner.Compute(d) }
+func (c *Endpoint) ID() transport.ProcID                 { return c.inner.ID() }
+func (c *Endpoint) SetCtlHandler(h transport.CtlHandler) { c.inner.SetCtlHandler(h) }
+func (c *Endpoint) CtlHandler() transport.CtlHandler     { return c.inner.CtlHandler() }
+func (c *Endpoint) Done() <-chan struct{}                { return c.inner.Done() }
+func (c *Endpoint) Closed() bool                         { return c.inner.Closed() }
+func (c *Endpoint) VClock() *vtime.Clock                 { return c.inner.VClock() }
+func (c *Endpoint) Compute(d float64)                    { c.inner.Compute(d) }

@@ -19,6 +19,9 @@ type fakeEP struct {
 	done  chan struct{}
 	clock vtime.Clock
 	ctl   transport.CtlHandler
+	// inRecv, if set, runs inside Recv — where a real endpoint runs the
+	// control handler.
+	inRecv func()
 }
 
 type sentMsg struct {
@@ -36,6 +39,9 @@ func (f *fakeEP) Send(dst transport.ProcID, tag int, data any, bytes int64) erro
 	return nil
 }
 func (f *fakeEP) Recv(src transport.ProcID, tag int) (*transport.Message, error) {
+	if f.inRecv != nil {
+		f.inRecv()
+	}
 	if len(f.queue) == 0 {
 		return nil, errors.New("fake: empty")
 	}
@@ -46,13 +52,13 @@ func (f *fakeEP) Recv(src transport.ProcID, tag int) (*transport.Message, error)
 func (f *fakeEP) TryRecv(src transport.ProcID, tag int) (*transport.Message, error) {
 	return nil, nil
 }
-func (f *fakeEP) PollCtl() error                           { return nil }
-func (f *fakeEP) SetCtlHandler(h transport.CtlHandler)     { f.ctl = h }
-func (f *fakeEP) CtlHandler() transport.CtlHandler         { return f.ctl }
-func (f *fakeEP) Done() <-chan struct{}                    { return f.done }
-func (f *fakeEP) Closed() bool                             { return false }
-func (f *fakeEP) VClock() *vtime.Clock                     { return &f.clock }
-func (f *fakeEP) Compute(d float64)                        {}
+func (f *fakeEP) PollCtl() error                       { return nil }
+func (f *fakeEP) SetCtlHandler(h transport.CtlHandler) { f.ctl = h }
+func (f *fakeEP) CtlHandler() transport.CtlHandler     { return f.ctl }
+func (f *fakeEP) Done() <-chan struct{}                { return f.done }
+func (f *fakeEP) Closed() bool                         { return false }
+func (f *fakeEP) VClock() *vtime.Clock                 { return &f.clock }
+func (f *fakeEP) Compute(d float64)                    {}
 
 var _ transport.Endpoint = (*fakeEP)(nil)
 
@@ -137,13 +143,16 @@ func TestEngineNthTimesWindow(t *testing.T) {
 
 // TestEngineControlPlaneImmunity: AnyTag rules must never touch control
 // traffic — the failure detector stays truthful while data misbehaves.
+// Agreement messages are the exception: they ride a control tag for its
+// delivery semantics, and fault like the data they are.
 func TestEngineControlPlaneImmunity(t *testing.T) {
 	r := DataRule("all", OpDrop)
 	eng := New(Scenario{Name: "ctl", Seed: 1, Rules: []Rule{r}})
 	ep := eng.Wrap(newFakeEP(0))
 	ep.Send(1, transport.CtlPeerDown, nil, 0)
 	ep.Send(1, transport.CtlTagBase, nil, 0)
-	ep.Send(1, 7, nil, 8) // data: dropped
+	ep.Send(1, 7, nil, 8)                  // data: dropped
+	ep.Send(1, transport.CtlAgree, nil, 8) // agreement: dropped
 	inner := ep.Inner().(*fakeEP)
 	if len(inner.sent) != 2 {
 		t.Fatalf("%d sends reached the wire, want the 2 control sends", len(inner.sent))
@@ -173,6 +182,10 @@ func TestEnginePartition(t *testing.T) {
 	}
 	if err := ep.Send(2, transport.CtlPeerDown, nil, 0); err != nil {
 		t.Fatalf("control send must cross the partition: %v", err)
+	}
+	err = ep.Send(2, transport.CtlAgree, nil, 8)
+	if _, ok := transport.IsPeerFailed(err); !ok {
+		t.Fatalf("cross-group agreement send: got %v, want PeerFailedError (a partition cuts agreement traffic)", err)
 	}
 	eng.Disable("split")
 	if err := ep.Send(2, 7, nil, 8); err != nil {
@@ -209,6 +222,27 @@ func TestEngineHoldReorders(t *testing.T) {
 	}
 }
 
+// TestEngineNeverHoldsHandlerSends: a send issued from inside the owner's
+// receive — the control handler forwarding a revoke, answering an
+// agreement latecomer — goes straight to the wire. A hold is released at
+// the owner's next receive entry, and the receive such a send would wait
+// for is the one it was issued from: held, it would strand its receiver
+// for as long as that receive blocks.
+func TestEngineNeverHoldsHandlerSends(t *testing.T) {
+	eng := New(Scenario{Name: "hold", Seed: 1, Rules: []Rule{DataRule("h", OpHold)}})
+	inner := newFakeEP(0)
+	ep := eng.Wrap(inner)
+	inner.inRecv = func() { ep.Send(1, transport.CtlAgree, nil, 8) }
+	ep.Recv(1, 9)
+	if len(inner.sent) != 1 || inner.sent[0].tag != transport.CtlAgree {
+		t.Fatalf("wire %v after a send from inside Recv, want it delivered at once", inner.sent)
+	}
+	ep.Send(1, transport.CtlAgree, nil, 8) // from the main flow: held
+	if len(inner.sent) != 1 {
+		t.Fatalf("wire %v: a main-flow agreement send must still be held", inner.sent)
+	}
+}
+
 // TestEngineKillAtPoint: OpKill fires the registered action exactly once,
 // at the named protocol point, for the named process only.
 func TestEngineKillAtPoint(t *testing.T) {
@@ -236,8 +270,11 @@ type recordConn struct {
 	closed bool
 }
 
-func (c *recordConn) Write(p []byte) (int, error) { c.wrote = append(c.wrote, p...); return len(p), nil }
-func (c *recordConn) Close() error                { c.closed = true; return nil }
+func (c *recordConn) Write(p []byte) (int, error) {
+	c.wrote = append(c.wrote, p...)
+	return len(p), nil
+}
+func (c *recordConn) Close() error { c.closed = true; return nil }
 
 // TestResetConnCutsMidFrame: an OpReset rule lets exactly CutAfter bytes
 // of the matched write through, severs the connection, and reports

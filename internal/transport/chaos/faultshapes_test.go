@@ -111,7 +111,7 @@ func TestSlowInflatesPerMatch(t *testing.T) {
 		3 * time.Millisecond, // n=4: capped
 	}
 	for i, w := range want {
-		v, _ := eng.onSend(5, 1, 100, 8)
+		v, _ := eng.onSend(5, 1, 100, 8, true)
 		if v.slow != w {
 			t.Errorf("match %d: stall %v, want %v", i+1, v.slow, w)
 		}
@@ -120,11 +120,11 @@ func TestSlowInflatesPerMatch(t *testing.T) {
 		}
 	}
 	// A healthy process is untouched.
-	if v, _ := eng.onSend(6, 1, 100, 8); v.slow != 0 {
+	if v, _ := eng.onSend(6, 1, 100, 8, true); v.slow != 0 {
 		t.Errorf("proc 6 stalled %v, want 0", v.slow)
 	}
 	// Control-plane traffic stays immune even on the slow process.
-	if v, _ := eng.onSend(5, 1, transport.CtlTagBase, 8); v.slow != 0 {
+	if v, _ := eng.onSend(5, 1, transport.CtlTagBase, 8, true); v.slow != 0 {
 		t.Errorf("control tag stalled %v, want 0", v.slow)
 	}
 }

@@ -23,6 +23,10 @@ const (
 	// PointAgreeContrib: a participant has contributed to a fault-tolerant
 	// agreement round and is about to await the decision.
 	PointAgreeContrib = "mpi.agree.contrib"
+	// PointAgreeDecide: a member holds an agreement's decision and is
+	// forwarding it down the tree. Hit once before the first forward and
+	// once after every forward, so the Nth hit is "after N-1 down-sends".
+	PointAgreeDecide = "mpi.agree.decide"
 	// PointPipelineRSChunk / PointPipelineAGChunk: one chunk of the
 	// pipelined ring has been sent (reduce-scatter / allgather half).
 	PointPipelineRSChunk = "mpi.pipeline.rs.chunk"

@@ -34,6 +34,8 @@ var (
 		"Payload bytes sent zero-copy straight from the caller's slice.")
 	obsRxInplace = obs.Default().Counter("tcpnet_rx_inplace_frames_total",
 		"Frames delivered as lazy raw payloads for in-place consumption (no eager decode copy).")
+	obsMailboxDepth = obs.Default().Gauge("tcpnet_mailbox_depth",
+		"Messages delivered to the endpoint and not yet received (set at every enqueue and dequeue; a level that only rises is a leak).")
 	obsWriteFlush = obs.Default().Histogram("tcpnet_write_flush_seconds",
 		"Latency of writing one frame to a peer, dial/retry and flush included.",
 		obs.SecondsBuckets())

@@ -290,10 +290,9 @@ func (e *Endpoint) MarkDead(id transport.ProcID) {
 	}
 	e.dead[id] = true
 	p := e.peers[id]
-	e.queue = append(e.queue, &transport.Message{
+	e.enqueueLocked(&transport.Message{
 		From: id, To: e.id, Tag: transport.CtlPeerDown, ArriveAt: e.now(),
 	})
-	e.cond.Broadcast()
 	e.mu.Unlock()
 	if p != nil {
 		p.shut()
@@ -320,6 +319,7 @@ func (e *Endpoint) Close() error {
 		transport.ReleaseMessage(m)
 	}
 	e.queue = nil
+	obsMailboxDepth.Set(0)
 	conns := make([]net.Conn, 0, len(e.conns))
 	for c := range e.conns {
 		conns = append(conns, c)
@@ -440,8 +440,22 @@ func (e *Endpoint) deliver(m *transport.Message) {
 		transport.ReleaseMessage(m)
 		return
 	}
+	e.enqueueLocked(m)
+}
+
+// enqueueLocked appends m to the mailbox and wakes the owner.
+func (e *Endpoint) enqueueLocked(m *transport.Message) {
 	e.queue = append(e.queue, m)
+	obsMailboxDepth.Set(int64(len(e.queue)))
 	e.cond.Broadcast()
+}
+
+// takeLocked removes and returns the i-th queued message.
+func (e *Endpoint) takeLocked(i int) *transport.Message {
+	m := e.queue[i]
+	e.queue = append(e.queue[:i], e.queue[i+1:]...)
+	obsMailboxDepth.Set(int64(len(e.queue)))
+	return m
 }
 
 // Send transmits data to the process dst, encoding the payload with the
@@ -692,8 +706,7 @@ func (e *Endpoint) Recv(src transport.ProcID, tag int) (*transport.Message, erro
 			return nil, transport.ErrDead
 		}
 		if i := e.matchLocked(src, tag); i >= 0 {
-			m := e.queue[i]
-			e.queue = append(e.queue[:i], e.queue[i+1:]...)
+			m := e.takeLocked(i)
 			e.mu.Unlock()
 			e.touch()
 			return m, nil
@@ -704,8 +717,7 @@ func (e *Endpoint) Recv(src transport.ProcID, tag int) (*transport.Message, erro
 		}
 		// drainCtl released the lock; a matching message may have landed.
 		if i := e.matchLocked(src, tag); i >= 0 {
-			m := e.queue[i]
-			e.queue = append(e.queue[:i], e.queue[i+1:]...)
+			m := e.takeLocked(i)
 			e.mu.Unlock()
 			e.touch()
 			return m, nil
@@ -728,8 +740,7 @@ func (e *Endpoint) TryRecv(src transport.ProcID, tag int) (*transport.Message, e
 		return nil, transport.ErrDead
 	}
 	if i := e.matchLocked(src, tag); i >= 0 {
-		m := e.queue[i]
-		e.queue = append(e.queue[:i], e.queue[i+1:]...)
+		m := e.takeLocked(i)
 		e.mu.Unlock()
 		e.touch()
 		return m, nil
@@ -739,8 +750,7 @@ func (e *Endpoint) TryRecv(src transport.ProcID, tag int) (*transport.Message, e
 		return nil, err
 	}
 	if i := e.matchLocked(src, tag); i >= 0 {
-		m := e.queue[i]
-		e.queue = append(e.queue[:i], e.queue[i+1:]...)
+		m := e.takeLocked(i)
 		e.mu.Unlock()
 		e.touch()
 		return m, nil
@@ -775,8 +785,7 @@ func (e *Endpoint) drainCtlLocked() error {
 		if idx < 0 {
 			return nil
 		}
-		m := e.queue[idx]
-		e.queue = append(e.queue[:idx], e.queue[idx+1:]...)
+		m := e.takeLocked(idx)
 		h := e.ctl
 		e.mu.Unlock()
 		e.touch()

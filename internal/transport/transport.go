@@ -37,6 +37,15 @@ const CtlTagBase = -1000
 // dead process.
 const CtlPeerDown = CtlTagBase - 1
 
+// CtlAgree is the control tag fault-tolerant agreement rides (payload: a
+// flat []int64, see internal/mpi). It sits on the control plane for its
+// delivery semantics only — the MPI layer consumes every agreement
+// message in its control handler, from inside whatever Recv or PollCtl
+// runs next, so none is ever left parked in a mailbox. It is protocol
+// traffic, not a detector verdict: fault injectors treat it like data
+// (a partition cuts it, reorder and duplicate rules apply to it).
+const CtlAgree = CtlTagBase - 3
+
 // Message is a unit of communication between processes. Data is an opaque
 // payload (typically a typed slice copied by the sender); Bytes drives the
 // cost model and may exceed the in-memory size of Data when the payload

@@ -98,6 +98,10 @@ type ResilientComm struct {
 	events     []*metrics.Breakdown
 	pendingPol *pendingPolicy
 	rollback   bool // a rollback advice is armed (TakeRollback consumes)
+	// kept is the buffer AllreduceOpts remembers its caller's contribution
+	// in (a []T of the last element type used), kept across operations and
+	// regrown only when a longer tensor arrives.
+	kept any
 }
 
 // New wraps a communicator. The cluster handle is needed to resolve
@@ -142,10 +146,22 @@ func AllreduceWith[T mpi.Number](r *ResilientComm, data []T, op mpi.Op, algo mpi
 // contribution and re-resolves the plan against the repaired communicator
 // — a tuned pick or a size-derived chunk count renegotiates at the new
 // world size, uniformly, because resolution happens inside the collective.
+// The contribution is remembered in a buffer the ResilientComm keeps, so
+// the failure-free path costs one copy and no allocation.
 func AllreduceOpts[T mpi.Number](r *ResilientComm, data []T, op mpi.Op, o mpi.AllreduceOptions) error {
-	orig := append([]T(nil), data...)
+	orig, _ := r.kept.([]T)
+	if cap(orig) < len(data) {
+		orig = make([]T, len(data))
+		r.kept = orig
+	}
+	orig = orig[:len(data)]
+	copy(orig, data)
+	first := true
 	return r.retry(func() error {
-		copy(data, orig)
+		if !first {
+			copy(data, orig) // the aborted attempt left partial sums behind
+		}
+		first = false
 		return mpi.AllreduceOpts(r.comm, data, op, o)
 	})
 }

@@ -3,6 +3,7 @@ package ulfm
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -328,6 +329,104 @@ func TestEventsBreakdownRecorded(t *testing.T) {
 			}
 		}
 		return nil
+	})
+	if err := simnet.FirstError(errs); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAllreduceRemembersInputWithoutAllocating: the wrapper keeps the
+// caller's contribution in a buffer it owns for the life of the
+// ResilientComm, so a steady-state operation allocates nothing that
+// grows with the tensor. A world of one isolates the wrapper: the
+// collective and the agreement are both local, and every byte allocated
+// is the wrapper's own.
+func TestAllreduceRemembersInputWithoutAllocating(t *testing.T) {
+	c := testCluster(1, 1)
+	errs := runWorld(t, c, func(rank int, r *ResilientComm, _ func()) error {
+		data := make([]float64, 1<<20)
+		step := func() error {
+			data[0], data[len(data)-1] = 3, 4
+			if err := Allreduce(r, data, mpi.OpSum); err != nil {
+				return err
+			}
+			if data[0] != 3 || data[len(data)-1] != 4 {
+				return fmt.Errorf("world-of-one sum = %v..%v, want 3..4", data[0], data[len(data)-1])
+			}
+			return nil
+		}
+		if err := step(); err != nil { // the first call sizes the buffer
+			return err
+		}
+		const calls = 16
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			if err := step(); err != nil {
+				return err
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / calls; per >= 1<<10 {
+			return fmt.Errorf("steady-state Allreduce of 1 Mi float64 allocates %d bytes per call, want < 1 KiB", per)
+		}
+		return nil
+	})
+	if err := simnet.FirstError(errs); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRetryReducesOriginalAcrossLengths: the kept buffer is reused across
+// operations of different lengths — shorter (a stale tail behind the live
+// prefix), then longer (regrown) — and an operation that is aborted by a
+// failure and retried still reduces each survivor's original contribution
+// at every element.
+func TestRetryReducesOriginalAcrossLengths(t *testing.T) {
+	c := testCluster(1, 5)
+	procs := c.Procs()
+	var wg sync.WaitGroup
+	wg.Add(len(procs))
+	errs := simnet.RunAll(c, procs, func(rank int, ep *simnet.Endpoint) error {
+		p := mpi.Attach(ep)
+		comm, err := mpi.World(p, procs)
+		if err != nil {
+			return err
+		}
+		r := New(comm, c, DefaultPolicy())
+		reduce := func(n int, want float64) error {
+			data := make([]float64, n)
+			for i := range data {
+				data[i] = float64(rank + 1)
+			}
+			if err := Allreduce(r, data, mpi.OpSum); err != nil {
+				return fmt.Errorf("rank %d len %d: %w", rank, n, err)
+			}
+			for i, v := range data {
+				if v != want {
+					return fmt.Errorf("rank %d len %d: element %d = %v, want %v", rank, n, i, v, want)
+				}
+			}
+			return nil
+		}
+		if err := reduce(4096, 15); err != nil {
+			return err
+		}
+		wg.Done()
+		wg.Wait()
+		if rank == 2 {
+			c.Kill(ep.ID())
+			return nil
+		}
+		// Shorter than the kept buffer, aborted by rank 2's death, retried
+		// on four survivors: 1+2+4+5.
+		if err := reduce(1024, 12); err != nil {
+			return err
+		}
+		if len(r.Events()) != 1 {
+			return fmt.Errorf("rank %d: %d repairs, want 1", rank, len(r.Events()))
+		}
+		return reduce(3*4096, 12) // longer: the buffer regrows
 	})
 	if err := simnet.FirstError(errs); err != nil {
 		t.Fatal(err)
