@@ -15,13 +15,14 @@
 #   make bench-gate  data-plane benchmarks vs the committed baseline
 #   make bench-check vet + test the elasticbench module (bench/), incl. one real kill episode
 #   make bench WORKLOAD=kill_shrink SEED=1 SECONDS=16   one elasticbench workload, end to end
+#   make bench-aa  every workload twice on this tree at 6 s windows: the benchmark's own noise floor
 #   make check   everything above, in CI order
 
 GO      ?= go
 BIN     := bin
 SEEDS   ?= 1 7 42
 
-.PHONY: all build vet lint vet-fix-check test race fuzz-smoke chaos cluster grow policy cover bench-gate bench-check bench check clean
+.PHONY: all build vet lint vet-fix-check test race fuzz-smoke chaos cluster grow policy cover bench-gate bench-check bench bench-aa check clean
 
 # World size for the clustertest conformance suite (CI: 32 per PR,
 # 64/128 nightly).
@@ -171,6 +172,12 @@ SEED     ?= 1
 SECONDS  ?= 16
 bench:
 	bash bench/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds $(SECONDS) --trace 0
+
+# bench-aa: the same tree against itself. What two runs of identical code
+# differ by is the least an A/B of two trees can resolve; read it before
+# believing a small delta (ROADMAP 1e).
+bench-aa:
+	bash bench/run.sh --aa --seconds 6
 
 check: build vet lint test race fuzz-smoke bench-check chaos cluster grow policy
 

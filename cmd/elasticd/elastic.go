@@ -18,6 +18,7 @@ import (
 	"log"
 	"math"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/autopilot"
@@ -126,6 +127,7 @@ type daemon struct {
 	stepInterval time.Duration
 	el           *elastic          // nil = fixed world, no grow boundaries
 	ck           *checkpoint.Store // nil unless -policy: rollback restore points
+	stopping     *atomic.Bool      // set by the signal handler: report no more steps
 }
 
 // runSteps is the training loop from step `start`: one resilient
@@ -163,6 +165,9 @@ func (d *daemon) runSteps(r *ulfm.ResilientComm, start int) error {
 			} else {
 				log.Printf("elasticd: rollback advised but no restore point: %v", lerr)
 			}
+		}
+		if d.stopping.Load() {
+			select {} // told to stop: stand still until the signal handler exits
 		}
 		fmt.Printf("step %3d  proc %d  size %d  sum %.0f\n",
 			step, d.cl.Proc(), r.Size(), data[0])

@@ -47,6 +47,13 @@ import (
 	"repro/internal/ulfm"
 )
 
+// stopGrace is how long a signalled worker stands still before it leaves;
+// see the signal handler. It has to outlast the skew of one signal sent to
+// every member (measured: up to 6 ms for a busy process on two
+// oversubscribed cores) with room to spare, and stay well inside the time
+// anything waits for a stopped worker to exit.
+const stopGrace = 100 * time.Millisecond
+
 func main() {
 	rdv := flag.String("rendezvous", "127.0.0.1:7777", "rendezvous service address")
 	listen := flag.String("listen", "127.0.0.1:0", "transport listen address (port 0 = ephemeral)")
@@ -117,11 +124,30 @@ func main() {
 		log.Fatalf(format, args...)
 	}
 
+	// An operator's stop is a departure, not a death: the handler sends the
+	// rendezvous leave (once there is a membership to leave) before it
+	// exits, so survivors log `proc N left` and shrink instead of being told
+	// this process died. It stands still for stopGrace first: a job is
+	// usually stopped whole (Ctrl-C reaches the process group, a scheduler
+	// signals every task), and the signals land milliseconds apart. Were
+	// each member to leave the moment its own arrived, the ones still
+	// waiting for theirs would repair around the departures — now a
+	// millisecond's work — and step on as a smaller world for the rest of
+	// their short lives. A stopping worker therefore reports no more steps
+	// (runSteps parks on `stopping`) and says nothing until every member
+	// has had time to hear the same signal.
+	var joined atomic.Pointer[rendezvous.Client]
+	var stopping atomic.Bool
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		s := <-sigc
-		log.Printf("elasticd: caught %v, flushing journal and exiting", s)
+		log.Printf("elasticd: caught %v, leaving, flushing journal and exiting", s)
+		if cl := joined.Load(); cl != nil {
+			stopping.Store(true)
+			time.Sleep(stopGrace)
+			cl.Close()
+		}
 		jn.Close()
 		if s == syscall.SIGTERM {
 			os.Exit(143)
@@ -201,6 +227,7 @@ func main() {
 		fatalf("elasticd: %v", err)
 	}
 	defer cl.Close()
+	joined.Store(cl)
 	selfProc.Store(int64(cl.Proc()))
 	ep.Start(cl.Proc(), cl.Peers())
 	// Late joiners and warm spares announced after the welcome must be
@@ -222,14 +249,19 @@ func main() {
 		},
 		OnPeerUp:  teach,
 		OnSpareUp: teach,
+		// Nothing recovers from this yet (ROADMAP item 3): the run goes
+		// on, undetected failures will hang it, and this line is why.
+		OnHubLost: func(err error) {
+			log.Printf("elasticd: lost the rendezvous hub: %v; failures can no longer be detected", err)
+		},
 	})
 	log.Printf("elasticd: joined as proc %d (rank %d of %d), transport %s",
 		cl.Proc(), cl.Rank(), cl.World(), ep.Addr())
 	if eng != nil {
-		// OpKill is a silent death, as close to kill -9 as the process can
-		// give itself: no rendezvous leave, no connection teardown beyond
-		// the endpoint closing — survivors learn of it from missed
-		// heartbeats, exactly like an external kill.
+		// OpKill is as close to kill -9 as the process can give itself: no
+		// rendezvous leave, just sockets closing under everyone — survivors
+		// learn of it from the hub, which convicts on the unclean close of
+		// the control connection, exactly like an external kill.
 		eng.OnKill(cl.Proc(), func() {
 			log.Printf("elasticd: chaos kill firing, dying silently")
 			cl.Abandon()
@@ -283,7 +315,7 @@ func main() {
 	d := &daemon{
 		cl: cl, ep: ep, rec: rec, opts: opts,
 		n: *n, steps: *steps, stepInterval: *stepInterval,
-		ck: ckStore,
+		ck: ckStore, stopping: &stopping,
 	}
 	if elasticOn {
 		var gate func(int) bool

@@ -1,7 +1,8 @@
 // Command rendezvousd runs the standalone rendezvous/membership service
 // for multi-process elastic runs: it gathers -world workers, assigns
-// ranks, publishes the peer address map, and runs heartbeat failure
-// detection, broadcasting declarations to the survivors.
+// ranks, publishes the peer address map, and declares failures — at once
+// when a worker's connection to it closes without a leave (kill -9), on
+// heartbeat silence otherwise — broadcasting them to the survivors.
 //
 //	rendezvousd -listen :7777 -world 4
 //

@@ -41,6 +41,7 @@ type Client struct {
 	mu      sync.Mutex
 	started bool
 	closed  bool
+	frozen  bool // Freeze: send nothing more, keep the socket
 	done    chan struct{}
 	wg      sync.WaitGroup
 }
@@ -311,6 +312,10 @@ type Notifications struct {
 	// (spareup deltas, both modes); the autopilot's pool observations
 	// come from here or from polling Spares.
 	OnSpareUp func(proc transport.ProcID, addr, gossipAddr string)
+	// OnHubLost is invoked once if the connection to the hub ends while
+	// this client still wanted it (never after Close or Abandon): from
+	// then on no failure or departure can be announced to this member.
+	OnHubLost func(err error)
 }
 
 // Start launches the background heartbeat sender (none in gossip mode)
@@ -343,7 +348,7 @@ func (c *Client) StartNotify(n Notifications) {
 				case <-ticker.C:
 					c.mu.Lock()
 					closed := c.closed
-					if !closed {
+					if !closed && !c.frozen {
 						c.enc.Encode(&wireMsg{Op: "hb"})
 					}
 					c.mu.Unlock()
@@ -354,9 +359,11 @@ func (c *Client) StartNotify(n Notifications) {
 			}
 		}()
 	}
+	obsHubConnected.Inc()
 	c.wg.Add(1)
 	go func() { // notification reader
 		defer c.wg.Done()
+		defer obsHubConnected.Dec()
 		for i := range c.early {
 			c.handle(&c.early[i], n)
 		}
@@ -364,6 +371,12 @@ func (c *Client) StartNotify(n Notifications) {
 		for {
 			var msg wireMsg
 			if err := c.dec.Decode(&msg); err != nil {
+				c.mu.Lock()
+				closed := c.closed
+				c.mu.Unlock()
+				if !closed && n.OnHubLost != nil {
+					n.OnHubLost(err)
+				}
 				return
 			}
 			c.handle(&msg, n)
@@ -442,11 +455,23 @@ func (c *Client) Close() error {
 	return c.shutdown(true)
 }
 
-// Abandon drops the connection without a leave, leaving the server to
-// discover the silence through missed heartbeats — the programmatic
-// equivalent of kill -9, used by failure-injection tests.
+// Abandon drops the connection without a leave — the programmatic
+// equivalent of kill -9, used by failure-injection tests. The hub sees
+// what it sees when a process dies: the socket closes, and in heartbeat
+// mode that is a conviction on the spot.
 func (c *Client) Abandon() error {
 	return c.shutdown(false)
+}
+
+// Freeze makes the client go silent and keep its socket: no more
+// heartbeats, no answer to a doubt. That is what SIGSTOP, a partition or
+// a lost host looks like to the hub, whose only evidence is then the
+// silence — suspicion at SuspectAfter, conviction at DeadAfter. The reader
+// keeps running; Close or Abandon still end the client.
+func (c *Client) Freeze() {
+	c.mu.Lock()
+	c.frozen = true
+	c.mu.Unlock()
 }
 
 func (c *Client) shutdown(leave bool) error {

@@ -4,10 +4,13 @@
 // and runs wall-clock heartbeat failure detection whose verdicts feed the
 // same ULFM revoke/agree/shrink path the simulator exercises.
 //
-// Detection is deliberately two-staged — alive, then suspect, then dead —
-// so a slow or briefly partitioned worker has a window to recover
-// (suspect → alive on the next heartbeat) before the declaration becomes
-// irreversible and is broadcast to every surviving member.
+// A worker whose control connection closes without a leave is declared at
+// once: the kernel has already said the process is gone (Server.connGone).
+// For the deaths that close no socket, detection is deliberately
+// two-staged — alive, then suspect, then dead — so a slow or briefly
+// partitioned worker has a window to recover (suspect → alive on the next
+// heartbeat) before the declaration becomes irreversible and is broadcast
+// to every surviving member.
 package rendezvous
 
 import (

@@ -113,7 +113,7 @@ func TestDeadPeerRejoinsWithFreshProcID(t *testing.T) {
 	victimAddr := victim.Peers()[victimProc]
 
 	ch, _ := collectDown(survivor)
-	victim.Abandon() // kill -9: heartbeats just stop
+	victim.Abandon() // kill -9: the socket closes under the hub
 	waitDown(t, ch, victimProc, 5*time.Second)
 
 	// The restarted worker comes back at the very same address.

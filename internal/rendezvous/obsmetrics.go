@@ -22,8 +22,6 @@ var (
 		obs.SecondsBuckets())
 	obsVerdicts = obs.Default().Counter("rendezvous_verdicts_total",
 		"SWIM death verdicts accepted from members (gossip mode).")
-	obsConvictions = obs.Default().Counter("rendezvous_convictions_total",
-		"Verdicts upheld after the doubt probe: member stripped and peerdown broadcast.")
 	obsAcquittals = obs.Default().Counter("rendezvous_acquittals_total",
 		"Verdicts dismissed because the accused answered the doubt probe (false positives).")
 	obsDeltas = obs.Default().Counter("rendezvous_deltas_total",
@@ -34,8 +32,11 @@ var (
 		"Warm spares currently registered and idle (not yet activated).")
 	obsActivations = obs.Default().Counter("rendezvous_spare_activations_total",
 		"Spares promoted to full members after a Grow admission.")
+	obsHubConnected = obs.Default().Gauge("rendezvous_hub_connected",
+		"Client side: 1 while this process's notification reader holds its connection to the hub, 0 once it is lost or closed — at 0 no failure can be announced here.")
 	obsPeers       [StateDead + 1]*obs.Gauge
 	obsTransitions [StateDead + 1]*obs.Counter
+	obsConvictions [causeVerdict + 1]*obs.Counter // indexed by cause; causeLeft is not a conviction
 )
 
 func init() {
@@ -46,6 +47,11 @@ func init() {
 		obsTransitions[st] = obs.Default().Counter("rendezvous_detector_transitions_total",
 			"Detector transitions into each state (alive counts suspect recoveries).",
 			obs.L("to", st.String()))
+	}
+	for why := causeTimeout; why <= causeVerdict; why++ {
+		obsConvictions[why] = obs.Default().Counter("rendezvous_convictions_total",
+			"Members declared dead (stripped, peerdown broadcast), by evidence: heartbeat timeout, unclean close of the control connection, or an upheld SWIM verdict.",
+			obs.L("cause", why.String()))
 	}
 }
 

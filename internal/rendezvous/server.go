@@ -111,7 +111,7 @@ type member struct {
 	conn  net.Conn
 	enc   *json.Encoder
 	mu    sync.Mutex // serializes writes to conn
-	gone  bool       // reader saw EOF/reset: no pong can ever arrive (guarded by Server.mu)
+	gone  bool       // reader exited (EOF, reset, garbage): nothing can be read from or written to it again (guarded by Server.mu)
 	spare bool       // registered as a warm spare, not a world member (guarded by Server.mu)
 
 	// acquittedAt is when this member last answered a doubt (guarded by
@@ -137,12 +137,13 @@ type Server struct {
 	mu        sync.Mutex
 	members   map[transport.ProcID]*member
 	det       *Detector
-	doubting  map[transport.ProcID]*time.Timer // accused members awaiting their doubt answer
-	accused   map[transport.ProcID]bool        // members any verdict has EVER named (survives acquittal)
+	doubting  map[transport.ProcID]*time.Timer      // accused members awaiting their doubt answer
+	accused   map[transport.ProcID]transport.ProcID // members any verdict has EVER named (survives acquittal) -> their latest accuser
 	nextProc  transport.ProcID
 	mapVer    uint64 // peer-map version, bumped on every membership change
 	worldSent bool
 	closed    bool
+	done      chan struct{} // closed by Close: ends the sweep without waiting out a tick
 
 	hbSeen atomic.Uint64 // heartbeats received in gossip mode (should stay 0)
 
@@ -169,7 +170,8 @@ func Serve(ln net.Listener, cfg Config) *Server {
 		epoch:    time.Now(),
 		members:  make(map[transport.ProcID]*member),
 		doubting: make(map[transport.ProcID]*time.Timer),
-		accused:  make(map[transport.ProcID]bool),
+		accused:  make(map[transport.ProcID]transport.ProcID),
+		done:     make(chan struct{}),
 	}
 	s.det = NewDetector(s.cfg.SuspectAfter.Seconds(), s.cfg.DeadAfter.Seconds())
 	s.wg.Add(1)
@@ -206,6 +208,7 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
+	close(s.done)
 	for _, t := range s.doubting {
 		t.Stop()
 	}
@@ -243,12 +246,15 @@ func (s *Server) acceptLoop() {
 }
 
 // handle runs one worker's connection: a join, then heartbeats until the
-// connection drops or the worker leaves. A dropped connection is NOT an
-// immediate declaration: the worker's silence is left to the detector,
-// so every conviction takes the same path and carries the same latency.
-// It is terminal all the same — Client never re-dials, so a worker whose
-// hub connection dropped can heartbeat no more and is declared dead
-// DeadAfter later, however alive it is.
+// worker leaves or the connection drops. The two endings are different
+// evidence. A leave is read here and acted on here. A connection that
+// ends without one — EOF, reset, or bytes that are not the protocol — is
+// the kernel reporting that the process is gone: a SIGKILLed worker's
+// socket closes the instant it dies, and Client never re-dials, so a
+// member behind a closed control connection can heartbeat no more however
+// alive it is. connGone convicts it on the spot in heartbeat mode; the
+// heartbeat sweep stays for the deaths that close no socket (SIGSTOP,
+// partition, host loss), and gossip mode keeps its own rule.
 func (s *Server) handle(conn net.Conn) {
 	defer s.wg.Done()
 	defer conn.Close()
@@ -295,7 +301,7 @@ func (s *Server) handle(conn net.Conn) {
 			}
 		case "leave":
 			if m != nil {
-				s.leave(m)
+				s.remove(m.proc, causeLeft)
 			}
 			return
 		}
@@ -373,11 +379,15 @@ func (s *Server) join(conn net.Conn, addr, gaddr string, spare bool) *member {
 	var recipients []*member
 	var deltaTo []*member  // targets of this joiner's own peerup/spareup
 	var spareUps []*member // spares announced when the world ships
+	var corpses []*member  // connections that dropped while the world was gathering
 	if sendWorld {
 		for _, mm := range s.members {
 			recipients = append(recipients, mm)
 			if mm.spare {
 				spareUps = append(spareUps, mm)
+			}
+			if mm.gone {
+				corpses = append(corpses, mm)
 			}
 		}
 	} else if lateJoin {
@@ -438,6 +448,14 @@ func (s *Server) join(conn net.Conn, addr, gaddr string, spare bool) *member {
 			s.sendDelta(mm, &wireMsg{Op: "spareup", Proc: int(sp.proc), Addr: sp.addr, GossipAddr: sp.gaddr, Ver: ver})
 		}
 	}
+	// A member whose connection dropped during the gather could not be
+	// convicted then (see connGone): its rank is in the welcome that just
+	// went out. It is convicted now, before anyone has waited on it.
+	if !s.cfg.Gossip {
+		for _, mm := range corpses {
+			s.remove(mm.proc, causeConnection)
+		}
+	}
 	return m
 }
 
@@ -487,7 +505,7 @@ func (s *Server) verdict(from *member, dead transport.ProcID) {
 		return // already declared, already left, or already on trial
 	}
 	by := from.proc
-	s.accused[dead] = true
+	s.accused[dead] = by
 	if mm.gone {
 		// The accused's connection already dropped: no pong can ever
 		// arrive, so skip the grace and convict now. This keeps real
@@ -496,7 +514,7 @@ func (s *Server) verdict(from *member, dead transport.ProcID) {
 		// out the grace.
 		s.mu.Unlock()
 		obsVerdicts.Inc()
-		s.convict(dead, by)
+		s.remove(dead, causeVerdict)
 		return
 	}
 	if !mm.acquittedAt.IsZero() && time.Since(mm.acquittedAt) < s.cfg.DoubtGrace {
@@ -507,74 +525,133 @@ func (s *Server) verdict(from *member, dead transport.ProcID) {
 		s.mu.Unlock()
 		return
 	}
-	timer := time.AfterFunc(s.cfg.DoubtGrace, func() { s.convict(dead, by) })
+	timer := time.AfterFunc(s.cfg.DoubtGrace, func() { s.remove(dead, causeVerdict) })
 	s.doubting[dead] = timer
 	s.mu.Unlock()
 
 	obsVerdicts.Inc()
 	if err := mm.send(&wireMsg{Op: "doubt"}); err != nil {
 		if timer.Stop() {
-			s.convict(dead, by)
+			s.remove(dead, causeVerdict)
 		}
 		return
 	}
 	s.logf("rendezvous: proc %d accused by proc %d's verdict; doubting", dead, by)
 }
 
-// connGone records that a member's connection reader exited (EOF or
-// reset). If the member is on trial, the doubt can never be answered:
-// convict without waiting out the grace. The same applies to a member
-// any verdict has EVER named, even one acquitted since: its accusers'
-// SWIM tables hold it dead (dead is absorbing), so when it later
-// really dies nobody is left to re-report it — the unclean conn drop
-// is the only death evidence the hub will ever see. A member no one
-// ever accused is left alone: its eventual death cannot have been
-// absorbed, so the normal verdict path will cover it, and a transient
-// hub-link drop never kills an unaccused worker.
+// connGone records that a member's connection reader exited without
+// reading a leave, and acts on it as each mode's evidence rules allow.
+//
+// Heartbeat mode: the unclean close is the death — the hub's own socket
+// carries that evidence the instant the process dies, six heartbeats
+// before the sweep would have read it off a timer — and the member is
+// convicted here. One exception: until the world has shipped nobody is
+// armed and nobody can act on a verdict, so a connection that drops during
+// the gather is only marked; join convicts it right after the welcomes.
+//
+// Gossip mode: a hub-link drop is not terminal there (liveness is the
+// members' SWIM layer's call), so only an accused member is convicted. If
+// it is on trial, the doubt can never be answered: convict without waiting
+// out the grace. The same applies to a member any verdict has EVER named,
+// even one acquitted since: its accusers' SWIM tables hold it dead (dead
+// is absorbing), so when it later really dies nobody is left to re-report
+// it — the unclean conn drop is the only death evidence the hub will ever
+// see. A member no one ever accused is left alone: its eventual death
+// cannot have been absorbed, so the normal verdict path will cover it.
 func (s *Server) connGone(m *member) {
 	s.mu.Lock()
 	m.gone = true
-	timer := s.doubting[m.proc]
-	delete(s.doubting, m.proc)
-	wasAccused := s.accused[m.proc]
-	s.mu.Unlock()
-	if timer != nil {
-		if timer.Stop() {
-			s.convict(m.proc, -1)
-		}
-		return
+	why := causeConnection
+	convict := s.worldSent
+	if s.cfg.Gossip {
+		why = causeVerdict
+		_, convict = s.accused[m.proc]
 	}
-	if wasAccused {
-		s.convict(m.proc, -1)
+	s.mu.Unlock()
+	if convict {
+		s.remove(m.proc, why)
 	}
 }
 
-// convict strips an accused member that failed its doubt: removes it from
-// the map, bumps the version, and republishes the change as a delta.
-func (s *Server) convict(dead transport.ProcID, by transport.ProcID) {
+// cause is the evidence a member is removed on. It picks the journal
+// event, the log line and the metric series, and whether survivors hear
+// of a departure or of a death.
+type cause int
+
+const (
+	causeLeft       cause = iota // the member sent a leave
+	causeTimeout                 // silent past DeadAfter with its socket still open (heartbeat sweep)
+	causeConnection              // its control connection closed with no leave (heartbeat mode)
+	causeVerdict                 // a member's SWIM verdict, upheld (gossip mode)
+)
+
+func (c cause) String() string {
+	return [...]string{"left", "timeout", "connection", "verdict"}[c]
+}
+
+// remove is the one way a member leaves the map, whatever the evidence:
+// any pending trial is dropped, the detector forgets it, the map version
+// moves, its connection is closed and every member still connected is
+// told. The first caller wins — a timeout racing a close, a leave
+// followed by its EOF, or anything after Close finds no member (or a
+// closed service) and does nothing, so each removal is published once.
+func (s *Server) remove(proc transport.ProcID, why cause) {
 	s.mu.Lock()
-	delete(s.doubting, dead)
-	delete(s.accused, dead)
-	mm, ok := s.members[dead]
+	mm, ok := s.members[proc]
 	if !ok || s.closed {
 		s.mu.Unlock()
 		return
 	}
-	delete(s.members, dead)
+	if t := s.doubting[proc]; t != nil {
+		t.Stop()
+		delete(s.doubting, proc)
+	}
+	by, accused := s.accused[proc]
+	if !accused {
+		by = -1
+	}
+	delete(s.accused, proc)
+	delete(s.members, proc)
 	if mm.spare {
 		obsSpares.Dec()
+	}
+	// A timed-out member stays in the detector as dead (the sweep just
+	// put it there, gauges moved with it): the state is absorbing. Every
+	// other cause takes the member out of tracking from wherever it was.
+	if why != causeTimeout {
+		if st, ok := s.det.State(proc); ok {
+			obsPeerGone(st)
+		}
+		s.det.Leave(proc)
 	}
 	s.mapVer++
 	ver := s.mapVer
 	now := s.now()
-	rest := s.othersLocked(dead)
+	rest := s.othersLocked(proc)
 	s.mu.Unlock()
 
-	obsConvictions.Inc()
-	s.cfg.Trace.Membership(now, int(dead), "gossip_dead", map[string]any{"by": int(by)})
-	s.logf("rendezvous: proc %d declared dead by proc %d's verdict", dead, by)
+	switch why {
+	case causeLeft:
+		obsLeaves.Inc()
+		s.cfg.Trace.Membership(now, int(proc), "member_leave", nil)
+		s.logf("rendezvous: proc %d left", proc)
+	case causeTimeout:
+		s.cfg.Trace.Membership(now, int(proc), "hb_dead", nil)
+		s.logf("rendezvous: proc %d declared dead", proc)
+	case causeConnection:
+		s.cfg.Trace.Membership(now, int(proc), "conn_dead", nil)
+		s.logf("rendezvous: proc %d declared dead (connection lost)", proc)
+	case causeVerdict:
+		s.cfg.Trace.Membership(now, int(proc), "gossip_dead", map[string]any{"by": int(by)})
+		s.logf("rendezvous: proc %d declared dead by proc %d's verdict", proc, by)
+	}
+	if why != causeLeft {
+		obsConvictions[why].Inc()
+	}
 	mm.conn.Close()
-	s.broadcastDownVer(rest, dead, ver, false)
+	for _, o := range rest {
+		s.sendDelta(o, &wireMsg{Op: "peerdown", Proc: int(proc), Ver: ver, Left: why == causeLeft})
+	}
 }
 
 // acquit clears a pending doubt: the accused answered, so the verdict
@@ -610,45 +687,11 @@ func (s *Server) heartbeat(m *member) {
 	}
 }
 
-// leave handles a clean departure: the member is removed and the
-// departure is broadcast so survivors shrink without waiting out the
-// heartbeat timeout.
-func (s *Server) leave(m *member) {
-	s.mu.Lock()
-	if _, ok := s.members[m.proc]; !ok {
-		s.mu.Unlock()
-		return
-	}
-	if t := s.doubting[m.proc]; t != nil {
-		t.Stop()
-		delete(s.doubting, m.proc)
-	}
-	delete(s.accused, m.proc)
-	delete(s.members, m.proc)
-	if m.spare {
-		obsSpares.Dec()
-	}
-	if st, ok := s.det.State(m.proc); ok {
-		obsPeerGone(st)
-	}
-	s.det.Leave(m.proc)
-	obsLeaves.Inc()
-	s.mapVer++
-	ver := s.mapVer
-	now := s.now()
-	rest := s.othersLocked(m.proc)
-	s.mu.Unlock()
-
-	s.cfg.Trace.Membership(now, int(m.proc), "member_leave", nil)
-	s.logf("rendezvous: proc %d left", m.proc)
-	s.broadcastDownVer(rest, m.proc, ver, true)
-}
-
 // othersLocked snapshots the members a delta about id goes to: everyone
-// else whose connection is still up. A member whose reader already saw
-// EOF (killed and not yet convicted, or exiting without a leave) stays a
-// member until the detector says otherwise, but nothing written to it can
-// arrive, so no delta is attempted.
+// else whose connection is still up. A member whose reader already exited
+// can still be in the map (dropped during the gather, or unaccused in
+// gossip mode), but nothing written to it can arrive, so no delta is
+// attempted.
 func (s *Server) othersLocked(id transport.ProcID) []*member {
 	out := make([]*member, 0, len(s.members))
 	for pid, mm := range s.members {
@@ -657,15 +700,6 @@ func (s *Server) othersLocked(id transport.ProcID) []*member {
 		}
 	}
 	return out
-}
-
-// broadcastDownVer publishes a member's removal: a conviction, or with
-// left set a clean departure, which survivors act on alike (the member is
-// gone from the communicator either way) but need not report as a death.
-func (s *Server) broadcastDownVer(to []*member, dead transport.ProcID, ver uint64, left bool) {
-	for _, mm := range to {
-		s.sendDelta(mm, &wireMsg{Op: "peerdown", Proc: int(dead), Ver: ver, Left: left})
-	}
 }
 
 // sendDelta writes one membership delta to mm. The recipients of a delta
@@ -685,9 +719,10 @@ func (s *Server) sendDelta(mm *member, msg *wireMsg) {
 }
 
 // sweepLoop drives the detector on wall time and acts on its verdicts:
-// suspicions are journaled, deaths are journaled and broadcast to every
-// survivor, whose transports then inject CtlPeerDown and trigger the
-// revoke/agree/shrink/retry recovery.
+// suspicions are journaled, and a member silent past DeadAfter — one whose
+// socket stayed open, or connGone would have got there first — is removed
+// for the timeout. Survivors' transports turn the broadcast into
+// CtlPeerDown and the revoke/agree/shrink/retry recovery.
 func (s *Server) sweepLoop() {
 	defer s.wg.Done()
 	tick := s.cfg.SuspectAfter / 2
@@ -699,38 +734,17 @@ func (s *Server) sweepLoop() {
 	}
 	ticker := time.NewTicker(tick)
 	defer ticker.Stop()
-	for range ticker.C {
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
+	for {
+		select {
+		case <-s.done:
 			return
+		case <-ticker.C:
 		}
+		s.mu.Lock()
 		trs := s.det.Sweep(s.now())
 		obsSweeps.Inc()
 		for _, tr := range trs {
 			obsTransition(tr)
-		}
-		type death struct {
-			proc transport.ProcID
-			rest []*member
-			conn net.Conn
-			ver  uint64
-		}
-		var deaths []death
-		for _, tr := range trs {
-			if tr.To == StateDead {
-				d := death{proc: tr.Proc, rest: s.othersLocked(tr.Proc)}
-				if mm := s.members[tr.Proc]; mm != nil {
-					d.conn = mm.conn
-					delete(s.members, tr.Proc)
-					if mm.spare {
-						obsSpares.Dec()
-					}
-				}
-				s.mapVer++
-				d.ver = s.mapVer
-				deaths = append(deaths, d)
-			}
 		}
 		s.mu.Unlock()
 
@@ -740,15 +754,8 @@ func (s *Server) sweepLoop() {
 				s.cfg.Trace.Membership(tr.At, int(tr.Proc), "hb_suspect", nil)
 				s.logf("rendezvous: proc %d suspected (silent %.0fms)", tr.Proc, s.cfg.SuspectAfter.Seconds()*1e3)
 			case StateDead:
-				s.cfg.Trace.Membership(tr.At, int(tr.Proc), "hb_dead", nil)
-				s.logf("rendezvous: proc %d declared dead", tr.Proc)
+				s.remove(tr.Proc, causeTimeout)
 			}
-		}
-		for _, d := range deaths {
-			if d.conn != nil {
-				d.conn.Close()
-			}
-			s.broadcastDownVer(d.rest, d.proc, d.ver, false)
 		}
 	}
 }

@@ -15,7 +15,7 @@ var obsEventOther *obs.Counter
 func init() {
 	for _, kind := range []string{
 		"recovery", "join", "finish", "run",
-		"member_join", "member_leave", "hb_suspect", "hb_alive", "hb_dead",
+		"member_join", "member_leave", "hb_suspect", "hb_alive", "hb_dead", "conn_dead",
 	} {
 		obsEventKinds[kind] = obs.Default().Counter("trace_events_total",
 			"Journal events emitted, by kind.", obs.L("kind", kind))

@@ -21,8 +21,8 @@ type Event struct {
 	T    float64 `json:"t"`    // time of emission
 	Proc int     `json:"proc"` // emitting or affected process
 	// Kind: "recovery", "join", "finish", "run" from training runs;
-	// "member_join", "member_leave", "hb_suspect", "hb_alive", "hb_dead"
-	// from the rendezvous membership/heartbeat service.
+	// "member_join", "member_leave", "hb_suspect", "hb_alive", "hb_dead",
+	// "conn_dead" from the rendezvous membership/heartbeat service.
 	Kind   string             `json:"kind"`
 	Seq    int                `json:"seq,omitempty"`    // reconfiguration sequence/round
 	Reason string             `json:"reason,omitempty"` // "failure", "upscale", ...
@@ -96,8 +96,10 @@ func (r *Recorder) Run(t float64, size int, events int) {
 
 // Membership emits a membership or failure-detector record from the
 // rendezvous service or a worker daemon. kind is one of "member_join",
-// "member_leave", "hb_suspect", "hb_alive" (suspect recovered), or
-// "hb_dead" (heartbeat-declared failure); proc is the affected process.
+// "member_leave", "hb_suspect", "hb_alive" (suspect recovered),
+// "hb_dead" (declared on heartbeat silence) or "conn_dead" (declared on
+// the unclean close of its control connection); proc is the affected
+// process.
 func (r *Recorder) Membership(t float64, proc int, kind string, extra map[string]any) {
 	r.Emit(Event{T: t, Proc: proc, Kind: kind, Extra: extra})
 }

@@ -20,9 +20,12 @@ package chaos_test
 // process's fault schedule.
 
 import (
+	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -30,6 +33,7 @@ import (
 
 	"repro/internal/mpi"
 	"repro/internal/rendezvous"
+	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/transport/chaos"
 	"repro/internal/transport/tcpnet"
@@ -62,12 +66,22 @@ type worker struct {
 }
 
 // die is the kill -9 equivalent: the rendezvous connection drops without a
-// leave (only missed heartbeats reveal the death) and the transport shuts
+// leave (the hub convicts on the unclean close) and the transport shuts
 // down. Safe to call from any goroutine, including a chaos OpKill hook.
 func (w *worker) die() {
 	w.killed.Store(true)
 	w.cl.Abandon()
 	w.ep.Close()
+}
+
+// goSilent is what a partition or a hang looks like to the hub: the
+// control connection stays open and says nothing more, so the only
+// evidence left is the silence and the heartbeat detector has to time the
+// worker out — which finish checks it did.
+func (f *fixture) goSilent(w *worker) {
+	w.killed.Store(true)
+	w.cl.Freeze()
+	f.silent.Store(int64(w.proc))
 }
 
 // allreduce contributes proc+1 at every element and checks the result is
@@ -115,12 +129,15 @@ type fixture struct {
 	t       *testing.T
 	eng     *chaos.Engine
 	srv     *rendezvous.Server
+	journal bytes.Buffer // the hub's membership journal; read only after srv.Close
+	silent  atomic.Int64 // the proc that went silent (goSilent), -1 if none
 	workers []*worker
 }
 
 func newFixture(t *testing.T, world int, sc chaos.Scenario) *fixture {
 	t.Helper()
 	f := &fixture{t: t, eng: chaos.New(sc)}
+	f.silent.Store(-1)
 	f.eng.Install()
 
 	srv, err := rendezvous.ListenAndServe("127.0.0.1:0", rendezvous.Config{
@@ -128,6 +145,7 @@ func newFixture(t *testing.T, world int, sc chaos.Scenario) *fixture {
 		HeartbeatInterval: hbEvery,
 		SuspectAfter:      hbSuspect,
 		DeadAfter:         hbDead,
+		Trace:             trace.New(&f.journal),
 	})
 	if err != nil {
 		t.Fatalf("rendezvous: %v", err)
@@ -247,6 +265,7 @@ func (f *fixture) finish() {
 		w.ep.Close()
 	}
 	f.srv.Close()
+	f.checkTimedOut()
 	f.eng.Uninstall()
 	if s := chaos.Leaked(5 * time.Second); s != "" {
 		f.t.Errorf("goroutines leaked after scenario:\n%s", s)
@@ -257,6 +276,31 @@ func (f *fixture) finish() {
 	}
 	if f.t.Failed() {
 		f.t.Logf("%s", f.eng)
+	}
+}
+
+// checkTimedOut asserts how the hub came to declare a worker that went
+// silent: on the silence alone — suspected first, then timed out — and
+// never on its connection, which stayed open. Runs after srv.Close, when
+// nothing writes the journal any more.
+func (f *fixture) checkTimedOut() {
+	f.t.Helper()
+	proc := int(f.silent.Load())
+	if proc < 0 {
+		return
+	}
+	var kinds []string
+	for _, line := range strings.Split(strings.TrimSpace(f.journal.String()), "\n") {
+		var ev trace.Event
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			f.t.Fatalf("bad journal line %q: %v", line, err)
+		}
+		if ev.Proc == proc && ev.Kind != "member_join" {
+			kinds = append(kinds, ev.Kind)
+		}
+	}
+	if got := fmt.Sprint(kinds); got != "[hb_suspect hb_dead]" {
+		f.t.Errorf("hub's journal for silent proc %d = %s, want [hb_suspect hb_dead]", proc, got)
 	}
 }
 
@@ -463,8 +507,7 @@ func TestChaosConformance(t *testing.T) {
 				//lint:ignore sleepytest chaos choreography: stagger so the partition cuts mid-round, not between rounds
 				time.Sleep(50 * time.Millisecond)
 				f.eng.Enable("split")
-				w.killed.Store(true)
-				w.cl.Abandon() // silence, not a leave: only the detector reveals the isolation
+				f.goSilent(w) // silence, not a leave and not a close: only the detector reveals the isolation
 				//lint:ignore sleepytest the victim must stay silent for a full detector window; the absence of its heartbeats IS the scenario
 				time.Sleep(600 * time.Millisecond)
 				return false
@@ -477,7 +520,8 @@ func TestChaosConformance(t *testing.T) {
 	// Scenario 4: mid-frame connection reset — a frame is cut 9 bytes in,
 	// the receiver sees a truncated body, the sender redials and resends.
 	// Nobody dies; recovery must be invisible (full membership, exact sums
-	// in every round).
+	// in every round): a data-plane reset is not evidence of a death, only
+	// the control connection is.
 	t.Run("midframe_reset", func(t *testing.T) {
 		f := newFixture(t, 4, chaos.Scenario{Name: "midframe_reset", Seed: seed})
 		defer f.finish()
@@ -517,8 +561,7 @@ func TestChaosConformance(t *testing.T) {
 				//lint:ignore sleepytest chaos choreography: stagger so the blackhole opens mid-round
 				time.Sleep(50 * time.Millisecond)
 				f.eng.Enable("blackhole")
-				w.killed.Store(true)
-				w.cl.Abandon()
+				f.goSilent(w)
 				// Attempt the round anyway: every frame this worker sends
 				// vanishes, so survivors experience pure silence. Unblock it
 				// by closing the endpoint once recovery has surely run.

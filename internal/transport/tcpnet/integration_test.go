@@ -128,8 +128,8 @@ func runWorker(srvAddr string, world int, finished *sync.WaitGroup, results chan
 
 	if victim {
 		// Die abruptly: drop the rendezvous connection without a leave
-		// (so only missed heartbeats reveal the death) and shut the
-		// transport down. Survivors block in step 1 until the detector's
+		// (the hub convicts on the unclean close, as for kill -9) and shut
+		// the transport down. Survivors block in step 1 until the
 		// declaration arrives and recovery runs.
 		//lint:ignore sleepytest chaos choreography: the victim lingers so peers drain step-0 frames, then dies silently
 		time.Sleep(50 * time.Millisecond)
@@ -201,8 +201,8 @@ func runPipelinedWorker(srvAddr string, world, elems int, finished *sync.WaitGro
 	if victim {
 		// Start step 1, then die mid-collective: the goroutine pushes the
 		// first chunks of the reduce-scatter into the survivors' queues
-		// before the endpoint drops. No leave message — only missed
-		// heartbeats reveal the death.
+		// before the endpoint drops. No leave message — the sockets
+		// closing are the only word of the death.
 		go func() {
 			d := mkData()
 			_ = mpi.AllreduceOpts(r.Comm(), d, mpi.OpSum, pipelined)
@@ -367,22 +367,25 @@ func TestLoopbackWorldSurvivesKill(t *testing.T) {
 		t.Fatalf("%d survivors reported, want %d", survivors, world-1)
 	}
 
-	// The journal must show the gather and the heartbeat declaration.
+	// The journal must show the gather and the declaration — made on the
+	// victim's closed control connection, never on a timer.
 	s := journal.String()
 	if n := strings.Count(s, `"member_join"`); n != world {
 		t.Errorf("journal has %d member_join events, want %d:\n%s", n, world, s)
 	}
-	if !strings.Contains(s, `"hb_dead"`) {
-		t.Errorf("journal missing hb_dead declaration:\n%s", s)
+	if !strings.Contains(s, `"conn_dead"`) || strings.Contains(s, `"hb_`) {
+		t.Errorf("journal should declare the death as conn_dead, with no heartbeat suspicion or timeout:\n%s", s)
 	}
 }
 
 // TestLoopbackKillBetweenRoundsOnDefaults is the scenario the conformance
 // suites could not see: a world of four on the shipped tcpnet.Config{}
-// (5 retries from 50 ms, 1.55 s of back-off in all). The victim dies
-// between rounds — no hook point inside a collective — and the survivors
-// enter the next ring allreduce before the verdict, so the victim's ring
-// predecessor is redialing a closed port when the declaration lands. The
+// (5 retries from 50 ms, 1.55 s of back-off in all). The victim's host is
+// lost between rounds — no hook point inside a collective, its transport
+// gone, its control connection silent but open (Freeze), so the hub has
+// only the heartbeat timeout to go on — and the survivors enter the next
+// ring allreduce before the verdict, so the victim's ring predecessor is
+// redialing a closed port when the declaration lands. The
 // verdict must end that wait: the last survivor holds the retried result
 // within DeadAfter plus a repair's worth of slack, not at the end of the
 // back-off schedule (1.55 s after the kill). The standing invariants hold
@@ -431,6 +434,7 @@ func TestLoopbackKillBetweenRoundsOnDefaults(t *testing.T) {
 		killed   = make(chan struct{}) // closed by the victim once it is gone
 		finished sync.WaitGroup        // nobody leaves while a peer is still inside round 1
 		killedAt time.Time             // written before close(killed)
+		victimCl *rendezvous.Client    // likewise; frozen, so it outlives its goroutine
 		results  = make(chan result, world)
 	)
 	round0.Add(world)
@@ -469,9 +473,11 @@ func TestLoopbackKillBetweenRoundsOnDefaults(t *testing.T) {
 			}
 			round0.Wait()
 			if cl.Rank() == world-1 {
-				// kill -9 between rounds: no leave, listener and connections gone.
+				// Host loss between rounds: no leave, listener and data
+				// connections gone, control connection silent.
 				killedAt = time.Now()
-				cl.Abandon()
+				victimCl = cl
+				cl.Freeze()
 				ep.Close()
 				close(killed)
 				return
@@ -520,6 +526,10 @@ func TestLoopbackKillBetweenRoundsOnDefaults(t *testing.T) {
 			d, deadAfter+300*time.Millisecond)
 	}
 
+	if s := journal.String(); !strings.Contains(s, `"hb_dead"`) || strings.Contains(s, `"conn_dead"`) {
+		t.Errorf("a silent member with an open socket must be timed out, not convicted on its connection:\n%s", s)
+	}
+	victimCl.Abandon()
 	srv.Close()
 	if s := chaos.Leaked(5 * time.Second); s != "" {
 		t.Errorf("goroutines leaked:\n%s", s)
