@@ -62,8 +62,9 @@ test:
 
 # race: every package whose tests finish under the detector in minutes
 # on two cores. gossip (8 s), policy (2 s) and core (22 s) joined with
-# PR 23; none of the three was left out. clustertest is not here because
-# `make grow policy` already run it under -race at world 32.
+# PR 23; none of the three was left out. node (2 s) joined with PR 25.
+# clustertest is not here because `make grow policy` already run it
+# under -race at world 32.
 race:
 	$(GO) test -race \
 		./internal/transport/... \
@@ -79,7 +80,8 @@ race:
 		./internal/autopilot/... \
 		./internal/gossip/... \
 		./internal/policy/... \
-		./internal/core/...
+		./internal/core/... \
+		./internal/node/...
 
 # fuzz-smoke: ten seconds of native fuzzing over the agreement message
 # decoder and the control handler's delivery switch, starting from the
@@ -144,6 +146,7 @@ cover:
 		-floor repro/internal/autopilot=70 \
 		-floor repro/internal/analysis/driver=70 \
 		-floor repro/internal/policy=70 \
+		-floor repro/internal/node=70 \
 		-baseline COVERAGE_baseline.json -maxdrop 2
 	$(GO) tool cover -html=cover.out -o cover.html
 

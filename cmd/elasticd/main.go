@@ -1,8 +1,8 @@
-// Command elasticd is a multi-process elastic worker: it joins a
-// rendezvous service, opens a real TCP transport endpoint, builds the
-// world communicator, and runs a loop of resilient allreduces that
-// survives the abrupt death (kill -9) of other workers via the same
-// ULFM revoke/agree/shrink/retry pipeline the simulator exercises.
+// Command elasticd is a multi-process elastic worker: a node.Node (the
+// rendezvous member, TCP endpoint and world communicator) running a loop
+// of resilient allreduces that survives the abrupt death (kill -9) of
+// other workers via the same ULFM revoke/agree/shrink/retry pipeline the
+// simulator exercises.
 //
 // Quickstart on one machine (four terminals, or background jobs):
 //
@@ -23,27 +23,27 @@
 package main
 
 import (
+	"encoding/binary"
 	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net"
+	"math"
 	"os"
 	"os/signal"
 	"sync/atomic"
 	"syscall"
 	"time"
 
+	"repro/internal/autopilot"
 	"repro/internal/checkpoint"
-	"repro/internal/metrics"
 	"repro/internal/mpi"
+	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/rendezvous"
 	"repro/internal/trace"
-	"repro/internal/transport"
 	"repro/internal/transport/chaos"
-	"repro/internal/transport/tcpnet"
 	"repro/internal/ulfm"
 )
 
@@ -98,15 +98,22 @@ func main() {
 		*scalePolicy = "swap"
 		log.Printf("elasticd: -spare without -scale-policy, defaulting to 'swap'")
 	}
-	sched, elasticOn, err := parseScalePolicy(*scalePolicy)
+	scale, err := parseScalePolicy(*scalePolicy)
 	if err != nil {
 		log.Fatalf("elasticd: %v", err)
 	}
 	// A load signal is a scale policy of its own: it enables the grow
 	// boundary even without a schedule, so the autopilot can answer
-	// sustained load with spares and shed them when it subsides.
+	// sustained load with spares and shed them when it subsides. The
+	// probe reads what the instrumented packages already publish to the
+	// default registry; before the metric's first registration it reads
+	// NaN, which Decide treats as "hold".
 	if *loadMetric != "" {
-		elasticOn = true
+		if scale == nil {
+			scale = &autopilot.Config{}
+		}
+		scale.Load = autopilot.LoadFromObs(nil, *loadMetric)
+		scale.LoadHigh, scale.LoadLow = *loadHigh, *loadLow
 	}
 
 	// The journal is buffered, so every way out of this process must flush
@@ -136,17 +143,17 @@ func main() {
 	// their short lives. A stopping worker therefore reports no more steps
 	// (runSteps parks on `stopping`) and says nothing until every member
 	// has had time to hear the same signal.
-	var joined atomic.Pointer[rendezvous.Client]
+	var joined atomic.Pointer[node.Node]
 	var stopping atomic.Bool
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		s := <-sigc
 		log.Printf("elasticd: caught %v, leaving, flushing journal and exiting", s)
-		if cl := joined.Load(); cl != nil {
+		if nd := joined.Load(); nd != nil {
 			stopping.Store(true)
 			time.Sleep(stopGrace)
-			cl.Close()
+			nd.CL.Close()
 		}
 		jn.Close()
 		if s == syscall.SIGTERM {
@@ -185,87 +192,72 @@ func main() {
 		log.Printf("elasticd: hosting rendezvous on %s for %d workers", srv.Addr(), *world)
 	}
 
-	// With -chaos, the endpoint is wrapped in a fault-injecting middleware:
-	// data-plane faults via the endpoint wrapper, mid-frame connection
-	// resets via the WrapConn hook. The self ProcID is only known after the
-	// rendezvous welcome, so the conn hook reads it through an atomic the
-	// join fills in (all dials happen after Start).
-	var eng *chaos.Engine
-	var selfProc atomic.Int64
-	tcfg := tcpnet.Config{}
+	cfg := node.Config{
+		Rendezvous: *rdv,
+		Listen:     *listen,
+		Spare:      *spare,
+		Scale:      scale,
+		XferRate:   *xferRate,
+		Trace:      rec,
+		Logf:       func(format string, args ...any) { log.Printf("elasticd: "+format, args...) },
+	}
+	// With -chaos, the node's endpoint is wrapped in a fault-injecting
+	// middleware: data-plane faults via the endpoint wrapper, mid-frame
+	// connection resets via its connections.
 	if *chaosName != "" {
 		sc, err := chaosScenario(*chaosName, *chaosSeed)
 		if err != nil {
 			fatalf("elasticd: %v", err)
 		}
-		eng = chaos.New(sc)
-		tcfg.WrapConn = func(conn net.Conn, dialed bool) net.Conn {
-			return eng.WrapConn(transport.ProcID(selfProc.Load()))(conn, dialed)
-		}
+		eng := chaos.New(sc)
 		// Point-gated rules (the kill-at-* presets) fire off transport.Hit,
 		// which only reaches the engine while it is installed.
 		eng.Install()
 		defer eng.Uninstall()
 		log.Printf("elasticd: chaos scenario %q seed=%d armed", sc.Name, sc.Seed)
 		defer func() { log.Printf("elasticd: %s", eng.String()) }()
+		cfg.Chaos = eng
 	}
 
-	ep, err := tcpnet.Listen(*listen, tcfg)
+	// With -policy, each member runs a recovery-policy engine in the
+	// advisor seat: the deciding rank classifies every failure, picks the
+	// predicted-cheapest strategy from live obs readings, and the choice
+	// replicates through the repair pipeline. The checkpoint store (one per
+	// process, so one slot) gives rollback a candidate restore point, saved
+	// every step in runSteps; the spare pool size comes live from the hub.
+	// Both probes run only inside repairs, once nd is set.
+	var nd *node.Node
+	var ck *checkpoint.Store
+	if *policyMode != "" {
+		mode, err := policy.ParseMode(*policyMode)
+		if err != nil {
+			fatalf("elasticd: %v", err)
+		}
+		ck = checkpoint.NewStore()
+		cfg.Policy = &policy.Config{
+			Mode:       mode,
+			Spares:     func() int { return len(nd.CL.SpareProcs()) },
+			Checkpoint: ck.AgeProbe(0, func() float64 { return nd.Now() }),
+			Trace:      rec,
+		}
+		log.Printf("elasticd: recovery policy engine on (mode %s)", mode)
+	}
+
+	nd, err = node.Start(cfg)
 	if err != nil {
 		fatalf("elasticd: %v", err)
 	}
-	defer ep.Close()
-	fmt.Printf("elasticd: transport listening on %s\n", ep.Addr())
-	rec.Membership(0, -1, "listen", map[string]any{"addr": ep.Addr(), "obs": obsAddr})
-
-	cl, err := rendezvous.JoinWith(*rdv, rendezvous.JoinOptions{
-		SelfAddr: ep.Addr(),
-		Timeout:  5 * time.Minute,
-		Spare:    *spare,
-	})
-	if err != nil {
-		fatalf("elasticd: %v", err)
-	}
-	defer cl.Close()
-	joined.Store(cl)
-	selfProc.Store(int64(cl.Proc()))
-	ep.Start(cl.Proc(), cl.Peers())
-	// Late joiners and warm spares announced after the welcome must be
-	// dialable before the autopilot streams state to them or grows them
-	// into a collective; Start is idempotent.
-	teach := func(p transport.ProcID, addr, _ string) {
-		ep.Start(cl.Proc(), map[transport.ProcID]string{p: addr})
-	}
-	cl.StartNotify(rendezvous.Notifications{
-		OnPeerDown: func(d transport.ProcID) {
-			log.Printf("elasticd: rendezvous declared proc %d down", d)
-			ep.MarkDead(d)
-		},
-		// A clean exit is not a death, but the member is just as gone:
-		// the same MarkDead releases anything still addressed to it.
-		OnPeerLeft: func(d transport.ProcID) {
-			log.Printf("elasticd: proc %d left", d)
-			ep.MarkDead(d)
-		},
-		OnPeerUp:  teach,
-		OnSpareUp: teach,
-		// Nothing recovers from this yet (ROADMAP item 3): the run goes
-		// on, undetected failures will hang it, and this line is why.
-		OnHubLost: func(err error) {
-			log.Printf("elasticd: lost the rendezvous hub: %v; failures can no longer be detected", err)
-		},
-	})
-	log.Printf("elasticd: joined as proc %d (rank %d of %d), transport %s",
-		cl.Proc(), cl.Rank(), cl.World(), ep.Addr())
-	if eng != nil {
+	joined.Store(nd)
+	fmt.Printf("elasticd: transport listening on %s\n", nd.EP.Addr())
+	rec.Membership(0, -1, "listen", map[string]any{"addr": nd.EP.Addr(), "obs": obsAddr})
+	if cfg.Chaos != nil {
 		// OpKill is as close to kill -9 as the process can give itself: no
 		// rendezvous leave, just sockets closing under everyone — survivors
 		// learn of it from the hub, which convicts on the unclean close of
 		// the control connection, exactly like an external kill.
-		eng.OnKill(cl.Proc(), func() {
+		cfg.Chaos.OnKill(nd.Proc, func() {
 			log.Printf("elasticd: chaos kill firing, dying silently")
-			cl.Abandon()
-			ep.Close()
+			nd.Die()
 			// Silent to the cluster, not to the operator: the journal still
 			// flushes, so post-mortem analysis sees everything up to the kill.
 			jn.Close()
@@ -273,58 +265,11 @@ func main() {
 		})
 	}
 
-	var tep transport.Endpoint = ep
-	if eng != nil {
-		tep = eng.Wrap(ep)
-	}
-	p := mpi.Attach(tep)
-
-	ulfmPolicy := ulfm.DefaultPolicy()
-	reconfigs := 0
-	ulfmPolicy.OnReconfigure = func(nc *mpi.Comm, bd *metrics.Breakdown) {
-		reconfigs++
-		rec.Recovery(ep.VClock().Now(), int(cl.Proc()), reconfigs, "failure", bd, false)
-		log.Printf("elasticd: reconfigured to size %d (recovery #%d)", nc.Size(), reconfigs)
-	}
-
-	// With -policy, each member runs a recovery-policy engine in the
-	// advisor seat: the deciding rank classifies every failure, picks the
-	// predicted-cheapest strategy from live obs readings, and the choice
-	// replicates through the repair pipeline. The checkpoint store gives
-	// rollback a candidate restore point (saved every step in runSteps);
-	// the spare pool size comes live from the rendezvous hub.
-	var polEng *policy.Engine
-	var ckStore *checkpoint.Store
-	if *policyMode != "" {
-		mode, err := policy.ParseMode(*policyMode)
-		if err != nil {
-			fatalf("elasticd: %v", err)
-		}
-		ckStore = checkpoint.NewStore()
-		polEng = policy.New(policy.Config{
-			Mode:       mode,
-			Spares:     func() int { return len(cl.SpareProcs()) },
-			Checkpoint: ckStore.AgeProbe(int(cl.Proc()), func() float64 { return ep.VClock().Now() }),
-			Trace:      rec,
-			Proc:       cl.Proc(),
-		})
-		ulfmPolicy.Advisor = polEng
-		log.Printf("elasticd: recovery policy engine on (mode %s)", mode)
-	}
-
 	d := &daemon{
-		cl: cl, ep: ep, rec: rec, opts: opts,
+		nd: nd, rec: rec, opts: opts,
 		n: *n, steps: *steps, stepInterval: *stepInterval,
-		ck: ckStore, stopping: &stopping,
+		ck: ck, stopping: &stopping,
 	}
-	if elasticOn {
-		var gate func(int) bool
-		if polEng != nil {
-			gate = polEng.GateSwap
-		}
-		d.el = newElastic(cl, rec, sched, *xferRate, *loadMetric, *loadHigh, *loadLow, gate)
-	}
-
 	// Each worker contributes a constant vector of proc+1, so the
 	// reduced value tracks exactly which members contributed: with
 	// procs 0..3 alive the sum is 10; after proc 3 dies it drops to 6 —
@@ -332,28 +277,33 @@ func main() {
 	// autopilot swaps a newcomer in.
 	runErr := func() error {
 		if *spare {
-			return d.runSpare(p, ulfmPolicy)
+			// A spare enters at the epoch after the one the state is
+			// stamped with, exactly as the paper specifies.
+			state, step, err := nd.AwaitAdmission()
+			if err != nil {
+				return err
+			}
+			if len(state) < 8 {
+				return fmt.Errorf("spare state recv: empty model")
+			}
+			log.Printf("elasticd: received %d state bytes (model[0]=%.0f, step %d), entering at step %d",
+				len(state), math.Float64frombits(binary.LittleEndian.Uint64(state)), step, step+1)
+			return d.runSteps(int(step) + 1)
 		}
-		comm, err := mpi.World(p, cl.Procs())
-		if err != nil {
-			return err
-		}
-		r := ulfm.New(comm, nil, ulfmPolicy)
 		// The resolved data-plane plan goes to stdout at startup (what the
 		// first round will run, per the tuner's current model) and into the
 		// journal every round — after a shrink or enough observations the
 		// tuned pick can change, and the journal is where that shows.
-		plan := mpi.PlanAllreduce(int64(*n)*8, cl.World(), opts)
-		fmt.Printf("elasticd: data plane: %s (%d x float64, world %d)\n", plan, *n, cl.World())
+		plan := mpi.PlanAllreduce(int64(*n)*8, nd.CL.World(), opts)
+		fmt.Printf("elasticd: data plane: %s (%d x float64, world %d)\n", plan, *n, nd.CL.World())
 		d.awaitSpares(*spares, 2*time.Minute)
-		return d.runSteps(r, 0)
+		return d.runSteps(0)
 	}()
 	if runErr == nil || errors.Is(runErr, ulfm.ErrDropped) {
-		// This worker is leaving while others may go on: it may have
-		// returned early from an agreement a peer is still inside, and
-		// once its endpoint closes (the deferred ep.Close) nobody can ask
-		// it for the decision. Hand it over first.
-		p.Leave()
+		// This worker is leaving while others may go on: it may hold the
+		// decision of an agreement a peer is still inside, and Leave
+		// hands it over before the endpoint closes.
+		nd.Leave()
 	}
 	if runErr != nil {
 		if errors.Is(runErr, ulfm.ErrDropped) {

@@ -22,6 +22,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/node"
+	"repro/internal/rendezvous"
 	"repro/internal/trace"
 )
 
@@ -479,6 +481,45 @@ func TestKillNineShrinksAtOnce(t *testing.T) {
 	}
 	if lead.has("suspected") {
 		t.Errorf("hub logged a suspicion for a closed socket:\n%s", lead.output())
+	}
+}
+
+// TestGossipHubKillShrinks: a gossip-mode hub takes no heartbeats and
+// convicts only a member someone accuses, so a SIGKILLed worker is found
+// by the survivors' SWIM detectors — which elasticd runs because the
+// welcome says gossip, with no flag. The survivors must shrink within
+// one detection window of the tuning a world of three runs.
+func TestGossipHubKillShrinks(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process integration test")
+	}
+	srv, err := rendezvous.ListenAndServe("127.0.0.1:0", rendezvous.Config{World: 3, Gossip: true, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	args := []string{"-rendezvous", srv.Addr(), "-steps", "1000000000", "-step-interval", "20ms", "-n", "16"}
+	ps := []*liveProc{startLive(t, args...), startLive(t, args...), startLive(t, args...)}
+	for _, p := range ps {
+		p.waitFor(t, "size 3 ", 30*time.Second)
+	}
+	g := node.DetectorDefaults(3)
+	bound := 5*g.Period + g.ProbeTimeout + g.SuspicionTimeout + time.Second
+	victim := ps[2]
+	victimProc := victim.joinedProc(t)
+
+	killedAt := time.Now()
+	if err := victim.cmd.Process.Kill(); err != nil {
+		t.Fatalf("kill -9: %v", err)
+	}
+	for _, p := range ps[:2] {
+		_, at := p.waitFor(t, "size 2 ", bound)
+		if at.Sub(killedAt) > bound {
+			t.Errorf("survivor at size 2 %v after the kill, want within %v", at.Sub(killedAt), bound)
+		}
+		if !p.has(fmt.Sprintf("elasticd: rendezvous declared proc %d down", victimProc)) {
+			t.Errorf("survivor shrank without logging the declaration:\n%s", p.output())
+		}
 	}
 }
 

@@ -36,6 +36,11 @@ func main() {
 	obsListen := flag.String("obs.listen", "", "serve /metrics, /healthz, /varz on this address (empty = no metrics endpoint)")
 	flag.Parse()
 
+	// Caught from the start: a stop that lands as soon as the address is
+	// printed must still close the service and flush the journal.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+
 	// Buffered journal: flushed on the signal exit below and on fatal
 	// startup errors, never dropped on the floor.
 	jn, err := trace.OpenJournal(*tracePath)
@@ -76,8 +81,6 @@ func main() {
 	fmt.Printf("rendezvousd: listening on %s, gathering %d workers\n", srv.Addr(), *world)
 	rec.Membership(0, -1, "listen", map[string]any{"addr": srv.Addr(), "obs": obsAddr})
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	srv.Close()
 	jn.Close()

@@ -1,10 +1,11 @@
 // Package clustertest boots a complete in-process elastic cluster — a
-// gossip-mode rendezvous service plus N workers, each with a real TCP
-// transport endpoint, a SWIM gossip member, and a resilient ULFM
-// communicator, all wired through one chaos engine at construction — in
-// a single call. Tests get typed handles to every worker, inject faults
-// through the shared engine, and inherit ordered teardown plus the
-// zero-goroutine/zero-frame-buffer leak assertions automatically.
+// gossip-mode rendezvous service plus N workers, each a node.Node built
+// exactly as elasticd builds one (real TCP endpoint, SWIM gossip member,
+// resilient ULFM communicator, and with Config.Scale the autopilot seat),
+// all wired through one chaos engine — in a single call. Tests get typed
+// handles to every worker, inject faults through the shared engine, and
+// inherit ordered teardown plus the zero-goroutine/zero-frame-buffer
+// leak assertions automatically.
 //
 // The shape every test takes:
 //
@@ -12,25 +13,24 @@
 //	c.Workers[31].Die()
 //	c.VerifyRecovery(31)
 //
-// Liveness is pure SWIM: workers send the rendezvous service no
-// heartbeats (teardown asserts the hub saw exactly zero), the first
-// member to declare a death reports a verdict, and the hub republishes
-// it as a versioned peer-map delta. The chaos engine's partition view
-// is wired into every member's gossip drop filter, so an isolated
-// worker loses its UDP side channel exactly like its collective
+// Liveness is pure SWIM: the node sees the hub's gossip-mode welcome and
+// sends it no heartbeats (teardown asserts the hub saw exactly zero), the
+// first member to declare a death reports a verdict, and the hub
+// republishes it as a versioned peer-map delta. The chaos engine's
+// partition view is wired into every member's gossip drop filter, so an
+// isolated worker loses its UDP side channel exactly like its collective
 // traffic.
 package clustertest
 
 import (
 	"fmt"
-	"math/bits"
-	"net"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/gossip"
+	"repro/internal/autopilot"
 	"repro/internal/mpi"
+	"repro/internal/node"
 	"repro/internal/policy"
 	"repro/internal/rendezvous"
 	"repro/internal/transport"
@@ -39,6 +39,10 @@ import (
 	"repro/internal/ulfm"
 	"repro/internal/vtime"
 )
+
+// elems is the allreduce payload length, chosen so pipelined-ring chunk
+// bounds come out uneven.
+const elems = 1<<10 + 7
 
 // Config parameterizes New.
 type Config struct {
@@ -53,72 +57,32 @@ type Config struct {
 	// that name a ProcID must instead be added after New returns, once
 	// identities are assigned).
 	Rules []chaos.Rule
-	// Gossip overrides the detector tuning; the zero value gets
-	// world-scaled defaults (see DetectorDefaults).
-	Gossip gossip.Config
-	// Elems is the allreduce payload length (default 1<<10+7, chosen so
-	// pipelined-ring chunk bounds come out uneven).
-	Elems int
 	// Spares is the number of warm spares to pre-register after the
-	// world gathers: full control-plane members (rendezvous rank -1,
-	// gossip, chaos-wrapped TCP endpoint) with no communicator, idle
-	// until an autopilot Pilot swaps them in (see grow.go).
+	// world gathers: nodes started with Spare set, full control-plane
+	// members with no communicator until a Boundary admits them (see
+	// RunGrow).
 	Spares int
-	// JoinTimeout bounds each worker's rendezvous gather (default
-	// scales with World).
-	JoinTimeout time.Duration
-	// Policy, when non-nil, gives every worker a recovery-policy engine
-	// wired as its ULFM advisor (see policy.go).
-	Policy *PolicyConfig
+	// Scale, when non-nil, gives every worker and spare an autopilot
+	// controller with this schedule (see RunGrow).
+	Scale *autopilot.Config
+	// Policy, when non-nil, gives every worker and spare a recovery-policy
+	// engine wired as its ULFM advisor and swap gate. The harness has no
+	// simnet placement, so node-level scenarios supply their own NodeOf.
+	Policy *policy.Config
 }
 
-// DetectorDefaults is the world-scaled gossip tuning New applies when
-// Config.Gossip is zero. Two windows scale: the protocol period grows
-// quadratically with world size beyond 32 — a probe ack needs both
-// prober and target scheduled, and on a loaded host each scheduling
-// latency grows with the number of runnable worker goroutines, so the
-// round-trip degrades as roughly world² when the whole cluster
-// time-shares one core — and the suspicion window must outlive two
-// one-way epidemic latencies (accusation out, refutation back), each
-// O(log n) periods. Together these keep false deaths rare even at
-// world 128 on a one-core CI box (the hub's doubt probe catches the
-// stragglers).
-func DetectorDefaults(world int) gossip.Config {
-	period := 50 * time.Millisecond
-	if world > 32 {
-		period = time.Duration(world*world) * 50 / (32 * 32) * time.Millisecond
-	}
-	logn := bits.Len(uint(world))
-	return gossip.Config{
-		Period:           period,
-		ProbeTimeout:     period / 2,
-		SuspicionTimeout: time.Duration(2*logn+6) * period,
-		IndirectK:        3,
-	}
-}
-
-// Worker is one in-process cluster member.
+// Worker is one in-process cluster member: a node plus its gathered rank
+// (-1 for a spare).
 type Worker struct {
+	*node.Node
 	Rank int
-	Proc transport.ProcID
-	EP   *tcpnet.Endpoint
-	CL   *rendezvous.Client
-	G    *gossip.Runtime
-	R    *ulfm.ResilientComm
-	// Pol is the worker's recovery-policy engine (nil unless
-	// Config.Policy was set).
-	Pol *policy.Engine
 
 	// Killed marks an expected death: the worker's own collectives may
 	// fail without failing the test. Die, Leave, and Mute set it.
 	Killed atomic.Bool
 
-	// admit wakes an idle spare when a Pilot swaps it in; the value is
-	// the epoch boundary (round index) it enters at. Buffered so the
-	// admitting rank never blocks on a spare that died first.
-	admit chan int64
-
-	c *Cluster
+	// admitted is set once a spare has entered (RunGrow).
+	admitted atomic.Bool
 }
 
 // Cluster owns the shared pieces: the chaos engine, the rendezvous
@@ -150,16 +114,6 @@ func New(t testing.TB, cfg Config) *Cluster {
 	if cfg.Name == "" {
 		cfg.Name = t.Name()
 	}
-	if cfg.Elems == 0 {
-		cfg.Elems = 1<<10 + 7
-	}
-	if cfg.Gossip == (gossip.Config{}) {
-		cfg.Gossip = DetectorDefaults(cfg.World)
-	}
-	cfg.Gossip.Seed = cfg.Seed
-	if cfg.JoinTimeout == 0 {
-		cfg.JoinTimeout = 20*time.Second + time.Duration(cfg.World)*100*time.Millisecond
-	}
 
 	c := &Cluster{T: t, cfg: cfg}
 	c.Eng = chaos.New(chaos.Scenario{Name: cfg.Name, Seed: cfg.Seed, Rules: cfg.Rules})
@@ -185,7 +139,7 @@ func New(t testing.TB, cfg Config) *Cluster {
 	errs := make(chan error, cfg.World)
 	for i := 0; i < cfg.World; i++ {
 		go func() {
-			w, err := c.startWorker(true, false)
+			w, err := c.start(false)
 			if err != nil {
 				errs <- err
 				return
@@ -194,7 +148,7 @@ func New(t testing.TB, cfg Config) *Cluster {
 		}()
 	}
 	c.Workers = make([]*Worker, cfg.World)
-	deadline := time.After(cfg.JoinTimeout + 10*time.Second)
+	deadline := time.After(30*time.Second + time.Duration(cfg.World)*100*time.Millisecond)
 	for i := 0; i < cfg.World; i++ {
 		select {
 		case w := <-ws:
@@ -208,187 +162,82 @@ func New(t testing.TB, cfg Config) *Cluster {
 	// Spares register after the world gathers, sequentially so the pool
 	// order (ascending ProcID) is deterministic across seeds.
 	for i := 0; i < cfg.Spares; i++ {
-		sp, err := c.startWorker(false, true)
+		sp, err := c.start(true)
 		if err != nil {
 			t.Fatalf("clustertest: spare setup: %v", err)
 		}
 		c.Spares = append(c.Spares, sp)
 	}
+	// The seat admits from its client's view of the pool, and admitted
+	// spares dial each other: every member hears of every spare first.
+	heard := func() bool {
+		for _, w := range c.all() {
+			others := cfg.Spares
+			if w.Rank < 0 {
+				others-- // a spare is not in its own pool
+			}
+			if len(w.CL.SpareProcs()) < others {
+				return false
+			}
+		}
+		return true
+	}
+	if !vtime.WaitUntil(10*time.Second, heard) {
+		t.Fatalf("clustertest: the spare pool never reached every member")
+	}
 	return c
 }
 
-// startWorker brings up one member: the TCP endpoint (chaos-wrapped),
-// the pre-bound gossip socket (its address travels in the join), the
-// rendezvous gather, the SWIM member, and — for full workers — the MPI
-// world plus a resilient communicator. Late joiners and spares skip
-// the communicator; the scenario (or the Pilot) decides how far they
-// get.
-func (c *Cluster) startWorker(full, spare bool) (*Worker, error) {
-	w := &Worker{c: c, admit: make(chan int64, 1)}
-	// The ProcID is assigned at the welcome, after the endpoint exists;
-	// the conn hook reads it through this atomic (dials happen
-	// post-Start, when it is set).
-	var self atomic.Int64
-	self.Store(-1)
-	ep, err := tcpnet.Listen("127.0.0.1:0", tcpnet.Config{
-		DialRetries: 4,
-		DialBackoff: 20 * time.Millisecond,
-		DialTimeout: time.Second,
-		WrapConn: func(conn net.Conn, dialed bool) net.Conn {
-			return c.Eng.WrapConn(transport.ProcID(self.Load()))(conn, dialed)
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	// The gossip socket binds before the join so its resolved address
-	// can be announced in the welcome exchange.
-	uconn, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		ep.Close()
-		return nil, err
-	}
-	cl, err := rendezvous.JoinWith(c.Srv.Addr(), rendezvous.JoinOptions{
-		SelfAddr:   ep.Addr(),
-		GossipAddr: uconn.LocalAddr().String(),
-		Timeout:    c.cfg.JoinTimeout,
+// all lists the workers, then the spares: RunGrow's outcome numbering.
+func (c *Cluster) all() []*Worker {
+	return append(append([]*Worker(nil), c.Workers...), c.Spares...)
+}
+
+// start brings up one member through node.Start.
+func (c *Cluster) start(spare bool) (*Worker, error) {
+	n, err := node.Start(node.Config{
+		Rendezvous: c.Srv.Addr(),
+		Listen:     "127.0.0.1:0",
 		Spare:      spare,
+		Chaos:      c.Eng,
+		Policy:     c.cfg.Policy,
+		Scale:      c.cfg.Scale,
+		XferRate:   64 << 20,
+		Logf:       c.T.Logf,
 	})
 	if err != nil {
-		uconn.Close()
-		ep.Close()
 		return nil, err
 	}
-	proc := cl.Proc()
-	self.Store(int64(proc))
-	ep.Start(proc, cl.Peers())
-
-	g := gossip.NewRuntimeOn(uconn, proc, gossip.RuntimeConfig{
-		Node: c.cfg.Gossip,
-		// The engine's partition view severs gossip exactly like data:
-		// an isolated member must not stay "alive" through the UDP side
-		// channel.
-		Drop:    func(peer transport.ProcID) bool { return c.Eng.Partitioned(proc, peer) },
-		OnEvent: w.onGossip,
-	})
-	w.Rank = cl.Rank()
-	w.Proc = proc
-	w.EP = ep
-	w.CL = cl
-	w.G = g
-
-	cl.StartNotify(rendezvous.Notifications{
-		// An authoritative declaration (someone's verdict, or a clean
-		// leave) retires the member everywhere at once.
-		OnPeerDown: func(dead transport.ProcID) {
-			g.Remove(dead)
-			ep.MarkDead(dead)
-		},
-		// A late joiner published as a delta becomes dialable and
-		// probeable immediately.
-		OnPeerUp: func(p transport.ProcID, addr, gaddr string) {
-			ep.Start(proc, map[transport.ProcID]string{p: addr})
-			if gaddr != "" {
-				g.AddPeer(p, gaddr)
-			}
-		},
-		// A registered spare joins the gossip fabric right away: its
-		// death while idle (or mid-swap) must be detected and drained
-		// from the pool like any member's.
-		OnSpareUp: func(p transport.ProcID, addr, gaddr string) {
-			ep.Start(proc, map[transport.ProcID]string{p: addr})
-			if gaddr != "" {
-				g.AddPeer(p, gaddr)
-			}
-		},
-	})
-	g.Bootstrap(cl.GossipPeers())
-
-	if !full {
-		return w, nil
-	}
-	p := mpi.Attach(c.Eng.Wrap(ep))
-	comm, err := mpi.World(p, cl.Procs())
-	if err != nil {
-		w.Die()
-		return nil, err
-	}
-	pol := ulfm.DefaultPolicy()
-	if c.cfg.Policy != nil {
-		w.Pol = c.newPolicyEngine(proc, cl.Procs())
-		pol = advisedPolicy(w.Pol)
-	}
-	w.R = ulfm.New(comm, nil, pol)
-	return w, nil
+	return &Worker{Node: n, Rank: n.CL.Rank()}, nil
 }
 
-// NewJoiner admits a late member: endpoint, gossip, rendezvous join
-// (published to the gathered world as a peerup delta) — but no
-// communicator. The caller grows the survivors' communicators.
-func (c *Cluster) NewJoiner() (*Worker, error) {
-	return c.startWorker(false, false)
-}
-
-// onGossip is every worker's SWIM event hook: a local death declaration
-// is reported to the hub — if this member can still see a majority of
-// the known world — and applied only when the hub republishes it as a
-// peerdown delta. Serializing MarkDead through the hub gives every
-// member the same death order, so ULFM repairs never run against
-// diverging membership views; the quorum gate keeps a partitioned
-// minority from declaring the majority dead through its
-// (un-partitioned) rendezvous connection.
-func (w *Worker) onGossip(ev gossip.Event) {
-	if ev.Kind != gossip.EvDead {
-		return
-	}
-	alive := len(w.G.Alive()) + 1 // self
-	if known := len(w.CL.Peers()); alive*2 > known {
-		w.CL.ReportDead(ev.Proc)
-	}
-}
-
-// Die is the kill -9 equivalent: the rendezvous connection drops
-// without a leave, the gossip member goes silent, and the transport
-// shuts down. Only the survivors' detectors reveal the death. Safe to
-// call from any goroutine, including a chaos OpKill hook.
+// Die is the kill -9 equivalent (node.Die). Safe to call from any
+// goroutine, including a chaos OpKill hook.
 func (w *Worker) Die() {
 	w.Killed.Store(true)
-	w.CL.Abandon()
-	w.G.Close()
-	w.EP.Close()
+	w.Node.Die()
 }
 
-// Leave is the clean scale-down departure: the agreement hand-off (a
-// member that returned from an agreement early may be the only one
-// holding its decision — see mpi.Proc.Leave), a rendezvous leave (the hub
-// broadcasts the peerdown immediately, so survivors MarkDead without
-// waiting out a detection window), then gossip and transport shutdown.
-// The next collective repairs the evictee out. Call it from the worker's
-// own goroutine.
+// Leave is the clean scale-down departure (node.Leave); the next
+// collective repairs the evictee out. Call it from the worker's own
+// goroutine.
 func (w *Worker) Leave() {
 	w.Killed.Store(true)
-	if w.R != nil {
-		w.R.Comm().Proc().Leave()
-	}
-	w.CL.Close()
-	w.G.Close()
-	w.EP.Close()
+	w.Node.Leave()
 }
 
-// Mute models a hung process: control-plane silence (no rendezvous, no
-// gossip acks) while the TCP endpoint stays open, so survivors must
-// recover without ever seeing a connection-level death.
+// Mute models a hung process (node.Mute): survivors must recover without
+// ever seeing a connection-level death.
 func (w *Worker) Mute() {
 	w.Killed.Store(true)
-	w.CL.Abandon()
-	w.G.Close()
+	w.Node.Mute()
 }
 
 // DetectWait is a conservative bound on kill-to-declaration latency:
 // a few protocol periods for some survivor to rotate onto the victim,
 // the probe round, the suspicion window, plus scheduling slack.
 func (c *Cluster) DetectWait() time.Duration {
-	g := c.cfg.Gossip
+	g := node.DetectorDefaults(c.cfg.World)
 	return 5*g.Period + g.ProbeTimeout + g.SuspicionTimeout + time.Second
 }
 
@@ -431,10 +280,8 @@ func (c *Cluster) ProcsExcept(deadRanks ...int) []transport.ProcID {
 // by the hub (liveness must have been SWIM's job alone).
 func (c *Cluster) teardown() {
 	hbs := c.Srv.HBSeen()
-	for _, w := range append(append([]*Worker(nil), c.Workers...), c.Spares...) {
-		w.CL.Close()
-		w.G.Close()
-		w.EP.Close()
+	for _, w := range c.all() {
+		w.Close()
 	}
 	c.Srv.Close()
 	c.Eng.Quiesce()
@@ -468,7 +315,7 @@ func (w *Worker) Allreduce(algo mpi.AllreduceAlgo) (float64, error) {
 // (CodecInt8 rounds through a float32 scale and is NOT exact; scenarios
 // using it must assert within the documented error bound instead.)
 func (w *Worker) AllreduceOpts(o mpi.AllreduceOptions) (float64, error) {
-	data := make([]float64, w.c.cfg.Elems)
+	data := make([]float64, elems)
 	for i := range data {
 		data[i] = float64(w.Proc) + 1
 	}

@@ -15,17 +15,15 @@ package clustertest_test
 
 import (
 	"flag"
-	"fmt"
 	"os"
-	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/autopilot"
 	"repro/internal/clustertest"
 	"repro/internal/mpi"
 	"repro/internal/transport"
 	"repro/internal/transport/chaos"
-	"repro/internal/ulfm"
 )
 
 var (
@@ -268,85 +266,29 @@ func TestClusterConformance(t *testing.T) {
 		c.CheckOutcomes(outs, c.ProcsExcept(world-1, world-2))
 	})
 
-	// Scenario 9: kill during rejoin — a late joiner is admitted through
-	// rendezvous (a peerup delta in gossip mode) and killed at the exact
-	// moment it blocks for its join message. The grown communicator
-	// contains a member that was never alive in it; the next collective
-	// must repair straight back to the original world.
+	// Scenario 9: kill during rejoin — a scheduled scale-up admits a warm
+	// spare at the first boundary, and the spare is killed the instant
+	// the seat has sent it the join message. The grown communicator
+	// contains a member that was never alive in it (its state stream is
+	// a burned swap); the next collective must repair straight back to
+	// the original world.
 	t.Run("kill_during_rejoin", func(t *testing.T) {
-		c := boot(t)
-
-		var joiner *clustertest.Worker
-		var joinerErr error
-		growReady := make(chan struct{})
-		var joinerWG sync.WaitGroup
-		joinerWG.Add(1)
-		go func() {
-			defer joinerWG.Done()
-			defer close(growReady)
-			jw, err := c.NewJoiner()
-			if err != nil {
-				joinerErr = err
-				return
-			}
-			joiner = jw
-			c.Eng.AddRule(chaos.Rule{
-				Name: "killjoin", Proc: jw.Proc, Point: transport.PointJoinRecv,
-				Nth: 1, Op: chaos.OpKill,
-			})
-			c.Eng.OnKill(jw.Proc, jw.Die)
-			joinerWG.Add(1)
-			go func() {
-				defer joinerWG.Done()
-				p := mpi.Attach(c.Eng.Wrap(jw.EP))
-				if _, err := mpi.Join(p); err == nil {
-					joinerErr = fmt.Errorf("joiner completed Join despite being killed at the join point")
-				}
-			}()
-		}()
-
-		outs := c.Run(func(w *clustertest.Worker) *clustertest.Outcome {
-			var sums []float64
-			s, err := w.Allreduce(mpi.AlgoAuto)
-			if err != nil {
-				return clustertest.Report(w, sums, fmt.Errorf("round 0: %w", err))
-			}
-			sums = append(sums, s)
-
-			<-growReady
-			if joiner == nil {
-				return clustertest.Report(w, sums, fmt.Errorf("joiner setup failed"))
-			}
-			// The peerup delta also publishes the joiner, but its reader
-			// goroutine races this Grow; Start is idempotent, so teach the
-			// endpoint directly.
-			w.EP.Start(w.Proc, map[transport.ProcID]string{joiner.Proc: joiner.EP.Addr()})
-			grown, err := w.R.Comm().Grow([]transport.ProcID{joiner.Proc})
-			if err != nil {
-				return clustertest.Report(w, sums, fmt.Errorf("grow: %w", err))
-			}
-			w.R = ulfm.New(grown, nil, ulfm.DefaultPolicy())
-
-			s, err = w.Allreduce(mpi.AlgoAuto)
-			if err != nil {
-				return clustertest.Report(w, sums, fmt.Errorf("round 1: %w", err))
-			}
-			sums = append(sums, s)
-			return clustertest.Report(w, sums, nil)
+		c := clustertest.New(t, clustertest.Config{
+			World:  world,
+			Seed:   *clusterSeed,
+			Spares: 1,
+			Scale:  &autopilot.Config{Schedule: []autopilot.ScheduleStep{{Step: 0, Delta: 1}}},
 		})
-
+		joiner := c.Spares[0]
+		c.Eng.AddRule(chaos.Rule{
+			Name: "killjoin", Proc: c.Workers[0].Proc, Point: transport.PointGrowSend,
+			Nth: 1, Op: chaos.OpKillGroup, Groups: [][]transport.ProcID{{joiner.Proc}},
+		})
+		c.Eng.OnKill(joiner.Proc, joiner.Die)
+		outs := c.RunGrow(2, mpi.AllreduceOptions{Algo: mpi.AlgoAuto}, 1<<10, nil)
 		c.CheckOutcomes(outs, c.Procs())
-		joinerWG.Wait()
-		if joinerErr != nil {
-			t.Errorf("joiner: %v", joinerErr)
-		}
-		if joiner != nil {
-			if !joiner.Killed.Load() {
-				t.Errorf("joiner was never killed at %q", transport.PointJoinRecv)
-			}
-			joiner.CL.Close()
-			joiner.G.Close()
-			joiner.EP.Close()
+		if !joiner.Killed.Load() {
+			t.Errorf("joiner was never killed at %q", transport.PointGrowSend)
 		}
 	})
 }

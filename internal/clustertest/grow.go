@@ -1,66 +1,17 @@
 package clustertest
 
-// The spare-capable side of the harness: a Pilot couples the sans-IO
-// autopilot controller to a live cluster and drives the paper's
-// elasticity loop at every epoch boundary — swap a warm spare in on a
-// death verdict instead of shrinking, scale on a schedule or load
-// signal, stream model state to the newcomer under a bandwidth cap,
-// and admit it at the next boundary.
-//
-// One controller is shared by every worker behind the Pilot's mutex, so
-// the loop survives the death of whichever rank happens to be driving
-// it: the decision seat is "rank 0 of the current communicator", and
-// after a repair the new rank 0 picks up the same controller state.
-// Decisions replicate to the other members through the Grow collective
-// itself (two resilient broadcasts), and the scale-down target rides
-// the same barrier: rank 0 writes it under the lock before its
-// broadcast, and no member can reach the next boundary's read without
-// first completing a collective that rank 0 also completed.
+// The elasticity side of the harness: RunGrow drives each worker's
+// node.Boundary and each spare's node.AwaitAdmission — the grow boundary
+// and spare life cycle elasticd runs, with one autopilot controller per
+// node and the decision seat at rank 0 of the current communicator.
 
 import (
 	"bytes"
 	"fmt"
-	"sync"
 	"time"
 
-	"repro/internal/autopilot"
 	"repro/internal/mpi"
-	"repro/internal/transport"
-	"repro/internal/ulfm"
 )
-
-// Pilot drives one cluster's elasticity from a shared autopilot
-// controller. Build one per scenario with NewPilot; run scenarios with
-// RunGrow.
-type Pilot struct {
-	c     *Cluster
-	state []byte
-	xfer  autopilot.XferOptions
-	done  chan struct{} // closed after RunGrow's main body: releases idle spares
-	start time.Time
-
-	mu       sync.Mutex
-	ctrl     *autopilot.Controller
-	target   int // rank 0's last decided target, published through the Grow barrier
-	admitted map[transport.ProcID]bool
-	failed   map[transport.ProcID]bool
-}
-
-// NewPilot builds the scenario's control loop. stateBytes sizes the
-// deterministic model blob streamed to every newcomer; xfer caps the
-// stream (Step is stamped per boundary by the Pilot).
-func (c *Cluster) NewPilot(cfg autopilot.Config, stateBytes int, xfer autopilot.XferOptions) *Pilot {
-	return &Pilot{
-		c:        c,
-		state:    MakeState(stateBytes),
-		xfer:     xfer,
-		done:     make(chan struct{}),
-		start:    time.Now(),
-		ctrl:     autopilot.New(cfg),
-		admitted: map[transport.ProcID]bool{},
-		failed:   map[transport.ProcID]bool{},
-	}
-}
 
 // MakeState builds a deterministic pseudo-model blob: every byte mixes
 // its offset and the total length, so truncation, reordering, or
@@ -73,241 +24,22 @@ func MakeState(n int) []byte {
 	return b
 }
 
-func (p *Pilot) now() float64 { return time.Since(p.start).Seconds() }
-
-// idleLocked is the pool rank 0 feeds the controller: the spares the
-// rendezvous hub still advertises, minus the ones this pilot already
-// admitted or burned. (The hub view lags an activation by one delta
-// round-trip; the local filter keeps a spare from being admitted
-// twice.) Caller holds p.mu.
-func (p *Pilot) idleLocked(w *Worker) []transport.ProcID {
-	var out []transport.ProcID
-	for _, sp := range w.CL.SpareProcs() {
-		if !p.admitted[sp] && !p.failed[sp] {
-			out = append(out, sp)
-		}
-	}
-	return out
-}
-
-func (p *Pilot) spareByProc(proc transport.ProcID) *Worker {
-	for _, sp := range p.c.Spares {
-		if sp.Proc == proc {
-			return sp
-		}
-	}
-	return nil
-}
-
-// GrowStep is the epoch boundary: every live member of the current
-// communicator calls it after round `step`'s allreduce. Rank 0 consults
-// the shared controller; the decision replicates through ulfm.Grow's
-// resilient broadcasts; admitted spares are woken and streamed the
-// model state; and if the world exceeds the decided target, the highest
-// rank reports evict=true and must Leave. Failures interleaved with the
-// decision skip the boundary uniformly (see ulfm.Grow) and the
-// controller retries at the next one.
-func (p *Pilot) GrowStep(w *Worker, step int) (admitted []transport.ProcID, evict bool, err error) {
-	// Teach the endpoint every spare's address up front: the spareup
-	// delta also publishes them, but its reader goroutine races this
-	// Grow; Start is idempotent.
-	for _, sp := range p.c.Spares {
-		if sp.Proc != w.Proc {
-			w.EP.Start(w.Proc, map[transport.ProcID]string{sp.Proc: sp.EP.Addr()})
-		}
-	}
-
-	var admit []transport.ProcID
-	if w.R.Comm().Rank() == 0 {
-		p.mu.Lock()
-		now := p.now()
-		p.ctrl.ObserveMembers(now, w.R.Comm().Procs())
-		p.ctrl.ObservePool(p.idleLocked(w))
-		d := p.ctrl.Decide(now, step)
-		admit = d.Admit
-		p.target = d.Target
-		p.mu.Unlock()
-	}
-
-	admitted, err = w.R.Grow(admit)
-	if err != nil {
-		return nil, false, err
-	}
-
-	if w.R.Comm().Rank() == 0 {
-		// Wake each admitted spare before streaming: RecvState must be
-		// running before SendState blocks on the ack. The channel is
-		// buffered, so a spare that died first cannot wedge the seat.
-		for _, np := range admitted {
-			if sp := p.spareByProc(np); sp != nil {
-				sp.admit <- int64(step)
-			}
-		}
-		for _, np := range admitted {
-			xfer := p.xfer
-			xfer.Step = int64(step)
-			p.c.T.Logf("clustertest: boundary %d: streaming %d bytes to spare %d", step, len(p.state), np)
-			sendErr := autopilot.SendState(w.EP, np, p.state, xfer)
-			p.c.T.Logf("clustertest: boundary %d: stream to spare %d done (err=%v)", step, np, sendErr)
-			p.mu.Lock()
-			if sendErr != nil {
-				// Burned spare: the death it answered stays outstanding
-				// and the next boundary tries the next one; the next
-				// collective repairs the corpse out of the grown comm.
-				p.failed[np] = true
-				p.ctrl.SwapFailed(np)
-			} else {
-				p.admitted[np] = true
-				p.ctrl.Admitted(p.now(), []transport.ProcID{np})
-				if aerr := w.CL.Activate(np); aerr != nil {
-					p.c.T.Logf("clustertest: activate %d: %v", np, aerr)
-				}
-			}
-			p.mu.Unlock()
-		}
-	}
-
-	// Scale-down: when the world exceeds the target rank 0 published
-	// through the barrier above, the highest rank (the newest member)
-	// leaves; one eviction per boundary. Rank 0 forewarns the
-	// controller so the departure is not booked as a death.
-	p.mu.Lock()
-	target := p.target
-	p.mu.Unlock()
-	if target > 0 && w.R.Size() > target {
-		procs := w.R.Comm().Procs()
-		evictee := procs[len(procs)-1]
-		if w.R.Comm().Rank() == 0 {
-			p.mu.Lock()
-			p.ctrl.Evicted(evictee)
-			p.mu.Unlock()
-		}
-		if w.Proc == evictee {
-			return admitted, true, nil
-		}
-	}
-	return admitted, false, nil
-}
-
-// growBody is the per-worker scenario script: `rounds` allreduces with
-// a GrowStep boundary between consecutive rounds (none after the last).
-// onRound returning false kills the worker before that round, exactly
-// like RoundsBody.
-func (p *Pilot) growBody(rounds int, opts mpi.AllreduceOptions, onRound func(w *Worker, round int) bool) func(w *Worker) *Outcome {
-	return func(w *Worker) *Outcome {
-		var sums []float64
-		for round := 0; round < rounds; round++ {
-			if onRound != nil && !onRound(w, round) {
-				return &Outcome{Died: true}
-			}
-			s, err := w.AllreduceOpts(opts)
-			if err != nil {
-				if w.Killed.Load() {
-					return &Outcome{Died: true}
-				}
-				return Report(w, sums, fmt.Errorf("round %d: %w", round, err))
-			}
-			sums = append(sums, s)
-			if round == rounds-1 {
-				break
-			}
-			_, evict, err := p.GrowStep(w, round)
-			if err != nil {
-				if w.Killed.Load() {
-					return &Outcome{Died: true}
-				}
-				return Report(w, sums, fmt.Errorf("boundary %d: %w", round, err))
-			}
-			if evict {
-				w.Leave()
-				return &Outcome{Died: true}
-			}
-		}
-		return Report(w, sums, nil)
-	}
-}
-
-// spareBody is a warm spare's life: idle until admitted (or until the
-// scenario ends without needing it), then mpi.Join the grown
-// communicator, receive the bandwidth-capped state stream, verify it
-// byte for byte, and train the remaining rounds like any member —
-// including running the same boundaries, since the Grow broadcasts are
-// collective over the grown communicator.
-func (p *Pilot) spareBody(sp *Worker, rounds int, opts mpi.AllreduceOptions) *Outcome {
-	var entered int64
-	select {
-	case entered = <-sp.admit:
-	case <-p.done:
-		return &Outcome{Died: true} // never needed; teardown reclaims it
-	}
-
-	fail := func(err error) *Outcome {
-		if sp.Killed.Load() {
-			return &Outcome{Died: true}
-		}
-		return &Outcome{Err: err}
-	}
-	p.c.T.Logf("clustertest: spare %d admitted at boundary %d, joining", sp.Proc, entered)
-	comm, err := mpi.Join(mpi.Attach(p.c.Eng.Wrap(sp.EP)))
-	if err != nil {
-		return fail(fmt.Errorf("spare join: %w", err))
-	}
-	p.c.T.Logf("clustertest: spare %d joined comm %#x size %d, receiving state", sp.Proc, comm.ID(), comm.Size())
-	state, step, err := autopilot.RecvState(sp.EP)
-	if err != nil {
-		return fail(fmt.Errorf("spare state recv: %w", err))
-	}
-	p.c.T.Logf("clustertest: spare %d received %d state bytes", sp.Proc, len(state))
-	if !bytes.Equal(state, p.state) {
-		return &Outcome{Err: fmt.Errorf("spare state: %d bytes differ from the %d sent", len(state), len(p.state))}
-	}
-	if step != entered {
-		return &Outcome{Err: fmt.Errorf("spare state stamped step %d, admitted at boundary %d", step, entered)}
-	}
-	// The advice exchange is collective, so a policy-enabled cluster must
-	// give the newcomer an advisor too (a mixed membership would diverge
-	// at the next repair). The newcomer has no rank-ordered world handy;
-	// without placement it simply never classifies node-level drops.
-	pol := ulfm.DefaultPolicy()
-	if p.c.cfg.Policy != nil {
-		sp.Pol = p.c.newPolicyEngine(sp.Proc, nil)
-		pol = advisedPolicy(sp.Pol)
-	}
-	sp.R = ulfm.New(comm, nil, pol)
-
-	var sums []float64
-	for round := int(entered) + 1; round < rounds; round++ {
-		s, err := sp.AllreduceOpts(opts)
-		if err != nil {
-			return fail(fmt.Errorf("spare round %d: %w", round, err))
-		}
-		sums = append(sums, s)
-		if round == rounds-1 {
-			break
-		}
-		_, evict, err := p.GrowStep(sp, round)
-		if err != nil {
-			return fail(fmt.Errorf("spare boundary %d: %w", round, err))
-		}
-		if evict {
-			sp.Leave()
-			return &Outcome{Died: true}
-		}
-	}
-	return Report(sp, sums, nil)
-}
-
-// RunGrow executes the elasticity scenario: every worker runs the grow
-// body, every spare idles in spareBody, and the combined outcomes come
-// back (spares appended after the workers, never-admitted spares marked
-// Died). Leak assertions still run at teardown as usual.
-func (p *Pilot) RunGrow(rounds int, opts mpi.AllreduceOptions, onRound func(w *Worker, round int) bool) []*Outcome {
-	c := p.c
+// RunGrow executes an elasticity scenario on a cluster built with
+// Config.Scale. Every worker runs `rounds` allreduces with a Boundary
+// between consecutive ones, streaming a stateBytes MakeState blob to each
+// newcomer; onRound returning false kills the worker before that round,
+// as in RoundsBody. Every spare waits in AwaitAdmission, checks the state
+// byte for byte, and runs the remaining rounds and boundaries like any
+// member. Outcomes come back indexed by rank with the spares appended
+// after the workers; a spare never admitted is released by Close and
+// reported Died.
+func (c *Cluster) RunGrow(rounds int, opts mpi.AllreduceOptions, stateBytes int, onRound func(w *Worker, round int) bool) []*Outcome {
 	c.T.Helper()
+	state := MakeState(stateBytes)
 	spareOuts := make(chan *Outcome, len(c.Spares))
 	for i, sp := range c.Spares {
-		go func(i int, sp *Worker) {
-			o := p.spareBody(sp, rounds, opts)
+		go func() {
+			o := sp.enter(rounds, opts, state, onRound)
 			o.Rank = len(c.Workers) + i
 			if o.Err != nil {
 				// Surface immediately: a spare that errors out of a
@@ -316,12 +48,16 @@ func (p *Pilot) RunGrow(rounds int, opts mpi.AllreduceOptions, onRound func(w *W
 				c.T.Logf("clustertest: spare %d: %v", sp.Proc, o.Err)
 			}
 			spareOuts <- o
-		}(i, sp)
+		}()
 	}
-	outs := c.Run(p.growBody(rounds, opts, onRound))
-	// All worker bodies finished, so every admitted spare has completed
-	// its collectives; releasing done only lets the unused ones go.
-	close(p.done)
+	outs := c.Run(func(w *Worker) *Outcome { return w.rounds(0, rounds, opts, state, onRound) })
+	// Every worker is done, so every admitted spare has finished its
+	// collectives too; only the ones nobody needed still wait.
+	for _, sp := range c.Spares {
+		if !sp.admitted.Load() {
+			sp.Close()
+		}
+	}
 	deadline := time.After(30 * time.Second)
 	for range c.Spares {
 		select {
@@ -334,6 +70,19 @@ func (p *Pilot) RunGrow(rounds int, opts mpi.AllreduceOptions, onRound func(w *W
 	return outs
 }
 
-// Controller exposes the shared controller for post-scenario
-// assertions; callers must not race it against a live RunGrow.
-func (p *Pilot) Controller() *autopilot.Controller { return p.ctrl }
+// enter is a spare's scenario body: wait for admission, verify the
+// streamed state, then train from the round after the one it is stamped
+// with.
+func (sp *Worker) enter(rounds int, opts mpi.AllreduceOptions, want []byte, onRound func(*Worker, int) bool) *Outcome {
+	state, step, err := sp.AwaitAdmission()
+	switch {
+	case err != nil && sp.EP.Closed():
+		return &Outcome{Died: true} // killed, or released unneeded
+	case err != nil:
+		return &Outcome{Err: err}
+	case !bytes.Equal(state, want):
+		return &Outcome{Err: fmt.Errorf("spare state: %d bytes differ from the %d sent", len(state), len(want))}
+	}
+	sp.admitted.Store(true)
+	return sp.rounds(int(step)+1, rounds, opts, want, onRound)
+}

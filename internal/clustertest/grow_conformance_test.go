@@ -2,9 +2,10 @@ package clustertest_test
 
 // The grow-path conformance suite: four elasticity scenarios run
 // through the clustertest harness at the flag-selected world, driving
-// the full stack — SWIM death verdicts, the shared autopilot
-// controller, spare activation through the rendezvous hub, resilient
-// Grow broadcasts, and the bandwidth-capped newcomer state stream.
+// the full stack — SWIM death verdicts, each node's own autopilot
+// controller (the seat is rank 0 of the current communicator), spare
+// activation through the rendezvous hub, resilient Grow broadcasts, and
+// the bandwidth-capped newcomer state stream.
 // Every scenario asserts the invariants the harness already enforces
 // for the shrink suite: uniform membership at every survivor, a
 // bit-identical final allreduce, and (at teardown) zero leaked
@@ -27,14 +28,10 @@ import (
 	"repro/internal/transport/chaos"
 )
 
-// demoXfer is the state-stream shape every scenario uses: a 1 MiB
-// model blob in 64 KiB chunks under a 64 MiB/s token bucket — enough
-// chunks to land mid-stream kills, fast enough not to stall the suite.
+// demoStateBytes is the model blob every scenario streams: 1 MiB is four
+// chunks under the harness's 64 MiB/s token bucket — enough to land
+// mid-stream kills, fast enough not to stall the suite.
 const demoStateBytes = 1 << 20
-
-func demoXfer() autopilot.XferOptions {
-	return autopilot.XferOptions{RateBytesPerSec: 64 << 20, ChunkBytes: 64 << 10}
-}
 
 // metricCount sums a family's counter values (or histogram counts)
 // across all label sets, so scenarios can diff before/after.
@@ -76,12 +73,13 @@ func TestGrowConformance(t *testing.T) {
 	t.Logf("grow conformance world=%d seed=%d (reproduce with -cluster.world=%d -cluster.seed=%d)",
 		world, *clusterSeed, world, *clusterSeed)
 
-	bootSpares := func(t *testing.T, spares int) *clustertest.Cluster {
+	bootSpares := func(t *testing.T, spares int, scale *autopilot.Config) *clustertest.Cluster {
 		t.Helper()
 		return clustertest.New(t, clustertest.Config{
 			World:  world,
 			Seed:   *clusterSeed,
 			Spares: spares,
+			Scale:  scale,
 		})
 	}
 
@@ -96,9 +94,8 @@ func TestGrowConformance(t *testing.T) {
 		xfers0 := metricCount(t, "autopilot_state_transfer_seconds")
 		recov0 := metricCount(t, "autopilot_spare_swap_recovery_seconds")
 
-		c := bootSpares(t, 2)
-		pilot := c.NewPilot(autopilot.Config{}, demoStateBytes, demoXfer())
-		outs := pilot.RunGrow(4, mpi.AllreduceOptions{Algo: mpi.AlgoAuto}, func(w *clustertest.Worker, round int) bool {
+		c := bootSpares(t, 2, &autopilot.Config{})
+		outs := c.RunGrow(4, mpi.AllreduceOptions{Algo: mpi.AlgoAuto}, demoStateBytes, func(w *clustertest.Worker, round int) bool {
 			if round == 1 && w.Rank == world-1 {
 				//lint:ignore sleepytest chaos choreography: the stagger lets round-0 frames drain so the kill lands mid-round-1
 				time.Sleep(50 * time.Millisecond)
@@ -128,11 +125,8 @@ func TestGrowConformance(t *testing.T) {
 	// schedule fires at boundary 1 and both spares enter at the next
 	// epoch with the streamed state, growing the world by two.
 	t.Run("scale_up_mid_training", func(t *testing.T) {
-		c := bootSpares(t, 2)
-		pilot := c.NewPilot(autopilot.Config{
-			Schedule: mustSchedule(t, "1:+2"),
-		}, demoStateBytes, demoXfer())
-		outs := pilot.RunGrow(4, mpi.AllreduceOptions{Algo: mpi.AlgoAuto}, nil)
+		c := bootSpares(t, 2, &autopilot.Config{Schedule: mustSchedule(t, "1:+2")})
+		outs := c.RunGrow(4, mpi.AllreduceOptions{Algo: mpi.AlgoAuto}, demoStateBytes, nil)
 		want := append(c.Procs(), c.Spares[0].Proc, c.Spares[1].Proc)
 		c.CheckOutcomes(outs, want)
 	})
@@ -145,15 +139,14 @@ func TestGrowConformance(t *testing.T) {
 	t.Run("kill_during_state_transfer", func(t *testing.T) {
 		fails0 := metricCount(t, "autopilot_swap_failures_total")
 
-		c := bootSpares(t, 2)
+		c := bootSpares(t, 2, &autopilot.Config{})
 		spareA := c.Spares[0]
 		c.Eng.AddRule(chaos.Rule{
 			Name: "killxfer", Proc: spareA.Proc, Point: transport.PointStateRecv,
 			Nth: 1, Op: chaos.OpKill,
 		})
 		c.Eng.OnKill(spareA.Proc, spareA.Die)
-		pilot := c.NewPilot(autopilot.Config{}, demoStateBytes, demoXfer())
-		outs := pilot.RunGrow(5, mpi.AllreduceOptions{Algo: mpi.AlgoAuto}, func(w *clustertest.Worker, round int) bool {
+		outs := c.RunGrow(5, mpi.AllreduceOptions{Algo: mpi.AlgoAuto}, demoStateBytes, func(w *clustertest.Worker, round int) bool {
 			if round == 1 && w.Rank == world-1 {
 				//lint:ignore sleepytest chaos choreography: the stagger lets round-0 frames drain so the kill lands mid-round-1
 				time.Sleep(50 * time.Millisecond)
@@ -171,7 +164,8 @@ func TestGrowConformance(t *testing.T) {
 		if got := metricCount(t, "autopilot_swap_failures_total"); got <= fails0 {
 			t.Errorf("autopilot_swap_failures_total did not move (still %d)", got)
 		}
-		if pool := pilot.Controller().Pool(); len(pool) != 0 {
+		// Rank 0 held the seat throughout: the victim was the last rank.
+		if pool := c.Workers[0].Ctl.Pool(); len(pool) != 0 {
 			t.Errorf("pool not drained after burn+swap: %v", pool)
 		}
 	})
@@ -182,11 +176,8 @@ func TestGrowConformance(t *testing.T) {
 	// The controller must not book the eviction as a death, and the
 	// final world is the original plus only the second spare.
 	t.Run("flap_autoscale", func(t *testing.T) {
-		c := bootSpares(t, 2)
-		pilot := c.NewPilot(autopilot.Config{
-			Schedule: mustSchedule(t, "1:+1,2:-1,3:+1"),
-		}, demoStateBytes, demoXfer())
-		outs := pilot.RunGrow(6, mpi.AllreduceOptions{Algo: mpi.AlgoAuto}, nil)
+		c := bootSpares(t, 2, &autopilot.Config{Schedule: mustSchedule(t, "1:+1,2:-1,3:+1")})
+		outs := c.RunGrow(6, mpi.AllreduceOptions{Algo: mpi.AlgoAuto}, demoStateBytes, nil)
 		want := append(c.Procs(), c.Spares[1].Proc)
 		c.CheckOutcomes(outs, want)
 	})

@@ -92,23 +92,43 @@ func RoundsBody(algo mpi.AllreduceAlgo, rounds int, onRound func(w *Worker, roun
 // RoundsBodyOpts is RoundsBody under explicit data-plane options, so
 // scenarios can run their rounds over compressed wire formats.
 func RoundsBodyOpts(o mpi.AllreduceOptions, rounds int, onRound func(w *Worker, round int) bool) func(w *Worker) *Outcome {
-	return func(w *Worker) *Outcome {
-		var sums []float64
-		for round := 0; round < rounds; round++ {
-			if onRound != nil && !onRound(w, round) {
-				return &Outcome{Died: true}
-			}
-			s, err := w.AllreduceOpts(o)
-			if err != nil {
-				if w.Killed.Load() {
-					return &Outcome{Died: true}
-				}
-				return Report(w, sums, fmt.Errorf("round %d: %w", round, err))
-			}
-			sums = append(sums, s)
+	return func(w *Worker) *Outcome { return w.rounds(0, rounds, o, nil, onRound) }
+}
+
+// rounds is every scenario script: allreduce rounds [from, to), onRound
+// before each, and the node's grow Boundary — a no-op without
+// Config.Scale — between consecutive ones, with state as the newcomer
+// blob. An evicted worker leaves.
+func (w *Worker) rounds(from, to int, o mpi.AllreduceOptions, state []byte, onRound func(w *Worker, round int) bool) *Outcome {
+	var sums []float64
+	fail := func(err error) *Outcome {
+		if w.Killed.Load() {
+			return &Outcome{Died: true}
 		}
-		return Report(w, sums, nil)
+		return Report(w, sums, err)
 	}
+	for round := from; round < to; round++ {
+		if onRound != nil && !onRound(w, round) {
+			return &Outcome{Died: true}
+		}
+		s, err := w.AllreduceOpts(o)
+		if err != nil {
+			return fail(fmt.Errorf("round %d: %w", round, err))
+		}
+		sums = append(sums, s)
+		if round == to-1 {
+			break
+		}
+		evict, err := w.Boundary(round, state)
+		if err != nil {
+			return fail(fmt.Errorf("boundary %d: %w", round, err))
+		}
+		if evict {
+			w.Leave()
+			return &Outcome{Died: true}
+		}
+	}
+	return Report(w, sums, nil)
 }
 
 // ExactSum is the bit-exact allreduce result for a membership: every
@@ -167,19 +187,15 @@ func (c *Cluster) CheckOutcomes(outs []*Outcome, wantProcs []transport.ProcID) {
 func (c *Cluster) checkMailboxes(outs []*Outcome) {
 	c.T.Helper()
 	strands := c.Eng.StrandsData()
-	for _, ws := range [][]*Worker{c.Workers, c.Spares} {
-		for _, w := range ws {
-			strands = strands || w.Killed.Load()
-		}
+	all := c.all()
+	for _, w := range all {
+		strands = strands || w.Killed.Load()
 	}
 	for _, o := range outs {
-		if o == nil || o.Died || o.Err != nil {
+		if o == nil || o.Died || o.Err != nil || o.Rank >= len(all) || all[o.Rank].R == nil {
 			continue
 		}
-		w := c.workerOf(o.Rank)
-		if w == nil || w.R == nil {
-			continue
-		}
+		w := all[o.Rank]
 		p := w.R.Comm().Proc()
 		_ = p.Poll()
 		if n := p.AgreeBacklog(); n != 0 {
@@ -189,18 +205,6 @@ func (c *Cluster) checkMailboxes(outs []*Outcome) {
 			c.T.Errorf("rank %d: %d messages parked in the mailbox after the last collective", o.Rank, n)
 		}
 	}
-}
-
-// workerOf resolves an outcome's rank: workers first, then (RunGrow's
-// numbering) the spares.
-func (c *Cluster) workerOf(rank int) *Worker {
-	switch {
-	case rank < len(c.Workers):
-		return c.Workers[rank]
-	case rank-len(c.Workers) < len(c.Spares):
-		return c.Spares[rank-len(c.Workers)]
-	}
-	return nil
 }
 
 // CheckEveryRound asserts the no-membership-change invariant: every

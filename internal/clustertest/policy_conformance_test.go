@@ -85,12 +85,13 @@ func TestPolicyConformance(t *testing.T) {
 	t.Logf("policy conformance world=%d seed=%d (reproduce with -cluster.world=%d -cluster.seed=%d)",
 		world, *clusterSeed, world, *clusterSeed)
 
-	bootPolicy := func(t *testing.T, pc *clustertest.PolicyConfig, spares int) *clustertest.Cluster {
+	bootPolicy := func(t *testing.T, pc *policy.Config, spares int, scale *autopilot.Config) *clustertest.Cluster {
 		t.Helper()
 		return clustertest.New(t, clustertest.Config{
 			World:  world,
 			Seed:   *clusterSeed,
 			Spares: spares,
+			Scale:  scale,
 			Policy: pc,
 		})
 	}
@@ -107,7 +108,7 @@ func TestPolicyConformance(t *testing.T) {
 		r0 := metricCount(t, "policy_regret_seconds")
 		rs0 := metricSum(t, "policy_regret_seconds")
 
-		c := bootPolicy(t, &clustertest.PolicyConfig{
+		c := bootPolicy(t, &policy.Config{
 			Baselines: policy.Baselines{
 				ShrinkSeconds:    1e-6,
 				XferSeconds:      500,
@@ -120,7 +121,7 @@ func TestPolicyConformance(t *testing.T) {
 			Horizon:    1e-9,
 			Spares:     func() int { return 1 },
 			Checkpoint: func() (float64, bool) { return 5, true },
-		}, 0)
+		}, 0, nil)
 		outs := c.Run(clustertest.RoundsBody(mpi.AlgoAuto, 2, func(w *clustertest.Worker, round int) bool {
 			if round == 1 && w.Rank == world-1 {
 				//lint:ignore sleepytest chaos choreography: the stagger lets round-0 frames drain so the kill lands mid-round-1
@@ -159,13 +160,15 @@ func TestPolicyConformance(t *testing.T) {
 		d0 := labeledCount(t, "policy_decisions_total", "choice", "shrink_node")
 		n0 := labeledCount(t, "policy_classifications_total", "class", "node_drop")
 
-		c := bootPolicy(t, &clustertest.PolicyConfig{
-			PairNodes: true,
+		c := bootPolicy(t, &policy.Config{
+			// Two per node: ranks 2k and 2k+1 — in a gathered world with
+			// no spares, procs 2k and 2k+1 — share node k.
+			NodeOf: func(p transport.ProcID) (transport.NodeID, bool) { return transport.NodeID(p / 2), true },
 			Baselines: policy.Baselines{
 				ShrinkSeconds:    5,
 				NodeExtraSeconds: 0.01,
 			},
-		}, 0)
+		}, 0, nil)
 		group := c.ProcsOfRanks(world-3, world-2, world-1)
 		c.Eng.AddRule(chaos.Rule{
 			Name: "nodekill", Proc: c.Workers[0].Proc, Point: transport.PointElasticRound,
@@ -205,7 +208,7 @@ func TestPolicyConformance(t *testing.T) {
 		d0 := labeledCount(t, "policy_decisions_total", "choice", "rollback")
 		k0 := labeledCount(t, "policy_classifications_total", "class", "cascade")
 
-		c := bootPolicy(t, &clustertest.PolicyConfig{
+		c := bootPolicy(t, &policy.Config{
 			// A wide window keeps the classification deterministic on a
 			// loaded CI box: the second verdict is a cascade no matter how
 			// slowly the first repair grinds.
@@ -216,7 +219,7 @@ func TestPolicyConformance(t *testing.T) {
 				RecomputeSeconds: 0.01,
 			},
 			Checkpoint: func() (float64, bool) { return 1, true },
-		}, 0)
+		}, 0, nil)
 		stageA, stageB := c.Workers[world-1], c.Workers[world-2]
 		c.Eng.AddRule(chaos.Rule{
 			Name: "storm", Proc: c.Workers[0].Proc, Point: transport.PointElasticRound,
@@ -269,17 +272,14 @@ func TestPolicyConformance(t *testing.T) {
 		d0 := labeledCount(t, "policy_decisions_total", "choice", "spare_swap")
 		swaps0 := metricCount(t, "autopilot_spare_swaps_total")
 
-		c := bootPolicy(t, &clustertest.PolicyConfig{
+		c := bootPolicy(t, &policy.Config{
 			Baselines: policy.Baselines{
 				ShrinkSeconds: 1,
 				XferSeconds:   0.01,
 			},
 			Spares: func() int { return 1 },
-		}, 1)
-		pilot := c.NewPilot(autopilot.Config{
-			SwapGate: func(deaths int) bool { return c.Workers[0].Pol.GateSwap(deaths) },
-		}, demoStateBytes, demoXfer())
-		outs := pilot.RunGrow(4, mpi.AllreduceOptions{Algo: mpi.AlgoAuto}, func(w *clustertest.Worker, round int) bool {
+		}, 1, &autopilot.Config{})
+		outs := c.RunGrow(4, mpi.AllreduceOptions{Algo: mpi.AlgoAuto}, demoStateBytes, func(w *clustertest.Worker, round int) bool {
 			if round == 1 && w.Rank == world-1 {
 				//lint:ignore sleepytest chaos choreography: the stagger lets round-0 frames drain so the kill lands mid-round-1
 				time.Sleep(50 * time.Millisecond)
@@ -307,18 +307,15 @@ func TestPolicyConformance(t *testing.T) {
 	t.Run("shrink_vetoes_swap", func(t *testing.T) {
 		v0 := metricCount(t, "autopilot_swap_vetoes_total")
 
-		c := bootPolicy(t, &clustertest.PolicyConfig{
+		c := bootPolicy(t, &policy.Config{
 			Baselines: policy.Baselines{
 				ShrinkSeconds: 1e-6,
 				XferSeconds:   500,
 			},
 			Horizon: 1e-9,
 			Spares:  func() int { return 1 },
-		}, 1)
-		pilot := c.NewPilot(autopilot.Config{
-			SwapGate: func(deaths int) bool { return c.Workers[0].Pol.GateSwap(deaths) },
-		}, demoStateBytes, demoXfer())
-		outs := pilot.RunGrow(4, mpi.AllreduceOptions{Algo: mpi.AlgoAuto}, func(w *clustertest.Worker, round int) bool {
+		}, 1, &autopilot.Config{})
+		outs := c.RunGrow(4, mpi.AllreduceOptions{Algo: mpi.AlgoAuto}, demoStateBytes, func(w *clustertest.Worker, round int) bool {
 			if round == 1 && w.Rank == world-1 {
 				//lint:ignore sleepytest chaos choreography: the stagger lets round-0 frames drain so the kill lands mid-round-1
 				time.Sleep(50 * time.Millisecond)
@@ -332,7 +329,7 @@ func TestPolicyConformance(t *testing.T) {
 		if got := metricCount(t, "autopilot_swap_vetoes_total"); got <= v0 {
 			t.Errorf("autopilot_swap_vetoes_total did not move (still %d): the shrink verdict never vetoed the swap", got)
 		}
-		if pool := pilot.Controller().Pool(); len(pool) != 1 {
+		if pool := c.Workers[0].Ctl.Pool(); len(pool) != 1 {
 			t.Errorf("pool drained to %v under a vetoed swap, want the spare held", pool)
 		}
 	})
@@ -346,9 +343,9 @@ func TestPolicyConformance(t *testing.T) {
 	t.Run("gray_straggler_evicted", func(t *testing.T) {
 		g0 := metricCount(t, "policy_gray_evictions_total")
 
-		c := bootPolicy(t, &clustertest.PolicyConfig{
+		c := bootPolicy(t, &policy.Config{
 			GrayLagMin: 0.001,
-		}, 0)
+		}, 0, nil)
 		victim := c.Workers[world-1]
 		slow := chaos.DataRule("gray", chaos.OpSlow)
 		slow.Proc = victim.Proc

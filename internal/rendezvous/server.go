@@ -378,7 +378,7 @@ func (s *Server) join(conn net.Conn, addr, gaddr string, spare bool) *member {
 	}
 	var recipients []*member
 	var deltaTo []*member  // targets of this joiner's own peerup/spareup
-	var spareUps []*member // spares announced when the world ships
+	var spareUps []*member // spares announced to the welcome's recipients
 	var corpses []*member  // connections that dropped while the world was gathering
 	if sendWorld {
 		for _, mm := range s.members {
@@ -394,6 +394,14 @@ func (s *Server) join(conn net.Conn, addr, gaddr string, spare bool) *member {
 		recipients = []*member{m}
 		if spare || s.cfg.Gossip {
 			deltaTo = s.othersLocked(proc)
+		}
+		// A late joiner hears of the spares already registered just as a
+		// gathered member did: two spares admitted at one boundary must be
+		// able to dial each other.
+		for _, mm := range s.members {
+			if mm.spare && mm.proc != proc {
+				spareUps = append(spareUps, mm)
+			}
 		}
 	}
 	peers := make(map[string]string, len(s.members))

@@ -121,6 +121,24 @@ func TestSpareRegisteredBeforeWorldGathers(t *testing.T) {
 	}
 }
 
+// TestLateSpareHearsEarlierSpares: spares registered after the world
+// gathers learn of each other in both directions — the later one from
+// spareup deltas that follow its welcome — so two spares admitted at
+// one boundary can dial each other.
+func TestLateSpareHearsEarlierSpares(t *testing.T) {
+	s := gossipServer(t, 1)
+	gossipGather(t, s, 1)
+	first := spareJoin(t, s, 0)
+	first.StartNotify(Notifications{})
+	second := spareJoin(t, s, 1)
+	second.StartNotify(Notifications{})
+	for _, c := range []struct{ cl, other *Client }{{first, second}, {second, first}} {
+		if !vtime.WaitUntil(5*time.Second, func() bool { return c.cl.Spares()[c.other.Proc()] != "" }) {
+			t.Fatalf("spare %d never heard of spare %d: %v", c.cl.Proc(), c.other.Proc(), c.cl.Spares())
+		}
+	}
+}
+
 // TestSpareDeathDrainsPool: a spare's death verdict removes it from
 // every member's pool via the normal peerdown path.
 func TestSpareDeathDrainsPool(t *testing.T) {

@@ -15,6 +15,7 @@ var leakPackages = []string{
 	"repro/internal/rendezvous.",
 	"repro/internal/gossip.",
 	"repro/internal/clustertest.",
+	"repro/internal/node.",
 }
 
 // Leaked scans all goroutine stacks for frames owned by the transport,
