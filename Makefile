@@ -6,13 +6,13 @@
 #   make lint    analyzer self-tests + elasticvet over the whole tree
 #   make vet-fix-check  standalone elasticvet incl. test variants; zero findings
 #   make test    full test suite (+ race on the fast packages)
-#   make fuzz-smoke  ten seconds of FuzzAgreeMessage (the agreement decoder and delivery switch)
+#   make fuzz-smoke  ten seconds each of FuzzAgreeMessage (agreement decoder + delivery switch) and FuzzDecodePayload (wire codec)
 #   make chaos   chaos conformance at the pinned seeds
 #   make cluster clustertest conformance (gossip control plane) at world 32
 #   make grow    grow-path conformance (autopilot + warm spares) at world 32
 #   make policy  recovery-policy conformance (cost-model strategy picks) at world 32
 #   make cover   per-package coverage summary + gates (floors, baseline)
-#   make bench-gate  data-plane benchmarks vs the committed baseline
+#   make bench-gate  control-plane measurement vs the committed BENCH_controlplane.json
 #   make bench-check vet + test the elasticbench module (bench/), incl. one real kill episode
 #   make bench WORKLOAD=kill_shrink SEED=1 SECONDS=16   one elasticbench workload, end to end
 #   make bench-aa  every workload twice on this tree at 6 s windows: the benchmark's own noise floor
@@ -75,7 +75,6 @@ race:
 		./internal/kvstore/... \
 		./internal/trace/... \
 		./internal/vtime/... \
-		./internal/dataplane/... \
 		./internal/ulfm/... \
 		./internal/autopilot/... \
 		./internal/gossip/... \
@@ -83,12 +82,15 @@ race:
 		./internal/core/... \
 		./internal/node/...
 
-# fuzz-smoke: ten seconds of native fuzzing over the agreement message
-# decoder and the control handler's delivery switch, starting from the
-# checked-in corpus (internal/mpi/testdata/fuzz). A crasher lands there
-# as a new corpus file and fails every later `go test`.
+# fuzz-smoke: ten seconds of native fuzzing per target, each starting
+# from its checked-in corpus: the agreement message decoder and the
+# control handler's delivery switch (internal/mpi/testdata/fuzz), then
+# the wire codec's DecodePayload/ParseRawPayload pair
+# (internal/transport/testdata/fuzz). A crasher lands there as a new
+# corpus file and fails every later `go test`.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzAgreeMessage -fuzztime=10s ./internal/mpi/
+	$(GO) test -run='^$$' -fuzz=FuzzDecodePayload -fuzztime=10s ./internal/transport/
 
 chaos:
 	@for seed in $(SEEDS); do \
@@ -150,16 +152,15 @@ cover:
 		-baseline COVERAGE_baseline.json -maxdrop 2
 	$(GO) tool cover -html=cover.out -o cover.html
 
-# bench-gate: remeasure the data plane at a fixed iteration count and
-# compare ns/op against the committed BENCH_dataplane.json (>30% is a
-# failure; cells below benchgate's noise floor are skipped).
+# bench-gate: remeasure the gossip control plane (deterministic virtual
+# time, under a second) and gate it against the committed
+# BENCH_controlplane.json (>10% is a failure; the one wall-clock row,
+# the policy decision latency, has a 200 us ceiling). The data plane is
+# measured end to end by `make bench`.
 bench-gate:
-	$(GO) run ./cmd/benchtab -dataplane fresh_dataplane.json -benchtime 3x
-	$(GO) run ./cmd/benchgate -baseline BENCH_dataplane.json \
-		-fresh fresh_dataplane.json -tolerance 0.30
 	$(GO) run ./cmd/benchtab -controlplane fresh_controlplane.json
-	$(GO) run ./cmd/benchgate -controlplane -baseline BENCH_controlplane.json \
-		-fresh fresh_controlplane.json -tolerance 0.10 -max-decision-us 200
+	$(GO) run ./cmd/benchgate -fresh fresh_controlplane.json \
+		-tolerance 0.10 -max-decision-us 200
 
 # bench-check: bench/ is a module of its own, so nothing above descends
 # into it. This is what notices a change that breaks the benchmark's
@@ -185,4 +186,4 @@ bench-aa:
 check: build vet lint test race fuzz-smoke bench-check chaos cluster grow policy
 
 clean:
-	rm -rf $(BIN) .bench_build cover.out cover.html fresh_dataplane.json fresh_controlplane.json
+	rm -rf $(BIN) .bench_build cover.out cover.html fresh_controlplane.json

@@ -1,324 +1,110 @@
-// Command benchgate compares a freshly measured data-plane report
-// against the committed baseline (BENCH_dataplane.json) and fails if any
-// matched cell regressed in ns/op beyond the tolerance. It gates the raw
-// wire codec and the loopback TCP allreduce — the two data-plane numbers
-// the paper's throughput claims rest on — while ignoring cells present
-// in only one report (new sizes or algorithms don't break the gate).
+// Command benchgate compares a freshly measured gossip control-plane
+// report against the committed baseline (BENCH_controlplane.json) and
+// fails if any row of a world present in both regressed beyond the
+// tolerance: membership convergence, kill detection, spare-swap recovery
+// and policy regret gate upward, state-transfer throughput gates
+// downward. Those numbers come from the deterministic simulator and
+// carry no host noise, so the tolerance can be tight. The one wall-clock
+// row, the policy decision latency, is held to an absolute ceiling.
 //
-//	benchtab -dataplane fresh.json -benchtime 3x
-//	benchgate -baseline BENCH_dataplane.json -fresh fresh.json -tolerance 0.30
+//	benchtab -controlplane fresh_controlplane.json
+//	benchgate -fresh fresh_controlplane.json -tolerance 0.10 -max-decision-us 200
 //
-// The tolerance is deliberately loose: CI runners are noisy and the gate
-// exists to catch step-change regressions (an accidental gob fallback, a
-// lost pipelining path), not single-digit drift.
-//
-// With -controlplane, the reports are instead gossip control-plane
-// measurements (BENCH_controlplane.json): membership-convergence and
-// kill-detection latencies on the deterministic simulator. Those numbers
-// carry no host noise at all, so the tolerance there can be tight.
-//
-//	benchtab -controlplane fresh_cp.json
-//	benchgate -controlplane -baseline BENCH_controlplane.json -fresh fresh_cp.json -tolerance 0.10
+// The data plane is measured end to end by the elasticbench module
+// (bench/), not here.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/controlplane"
-	"repro/internal/dataplane"
 )
 
 func main() {
-	basePath := flag.String("baseline", "BENCH_dataplane.json", "committed baseline report")
+	basePath := flag.String("baseline", "BENCH_controlplane.json", "committed baseline report")
 	freshPath := flag.String("fresh", "", "freshly measured report to gate (required)")
-	tolerance := flag.Float64("tolerance", 0.30, "allowed fractional ns/op regression (0.30 = +30%)")
-	minNs := flag.Float64("min-ns", 50_000, "skip cells whose baseline is below this many ns/op (too noise-dominated at CI iteration counts to gate)")
-	gobToo := flag.Bool("gob", false, "also gate the gob-codec cells (off: the legacy envelope may drift)")
-	pipeSlack := flag.Float64("pipelined-slack", 0.10, "allowed fractional ns/op excess of raw pipelined over raw ring at the same size (the pipelined floor: chunking must never lose to the plain ring)")
-	minMBps := flag.Float64("min-mbps", 0, "required MB/s for the largest raw pipelined allreduce row in the fresh report (0 = off)")
-	cp := flag.Bool("controlplane", false, "gate gossip control-plane reports instead of data-plane reports")
-	maxDecisionUS := flag.Float64("max-decision-us", 0, "with -controlplane: absolute ceiling on the fresh policy_decision_us rows (0 = off; the one wall-clock number in the report, so it gates on a ceiling, not a diff)")
+	tolerance := flag.Float64("tolerance", 0.10, "allowed fractional regression per row (0.10 = 10%)")
+	maxDecisionUS := flag.Float64("max-decision-us", 0, "absolute ceiling on the fresh policy_decision_us rows (0 = off; the one wall-clock number in the report, so it gates on a ceiling, not a diff)")
 	flag.Parse()
 	if *freshPath == "" {
 		fmt.Fprintln(os.Stderr, "benchgate: -fresh is required")
 		os.Exit(2)
 	}
-	if *cp {
-		gateControlplane(*basePath, *freshPath, *tolerance, *maxDecisionUS)
-		return
-	}
-
 	base, err := load(*basePath)
 	check(err)
 	fresh, err := load(*freshPath)
 	check(err)
 
-	failures := 0
-	compared := 0
-	report := func(kind, key string, baseNs, freshNs float64) {
-		if baseNs < *minNs {
-			fmt.Printf("%-12s %-40s %12.0f ns/op baseline below noise floor, skipped\n", kind, key, baseNs)
-			return
-		}
-		compared++
-		ratio := freshNs / baseNs
-		status := "ok"
-		if ratio > 1+*tolerance {
-			status = "REGRESSION"
-			failures++
-		}
-		fmt.Printf("%-12s %-40s %12.0f -> %12.0f ns/op  %+6.1f%%  %s\n",
-			kind, key, baseNs, freshNs, (ratio-1)*100, status)
-	}
-
-	for _, b := range base.Codec {
-		if b.Codec == "gob" && !*gobToo {
-			continue
-		}
-		for _, f := range fresh.Codec {
-			if f.Payload == b.Payload && f.Codec == b.Codec {
-				report("codec", fmt.Sprintf("%s/%s", b.Payload, b.Codec), b.NsPerOp, f.NsPerOp)
-			}
-		}
-	}
-	for _, b := range base.TCPAllreduce {
-		if b.Codec == "gob" && !*gobToo {
-			continue
-		}
-		for _, f := range fresh.TCPAllreduce {
-			if f.TensorBytes == b.TensorBytes && f.Algo == b.Algo && f.Codec == b.Codec {
-				report("allreduce", fmt.Sprintf("%dB/%s/%s", b.TensorBytes, b.Algo, b.Codec), b.NsPerOp, f.NsPerOp)
-			}
-		}
-	}
-
-	if compared == 0 {
-		fmt.Fprintln(os.Stderr, "benchgate: no comparable cells between baseline and fresh report")
-		os.Exit(1)
-	}
-	failures += gateInvariants(fresh, *pipeSlack, *minMBps)
-	if failures > 0 {
-		fmt.Fprintf(os.Stderr, "benchgate: %d of %d cells regressed more than %.0f%% (or violated a data-plane invariant)\n",
-			failures, compared, *tolerance*100)
-		os.Exit(1)
-	}
-	fmt.Printf("benchgate: %d cells within %.0f%% of baseline\n", compared, *tolerance*100)
-}
-
-// gateInvariants checks properties of the fresh report alone — claims the
-// data plane makes about itself, independent of any baseline drift:
-//
-//   - the pipelined floor: at every tensor size measured, the raw
-//     pipelined row must not exceed the raw ring row's ns/op by more
-//     than pipeSlack (the chunk-count heuristic degrades pipelining to
-//     the plain ring rather than paying chunk overhead it can't win back);
-//   - compression really compresses: every fp16 row must move fewer
-//     wire bytes than the raw row with the same schedule and size
-//     (at most ~half plus framing, gated loosely at 0.75x);
-//   - optionally, an absolute throughput floor for the headline cell
-//     (largest raw pipelined row), for CI hosts with known capability.
-//
-// Returns the number of violations, each printed in the cell format of
-// the regression report.
-func gateInvariants(fresh *dataplane.Report, pipeSlack, minMBps float64) int {
-	type cellKey struct {
-		bytes int64
-		algo  string
-		codec string
-	}
-	cells := make(map[cellKey]dataplane.AllreduceResult, len(fresh.TCPAllreduce))
-	for _, c := range fresh.TCPAllreduce {
-		cells[cellKey{c.TensorBytes, c.Algo, c.Codec}] = c
-	}
-
-	failures := 0
-	sizes := map[int64]bool{}
-	for _, c := range fresh.TCPAllreduce {
-		sizes[c.TensorBytes] = true
-	}
-	for bytes := range sizes {
-		ring, okR := cells[cellKey{bytes, "ring", "raw"}]
-		pipe, okP := cells[cellKey{bytes, "pipelined", "raw"}]
-		if okR && okP {
-			ratio := pipe.NsPerOp / ring.NsPerOp
-			status := "ok"
-			if ratio > 1+pipeSlack {
-				status = "FLOOR VIOLATION"
-				failures++
-			}
-			fmt.Printf("%-12s %-40s %12.0f vs %12.0f ns/op  %+6.1f%%  %s\n",
-				"pipe-floor", fmt.Sprintf("%dB pipelined-vs-ring/raw", bytes),
-				pipe.NsPerOp, ring.NsPerOp, (ratio-1)*100, status)
-		}
-	}
-
-	fp16Seen := false
-	for key, c := range cells {
-		if key.codec != "fp16" {
-			continue
-		}
-		raw, ok := cells[cellKey{key.bytes, key.algo, "raw"}]
-		if !ok {
-			continue
-		}
-		fp16Seen = true
-		status := "ok"
-		if c.WireBytes <= 0 || raw.WireBytes <= 0 ||
-			float64(c.WireBytes) > 0.75*float64(raw.WireBytes) {
-			status = "NO WIRE REDUCTION"
-			failures++
-		}
-		fmt.Printf("%-12s %-40s %12d vs %12d wire B/op          %s\n",
-			"fp16-wire", fmt.Sprintf("%dB %s/fp16-vs-raw", key.bytes, key.algo),
-			c.WireBytes, raw.WireBytes, status)
-	}
-	if !fp16Seen {
-		fmt.Fprintln(os.Stderr, "benchgate: fresh report has no fp16 allreduce row with a matching raw row")
-		failures++
-	}
-
-	if minMBps > 0 {
-		var head dataplane.AllreduceResult
-		for _, c := range fresh.TCPAllreduce {
-			if c.Algo == "pipelined" && c.Codec == "raw" && c.TensorBytes > head.TensorBytes {
-				head = c
-			}
-		}
-		if head.TensorBytes == 0 {
-			fmt.Fprintln(os.Stderr, "benchgate: -min-mbps set but fresh report has no raw pipelined row")
-			failures++
-		} else {
-			status := "ok"
-			if head.MBPerSec < minMBps {
-				status = "BELOW FLOOR"
-				failures++
-			}
-			fmt.Printf("%-12s %-40s %12.1f MB/s (floor %.1f)  %s\n",
-				"throughput", fmt.Sprintf("%dB pipelined/raw", head.TensorBytes),
-				head.MBPerSec, minMBps, status)
-		}
-	}
-	return failures
-}
-
-// gateControlplane diffs two controlplane.Report documents: every world
-// present in both is compared on join-convergence and kill-detection
-// latency. The measurements are virtual-time deterministic, so any
-// regression beyond the tolerance is an algorithmic change in the SWIM
-// layer, not runner noise.
-func gateControlplane(basePath, freshPath string, tolerance, maxDecisionUS float64) {
-	base, err := loadControlplane(basePath)
-	check(err)
-	fresh, err := loadControlplane(freshPath)
-	check(err)
-
-	failures := 0
-	compared := 0
-	report := func(key string, baseMS, freshMS float64) {
-		compared++
-		ratio := freshMS / baseMS
-		status := "ok"
-		if ratio > 1+tolerance {
-			status = "REGRESSION"
-			failures++
-		}
-		fmt.Printf("%-40s %10.1f -> %10.1f ms  %+6.1f%%  %s\n",
-			key, baseMS, freshMS, (ratio-1)*100, status)
-	}
-	// Throughput rows gate downward: fresh below baseline by more than
-	// the tolerance is the regression (the capped stream got slower).
-	reportThroughput := func(key string, baseMBps, freshMBps float64) {
-		compared++
-		ratio := freshMBps / baseMBps
-		status := "ok"
-		if ratio < 1-tolerance {
-			status = "REGRESSION"
-			failures++
-		}
-		fmt.Printf("%-40s %10.1f -> %10.1f MB/s %+6.1f%%  %s\n",
-			key, baseMBps, freshMBps, (ratio-1)*100, status)
-	}
-	for _, b := range base.Cells {
-		for _, f := range fresh.Cells {
-			if f.World != b.World {
-				continue
-			}
-			report(fmt.Sprintf("join-converge/world=%d", b.World), b.JoinConvergeMS, f.JoinConvergeMS)
-			report(fmt.Sprintf("kill-detect/world=%d", b.World), b.KillDetectMS, f.KillDetectMS)
-			// Baselines written before the autopilot rows existed carry
-			// zeros here; like cells present in only one report, they
-			// don't break the gate.
-			if b.SpareSwapRecoveryMS > 0 {
-				report(fmt.Sprintf("spare-swap-recovery/world=%d", b.World), b.SpareSwapRecoveryMS, f.SpareSwapRecoveryMS)
-			}
-			if b.StateXferMBps > 0 {
-				reportThroughput(fmt.Sprintf("state-transfer-throughput/world=%d", b.World), b.StateXferMBps, f.StateXferMBps)
-			}
-			// The regret row is deterministic EWMA arithmetic, so it
-			// diffs exactly; zero baselines (reports predating the
-			// policy engine) skip it like the autopilot rows above.
-			if b.PolicyRegretPct > 0 {
-				compared++
-				ratio := f.PolicyRegretPct / b.PolicyRegretPct
-				status := "ok"
-				if ratio > 1+tolerance {
-					status = "REGRESSION"
-					failures++
-				}
-				fmt.Printf("%-40s %10.2f -> %10.2f %%   %+6.1f%%  %s\n",
-					fmt.Sprintf("policy-regret/world=%d", b.World),
-					b.PolicyRegretPct, f.PolicyRegretPct, (ratio-1)*100, status)
-			}
-			// The decision-latency row is wall clock — the only such
-			// number in a control-plane report — so relative gating
-			// would just measure the runner. An absolute ceiling still
-			// catches an accidental O(world²) scan or allocation storm.
-			if maxDecisionUS > 0 && f.PolicyDecisionUS > 0 {
-				compared++
-				status := "ok"
-				if f.PolicyDecisionUS > maxDecisionUS {
-					status = "ABOVE CEILING"
-					failures++
-				}
-				fmt.Printf("%-40s %10.2f us/op (ceiling %.0f)  %s\n",
-					fmt.Sprintf("policy-decision/world=%d", f.World),
-					f.PolicyDecisionUS, maxDecisionUS, status)
-			}
-		}
-	}
+	failures, compared := gate(os.Stdout, base, fresh, *tolerance, *maxDecisionUS)
 	if compared == 0 {
 		fmt.Fprintln(os.Stderr, "benchgate: no comparable cells between baseline and fresh report")
 		os.Exit(1)
 	}
 	if failures > 0 {
 		fmt.Fprintf(os.Stderr, "benchgate: %d of %d control-plane cells regressed more than %.0f%%\n",
-			failures, compared, tolerance*100)
+			failures, compared, *tolerance*100)
 		os.Exit(1)
 	}
-	fmt.Printf("benchgate: %d control-plane cells within %.0f%% of baseline\n", compared, tolerance*100)
+	fmt.Printf("benchgate: %d control-plane cells within %.0f%% of baseline\n", compared, *tolerance*100)
 }
 
-func loadControlplane(path string) (*controlplane.Report, error) {
+// gate diffs every world present in both reports, writes one line per
+// compared row to w, and returns how many rows regressed out of how
+// many were compared. compared is 0 when the reports share no world.
+func gate(w io.Writer, base, fresh *controlplane.Report, tolerance, maxDecisionUS float64) (failures, compared int) {
+	// row gates one baseline/fresh pair: a latency or regret row fails
+	// above 1+tolerance, a throughput row (higherIsBetter) below
+	// 1-tolerance.
+	row := func(key, unit string, baseV, freshV float64, higherIsBetter bool) {
+		compared++
+		ratio := freshV / baseV
+		status := "ok"
+		if (!higherIsBetter && ratio > 1+tolerance) || (higherIsBetter && ratio < 1-tolerance) {
+			status = "REGRESSION"
+			failures++
+		}
+		fmt.Fprintf(w, "%-40s %10.2f -> %10.2f %-4s %+6.1f%%  %s\n",
+			key, baseV, freshV, unit, (ratio-1)*100, status)
+	}
+	for _, b := range base.Cells {
+		for _, f := range fresh.Cells {
+			if f.World != b.World {
+				continue
+			}
+			key := func(name string) string { return fmt.Sprintf("%s/world=%d", name, b.World) }
+			row(key("join-converge"), "ms", b.JoinConvergeMS, f.JoinConvergeMS, false)
+			row(key("kill-detect"), "ms", b.KillDetectMS, f.KillDetectMS, false)
+			row(key("spare-swap-recovery"), "ms", b.SpareSwapRecoveryMS, f.SpareSwapRecoveryMS, false)
+			row(key("state-transfer-throughput"), "MB/s", b.StateXferMBps, f.StateXferMBps, true)
+			row(key("policy-regret"), "%", b.PolicyRegretPct, f.PolicyRegretPct, false)
+			// The decision latency is wall clock, so relative gating would
+			// just measure the runner. An absolute ceiling still catches an
+			// accidental O(world²) scan or allocation storm.
+			if maxDecisionUS > 0 {
+				compared++
+				status := "ok"
+				if f.PolicyDecisionUS > maxDecisionUS {
+					status = "ABOVE CEILING"
+					failures++
+				}
+				fmt.Fprintf(w, "%-40s %10.2f us/op (ceiling %.0f)  %s\n",
+					key("policy-decision"), f.PolicyDecisionUS, maxDecisionUS, status)
+			}
+		}
+	}
+	return failures, compared
+}
+
+func load(path string) (*controlplane.Report, error) {
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
 	var rep controlplane.Report
-	if err := json.Unmarshal(blob, &rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &rep, nil
-}
-
-func load(path string) (*dataplane.Report, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep dataplane.Report
 	if err := json.Unmarshal(blob, &rep); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}

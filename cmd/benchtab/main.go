@@ -23,7 +23,6 @@ import (
 	"strings"
 
 	"repro/internal/controlplane"
-	"repro/internal/dataplane"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
 	"repro/internal/models"
@@ -34,9 +33,7 @@ func main() {
 	figure := flag.Int("figure", 0, "regenerate Figure N (2, 4, 5, 6, 7; 8 = scale-trend summary)")
 	eq1 := flag.Bool("eq1", false, "evaluate the Eq. (1) cost model")
 	ablations := flag.Bool("ablations", false, "run the design-choice ablations (allreduce algorithm, fusion, cache, detection timeout, goodput)")
-	dataplanePath := flag.String("dataplane", "", "measure the TCP data plane (codec + loopback allreduce) and write the JSON report to this file (- = stdout)")
 	controlplanePath := flag.String("controlplane", "", "measure the gossip control plane (membership convergence, simnet virtual time) and write the JSON report to this file (- = stdout)")
-	benchtime := flag.String("benchtime", "", "with -dataplane: per-cell measurement goal in -test.benchtime syntax (e.g. 3x, 200ms; default 1s)")
 	all := flag.Bool("all", false, "regenerate everything")
 	scalesFlag := flag.String("scales", "", "comma-separated GPU counts for sweeps (default 12,24,48,96,192)")
 	segments := flag.Bool("segments", false, "with -figure 5/6/7: also print per-segment decompositions")
@@ -150,25 +147,6 @@ func main() {
 		check(err)
 		printTable(tab)
 		printTable(experiments.PFSTable())
-		ran = true
-	}
-	if *dataplanePath != "" {
-		// Real wall-clock benchmarks (not the virtual testbed): the
-		// wire codec and loopback TCP allreduces, gob-vs-raw and
-		// ring-vs-pipelined, against the pre-PR baseline.
-		fmt.Fprintln(os.Stderr, "benchtab: measuring the TCP data plane (takes a minute)...")
-		cfg := dataplane.Default()
-		cfg.Benchtime = *benchtime
-		rep, err := dataplane.Collect(cfg)
-		check(err)
-		blob, err := rep.JSON()
-		check(err)
-		if *dataplanePath == "-" {
-			fmt.Print(string(blob))
-		} else {
-			check(os.WriteFile(*dataplanePath, blob, 0o644))
-			fmt.Fprintf(os.Stderr, "benchtab: wrote %s\n", *dataplanePath)
-		}
 		ran = true
 	}
 	if *controlplanePath != "" {

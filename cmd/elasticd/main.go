@@ -64,7 +64,7 @@ func main() {
 	stepInterval := flag.Duration("step-interval", time.Second, "pause between steps (gives humans time to kill workers)")
 	algoName := flag.String("allreduce", "auto", "allreduce algorithm: auto, ring, recdouble, hier, or pipelined")
 	chunks := flag.Int("chunks", 0, "pipelined-ring chunk count (0 = size-derived)")
-	codecName := flag.String("codec", "raw", "gradient wire codec: raw, fp16, or int8")
+	codecName := flag.String("codec", "raw", "gradient wire codec: raw or fp16")
 	hb := flag.Duration("hb", 500*time.Millisecond, "heartbeat interval (used with -serve)")
 	suspect := flag.Duration("suspect", 0, "suspicion threshold (used with -serve; default 3x hb)")
 	dead := flag.Duration("dead", 0, "declaration threshold (used with -serve; default 6x hb)")

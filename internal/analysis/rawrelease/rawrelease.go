@@ -3,7 +3,7 @@
 //
 // A RawPayload wraps bytes that still live in a transport-owned buffer
 // (typically a pooled readLoop frame). Taking a typed view of it —
-// AsF16, AsQ8, or the generic RawPayloadView — checks the buffer out:
+// AsF16 or the generic RawPayloadView — checks the buffer out:
 // from that point the function owns an obligation to call Release (or
 // Decode, which releases) on every path, or to hand the payload to
 // another owner. The analyzer tracks each payload through its function
@@ -17,7 +17,7 @@
 //     after the payload's Release — the underlying buffer may already
 //     belong to the next sender. Release itself (idempotent) and Elems
 //     (reads a cached count) remain legal on a released payload;
-//   - late views: AsF16/AsQ8/RawPayloadView called after Release;
+//   - late views: AsF16/RawPayloadView called after Release;
 //   - Decode after Release: Decode re-reads the released bytes;
 //   - goroutine escapes: a goroutine capturing the payload or one of
 //     its views while the spawning function also Releases it — the
@@ -172,12 +172,11 @@ func transportFunc(obj types.Object, name string) bool {
 		analysis.PathHasSuffix(fn.Pkg().Path(), "transport")
 }
 
-// viewCall matches p.AsF16(), p.AsQ8(), and RawPayloadView[T](p),
+// viewCall matches p.AsF16() and RawPayloadView[T](p),
 // returning the viewed payload variable.
 func (a *funcAnalysis) viewCall(call *ast.CallExpr) (*types.Var, bool) {
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		if (sel.Sel.Name == "AsF16" || sel.Sel.Name == "AsQ8") &&
-			transportFunc(a.pass.ObjectOf(sel.Sel), sel.Sel.Name) {
+		if sel.Sel.Name == "AsF16" && transportFunc(a.pass.ObjectOf(sel.Sel), sel.Sel.Name) {
 			return a.payloadVar(sel.X), true
 		}
 		return nil, false

@@ -15,11 +15,6 @@ func reduceIn(dst []float32, pay any) {
 			p.Release()
 			return
 		}
-		if v, ok := p.AsQ8(); ok {
-			q8Reduce(dst, v)
-			p.Release()
-			return
-		}
 		fallback(dst, pay) // ownership transfer through the alias
 	default:
 		fallback(dst, pay)
@@ -75,7 +70,6 @@ func RawView32(p *transport.RawPayload) ([]float32, bool) {
 }
 
 func f16Reduce(dst []float32, v transport.F16) {}
-func q8Reduce(dst []float32, v transport.Q8)   {}
 func fallback(dst []float32, pay any)          {}
 func copyLazy(dst []float32, rp *transport.RawPayload) {
 	v, ok := transport.RawPayloadView[float32](rp)

@@ -7,9 +7,6 @@ package transport
 // F16 is a view of binary16 elements.
 type F16 []uint16
 
-// Q8 is a view of a quantized int8 block.
-type Q8 []byte
-
 // ProcID identifies a process.
 type ProcID int
 
@@ -49,14 +46,6 @@ func (p *RawPayload) Decode() (any, error) {
 func (p *RawPayload) AsF16() (F16, bool) {
 	v, ok := RawPayloadView[uint16](p)
 	return F16(v), ok
-}
-
-// AsQ8 returns the payload as a Q8 view. Valid until Release.
-func (p *RawPayload) AsQ8() (Q8, bool) {
-	if p.count == 0 {
-		return nil, false
-	}
-	return Q8(p.enc), true
 }
 
 // RawPayloadView returns a typed zero-copy view of the payload.

@@ -37,7 +37,7 @@ func spawnOwner(p *transport.RawPayload) {
 
 func consume(p *transport.RawPayload) {
 	defer p.Release()
-	if v, ok := p.AsQ8(); ok {
+	if v, ok := p.AsF16(); ok {
 		_ = v[0]
 	}
 }

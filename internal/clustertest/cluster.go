@@ -312,8 +312,6 @@ func (w *Worker) Allreduce(algo mpi.AllreduceAlgo) (float64, error) {
 // and their partial sums are small integers — exact in binary16 up to
 // 2048 — so under CodecFP16 the uniform-result check and the exact-sum
 // assertions still apply bit for bit at the world sizes tests use.
-// (CodecInt8 rounds through a float32 scale and is NOT exact; scenarios
-// using it must assert within the documented error bound instead.)
 func (w *Worker) AllreduceOpts(o mpi.AllreduceOptions) (float64, error) {
 	data := make([]float64, elems)
 	for i := range data {

@@ -41,7 +41,7 @@ func TestPolicyRowsShape(t *testing.T) {
 	}
 	// The regret row must be a deterministic nonzero residual: zero
 	// would mean the EWMA tracked a moving target exactly (impossible),
-	// and the zero-baseline skip in benchgate would silently ungate it.
+	// and benchgate's relative diff against a zero baseline is undefined.
 	r1, r2 := measurePolicyRegretPct(16), measurePolicyRegretPct(16)
 	if r1 != r2 {
 		t.Fatalf("regret not reproducible: %v vs %v", r1, r2)

@@ -162,11 +162,11 @@ func ConvergenceTable() (*metrics.Table, error) {
 
 // CompressionTable is the bit-accuracy ablation for the wire-format
 // gradient codecs: the same gradient-like tensors are allreduced over a
-// full schedule under each codec, and each lossy row reports its wire
+// full schedule under each codec, and the lossy row reports its wire
 // cost next to the error it actually injects — max and RMS relative to
 // the lossless float64 sum — plus the cross-rank bit-consistency the
 // ULFM layer requires. Magnitudes span blocks from 2^-6 to 2^6 so the
-// per-chunk int8 scale and the fp16 dynamic range are both stressed.
+// fp16 dynamic range is stressed.
 func CompressionTable(ranks, elems int) (*metrics.Table, error) {
 	inputs := make([][]float32, ranks)
 	exact := make([]float64, elems)
@@ -189,7 +189,7 @@ func CompressionTable(ranks, elems int) (*metrics.Table, error) {
 		Title:   fmt.Sprintf("Ablation: gradient wire compression (pipelined ring, %d ranks, %d elems)", ranks, elems),
 		Headers: []string{"codec", "wire-bytes/elem", "max-err/rms(sum)", "rms-err/rms(sum)", "replicas-bit-identical"},
 	}
-	for _, codec := range []mpi.WireCodec{mpi.CodecRaw, mpi.CodecFP16, mpi.CodecInt8} {
+	for _, codec := range []mpi.WireCodec{mpi.CodecRaw, mpi.CodecFP16} {
 		results := make([][]float32, ranks)
 		cl := simnet.New(simnet.Config{
 			Nodes: ranks, ProcsPerNode: 1,

@@ -262,8 +262,7 @@ func (c *Comm) allreduceRecDouble(b buf, op Op) error {
 	}
 
 	// Post-phase: odds return the finished result to their even partners —
-	// a distribution-direction send, so lossy-by-requantization codecs
-	// (int8) switch to lossless bytes to keep the result uniform.
+	// a distribution-direction send.
 	markDistribute(b)
 	switch {
 	case r < 2*rem && r%2 == 0:

@@ -1,18 +1,15 @@
 package mpi
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"strings"
 
 	"repro/internal/transport"
 )
 
 // Wire-format gradient compression. A WireCodec selects how a float
-// collective's chunks travel: raw little-endian bits (lossless), IEEE
-// binary16 (half the bytes), or block-quantized int8 with a per-chunk
-// scale (quarter the bytes for float32). Compression happens inside the
+// collective's chunks travel: raw little-endian bits (lossless) or IEEE
+// binary16 (half the bytes for float32). Compression happens inside the
 // buffer abstraction — extract() emits a compressed transport payload,
 // setIn()/reduceIn() decompress-and-combine in one pass — so every
 // allreduce schedule (ring, pipelined, tree, recursive doubling,
@@ -20,33 +17,20 @@ import (
 // retry-after-shrink replays it like any other collective.
 //
 // Uniformity. ULFM requires every member to finish a collective with
-// bit-identical results. Two mechanisms preserve that under compression:
-//
-//  1. extract() quantizes the sender's own range in place before
-//     sending, so a rank always holds exactly the values its receivers
-//     decode — for fp16 this makes sends self-consistent everywhere,
-//     because the binary16 round-trip is idempotent (re-encoding an
-//     already-representable value returns its own bits). At the
-//     reduce→distribute boundary fp16 additionally round-trips the
-//     whole local buffer on every rank (beginDistribution), because
-//     quantize-on-send cannot reach ranks that never forward a finished
-//     segment.
-//
-//  2. int8 re-quantization is NOT idempotent (the per-chunk scale
-//     drifts as the data shrinks toward the grid), so once a value is
-//     final — the allgather half of a ring, a result broadcast, the
-//     recursive-doubling post-phase — the schedule flips the buffer
-//     into distribution mode (markDistribute) and finished segments
-//     travel as lossless raw bytes. Reduction-direction traffic, which
-//     dominates, stays compressed.
+// bit-identical results. extract() quantizes the sender's own range in
+// place before sending, so a rank always holds exactly the values its
+// receivers decode; because the binary16 round-trip is idempotent
+// (re-encoding an already-representable value returns its own bits),
+// this makes sends self-consistent everywhere. At the reduce→distribute
+// boundary (markDistribute) every rank additionally round-trips its
+// whole local buffer, because quantize-on-send cannot reach ranks that
+// never forward a finished segment.
 //
 // Error bounds (documented for the property tests): one fp16
 // quantization of x adds at most 2^-11·|x| relative error for |x| in
 // [2^-14, 65504] (flushing to zero below, saturating to ±Inf above);
 // an OpSum allreduce across w ranks over h quantization hops is off by
-// at most (h+1)·2^-11·Σ|x_i| elementwise. One int8 quantization of a
-// chunk with max magnitude M adds at most M/254 absolute error (half a
-// grid step of 2M/254); hops multiply the bound the same way.
+// at most (h+1)·2^-11·Σ|x_i| elementwise.
 
 // WireCodec selects the wire representation of float collective chunks.
 type WireCodec int
@@ -56,13 +40,7 @@ const (
 	CodecRaw WireCodec = iota
 	// CodecFP16 sends IEEE binary16 — 2 bytes/element.
 	CodecFP16
-	// CodecInt8 sends block-quantized int8 with a per-chunk float32
-	// scale — 1 byte/element + 4 bytes/chunk.
-	CodecInt8
 )
-
-// codecCount is the number of WireCodec values (array sizing).
-const codecCount = int(CodecInt8) + 1
 
 func (c WireCodec) String() string {
 	switch c {
@@ -70,8 +48,6 @@ func (c WireCodec) String() string {
 		return "raw"
 	case CodecFP16:
 		return "fp16"
-	case CodecInt8:
-		return "int8"
 	default:
 		return fmt.Sprintf("codec(%d)", int(c))
 	}
@@ -85,51 +61,42 @@ func ParseWireCodec(s string) (WireCodec, error) {
 		return CodecRaw, nil
 	case "fp16", "f16", "half":
 		return CodecFP16, nil
-	case "int8", "q8":
-		return CodecInt8, nil
 	default:
-		return CodecRaw, fmt.Errorf("mpi: unknown wire codec %q (want raw, fp16, or int8)", s)
+		return CodecRaw, fmt.Errorf("mpi: unknown wire codec %q (want raw or fp16)", s)
 	}
 }
 
 // WireBytesPerElem reports the nominal wire cost of one element of the
-// given native width under a codec (the int8 per-chunk scale header is
-// amortized away). For reports and ablation tables; the measured wire
-// bytes live in the tcpnet tx counters.
+// given native width under a codec. For reports and ablation tables; the
+// measured wire bytes live in the tcpnet tx counters.
 func WireBytesPerElem(c WireCodec, elemBytes int) float64 {
-	switch c {
-	case CodecFP16:
+	if c == CodecFP16 {
 		return 2
-	case CodecInt8:
-		return 1
-	default:
-		return float64(elemBytes)
 	}
+	return float64(elemBytes)
 }
 
-// Float constrains the element types the lossy codecs apply to.
+// Float constrains the element types the lossy codec applies to.
 type Float interface{ ~float32 | ~float64 }
 
 // markDistribute flips a compression-aware buffer into distribution
-// mode: the collective's remaining sends carry finished values, so
-// non-idempotent codecs switch to lossless bytes (see the uniformity
-// notes above). A no-op for plain buffers.
+// mode: the collective's remaining sends carry finished values (see the
+// uniformity notes above). A no-op for plain buffers.
 func markDistribute(b buf) {
 	if d, ok := b.(interface{ beginDistribution() }); ok {
 		d.beginDistribution()
 	}
 }
 
-// compBuf wraps a float slice with a lossy wire codec. Pointer receiver:
-// the distribution flag mutates during the collective.
+// compBuf wraps a float slice with the fp16 wire codec. Pointer
+// receiver: the distribution flag mutates during the collective.
 type compBuf[T Float] struct {
-	v     []T
-	codec WireCodec
-	dist  bool
+	v    []T
+	dist bool
 }
 
-// beginDistribution marks the reduce→distribute boundary. For fp16 it
-// also round-trips the whole local buffer through binary16: finished
+// beginDistribution marks the reduce→distribute boundary by
+// round-tripping the whole local buffer through binary16: finished
 // values land on the codec grid on every rank — senders and non-senders
 // alike — before any distribution traffic, so ranks that never forward a
 // segment (recursive doubling's core group at non-power-of-2 worlds,
@@ -141,56 +108,29 @@ func (b *compBuf[T]) beginDistribution() {
 		return
 	}
 	b.dist = true
-	if b.codec == CodecFP16 {
-		for i, v := range b.v {
-			b.v[i] = T(transport.Float16From(transport.Float16Bits(float32(v))))
-		}
+	for i, v := range b.v {
+		b.v[i] = T(transport.Float16From(transport.Float16Bits(float32(v))))
 	}
 }
 
 func (b *compBuf[T]) length() int { return len(b.v) }
 
-func (b *compBuf[T]) bytesFor(n int) int64 {
-	switch {
-	case b.codec == CodecFP16:
-		return int64(n) * 2
-	case b.codec == CodecInt8 && !b.dist:
-		return int64(n) + transport.Q8HeaderLen
-	default:
-		return numBuf[T]{}.bytesFor(n)
-	}
-}
+func (b *compBuf[T]) bytesFor(n int) int64 { return int64(n) * 2 }
 
-func (b *compBuf[T]) extract(lo, hi int) any {
-	switch {
-	case b.codec == CodecFP16:
-		return f16Compress(b.v[lo:hi])
-	case b.codec == CodecInt8 && !b.dist:
-		return q8Compress(b.v[lo:hi])
-	default:
-		return numBuf[T]{v: b.v}.extract(lo, hi)
-	}
-}
+func (b *compBuf[T]) extract(lo, hi int) any { return f16Compress(b.v[lo:hi]) }
 
 func (b *compBuf[T]) setIn(lo, hi int, pay any) {
 	dst := b.v[lo:hi]
 	switch p := pay.(type) {
 	case transport.F16:
 		f16Set(dst, p)
-	case transport.Q8:
-		q8Set(dst, p)
 	case *transport.RawPayload:
 		if v, ok := p.AsF16(); ok {
 			f16Set(dst, v)
 			p.Release()
 			return
 		}
-		if v, ok := p.AsQ8(); ok {
-			q8Set(dst, v)
-			p.Release()
-			return
-		}
-		numBuf[T]{v: b.v}.setIn(lo, hi, pay) // lossless distribution payload
+		numBuf[T]{v: b.v}.setIn(lo, hi, pay)
 	default:
 		numBuf[T]{v: b.v}.setIn(lo, hi, pay)
 	}
@@ -201,18 +141,11 @@ func (b *compBuf[T]) reduceIn(lo, hi int, pay any, op Op) {
 	switch p := pay.(type) {
 	case transport.F16:
 		f16Reduce(dst, p, op)
-	case transport.Q8:
-		q8Reduce(dst, p, op)
 	case *transport.RawPayload:
 		// Fused decompress-and-reduce straight out of the transport's
 		// frame buffer: one traversal, no decoded scratch slice.
 		if v, ok := p.AsF16(); ok {
 			f16Reduce(dst, v, op)
-			p.Release()
-			return
-		}
-		if v, ok := p.AsQ8(); ok {
-			q8Reduce(dst, v, op)
 			p.Release()
 			return
 		}
@@ -223,16 +156,16 @@ func (b *compBuf[T]) reduceIn(lo, hi int, pay any, op Op) {
 }
 
 // allreduceBuf builds the working buffer for an allreduce of data under
-// the requested codec. Lossy codecs apply to the base float slice
-// types; anything else (integers, named float types) falls back to the
-// lossless numeric buffer regardless of the requested codec.
+// the requested codec. fp16 applies to the base float slice types;
+// anything else (integers, named float types) falls back to the lossless
+// numeric buffer regardless of the requested codec.
 func allreduceBuf[T Number](data []T, codec WireCodec) buf {
-	if codec != CodecRaw {
+	if codec == CodecFP16 {
 		switch v := any(data).(type) {
 		case []float32:
-			return &compBuf[float32]{v: v, codec: codec}
+			return &compBuf[float32]{v: v}
 		case []float64:
-			return &compBuf[float64]{v: v, codec: codec}
+			return &compBuf[float64]{v: v}
 		}
 	}
 	return numBuf[T]{v: data}
@@ -279,87 +212,6 @@ func f16Reduce[T Float](dst []T, in transport.F16, op Op) {
 	case OpMin:
 		for i := range dst {
 			if v := T(transport.Float16From(in[i])); v < dst[i] {
-				dst[i] = v
-			}
-		}
-	default:
-		panic(fmt.Sprintf("mpi: op %v not supported on compressed float payloads", op))
-	}
-}
-
-// --- int8 ---------------------------------------------------------------
-
-// q8Compress block-quantizes src to int8 with a per-chunk scale,
-// rewriting src with the dequantized values so the sender's copy
-// matches what receivers decode bit for bit (the dequantization
-// expression below is the same float32 arithmetic q8Set uses).
-// Non-finite inputs quantize deterministically: NaN to 0, ±Inf to the
-// clamp ends (the scale itself degenerates, so these are documented
-// garbage-in cases, not silent divergence across ranks).
-func q8Compress[T Float](src []T) transport.Q8 {
-	out := make(transport.Q8, transport.Q8HeaderLen+len(src))
-	var maxabs float64
-	for _, v := range src {
-		if a := math.Abs(float64(v)); a > maxabs {
-			maxabs = a
-		}
-	}
-	scale := float32(maxabs / 127)
-	binary.LittleEndian.PutUint32(out[:transport.Q8HeaderLen], math.Float32bits(scale))
-	if scale == 0 || math.IsInf(float64(scale), 0) || math.IsNaN(float64(scale)) {
-		scale = 0
-		binary.LittleEndian.PutUint32(out[:transport.Q8HeaderLen], math.Float32bits(scale))
-		for i := range src {
-			src[i] = 0
-		}
-		return out
-	}
-	for i, v := range src {
-		q := math.Round(float64(v) / float64(scale))
-		switch {
-		case math.IsNaN(q):
-			q = 0
-		case q > 127:
-			q = 127
-		case q < -127:
-			q = -127
-		}
-		qi := int8(q)
-		out[transport.Q8HeaderLen+i] = byte(qi)
-		src[i] = T(scale * float32(qi))
-	}
-	return out
-}
-
-func q8Set[T Float](dst []T, in transport.Q8) {
-	checkLen(len(dst), in.Elems(), "int8")
-	s := in.Scale()
-	for i := range dst {
-		dst[i] = T(s * float32(int8(in[transport.Q8HeaderLen+i])))
-	}
-}
-
-func q8Reduce[T Float](dst []T, in transport.Q8, op Op) {
-	checkLen(len(dst), in.Elems(), "int8")
-	s := in.Scale()
-	switch op {
-	case OpSum:
-		for i := range dst {
-			dst[i] += T(s * float32(int8(in[transport.Q8HeaderLen+i])))
-		}
-	case OpProd:
-		for i := range dst {
-			dst[i] *= T(s * float32(int8(in[transport.Q8HeaderLen+i])))
-		}
-	case OpMax:
-		for i := range dst {
-			if v := T(s * float32(int8(in[transport.Q8HeaderLen+i]))); v > dst[i] {
-				dst[i] = v
-			}
-		}
-	case OpMin:
-		for i := range dst {
-			if v := T(s * float32(int8(in[transport.Q8HeaderLen+i]))); v < dst[i] {
 				dst[i] = v
 			}
 		}

@@ -65,122 +65,33 @@ func TestF16CompressIdempotent(t *testing.T) {
 	}
 }
 
-// After q8Compress rewrites the source, decoding the wire bytes must
-// reproduce the source bit for bit — sender and receivers hold the same
-// values, which is what makes a compressed reduce-scatter uniform.
-func TestQ8RoundTripBitMatch(t *testing.T) {
-	r := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 50; trial++ {
-		src := make([]float32, 1+r.Intn(2000))
-		for i := range src {
-			src[i] = float32(r.NormFloat64()) * float32(math.Pow(2, float64(r.Intn(20)-10)))
-		}
-		wire := q8Compress(src)
-		dst := make([]float32, len(src))
-		q8Set(dst, wire)
-		for i := range src {
-			if math.Float32bits(dst[i]) != math.Float32bits(src[i]) {
-				t.Fatalf("trial %d elem %d: decoded %v (%08x), sender holds %v (%08x)",
-					trial, i, dst[i], math.Float32bits(dst[i]), src[i], math.Float32bits(src[i]))
-			}
-		}
-	}
-}
-
-// One int8 quantization hop of a chunk with max magnitude M is off by
-// at most M/254 (half a grid step), plus float32 rounding slop on the
-// scale itself.
-func TestQ8OneHopErrorBound(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 50; trial++ {
-		src := make([]float64, 1+r.Intn(2000))
-		orig := make([]float64, len(src))
-		var maxabs float64
-		for i := range src {
-			src[i] = r.NormFloat64() * math.Pow(2, float64(r.Intn(20)-10))
-			orig[i] = src[i]
-			if a := math.Abs(src[i]); a > maxabs {
-				maxabs = a
-			}
-		}
-		q8Compress(src)
-		bound := maxabs/254*(1+1e-5) + 1e-300
-		for i := range src {
-			if e := math.Abs(src[i] - orig[i]); e > bound {
-				t.Fatalf("trial %d elem %d: |%v - %v| = %v exceeds M/254 = %v",
-					trial, i, src[i], orig[i], e, bound)
-			}
-		}
-	}
-}
-
-// Degenerate chunks — all zero or infinity-poisoned (the scale itself
-// blows up) — must quantize to all-zeros deterministically on every
-// rank rather than diverge.
-func TestQ8DegenerateScales(t *testing.T) {
-	cases := map[string][]float32{
-		"zeros": make([]float32, 16),
-		"inf":   {1, float32(math.Inf(1)), 3},
-	}
-	for name, src := range cases {
-		wire := q8Compress(src)
-		if s := wire.Scale(); s != 0 {
-			t.Errorf("%s: scale = %v, want 0", name, s)
-		}
-		for i, v := range src {
-			if v != 0 {
-				t.Errorf("%s: elem %d rewritten to %v, want 0", name, i, v)
-			}
-		}
-		dst := make([]float32, len(src))
-		q8Set(dst, wire)
-		for i, v := range dst {
-			if v != 0 {
-				t.Errorf("%s: decoded elem %d = %v, want 0", name, i, v)
-			}
-		}
-	}
-	// A lone NaN does not poison the scale (comparisons against NaN are
-	// false, so finite elements still set it); it quantizes to 0 while
-	// its neighbors survive.
-	src := []float32{1, float32(math.NaN()), 3}
-	wire := q8Compress(src)
-	if s := wire.Scale(); s <= 0 {
-		t.Errorf("nan: scale = %v, want finite positive", s)
-	}
-	if src[1] != 0 {
-		t.Errorf("nan: NaN element rewritten to %v, want 0", src[1])
-	}
-	if src[0] == 0 || src[2] == 0 {
-		t.Errorf("nan: finite neighbors flattened: %v", src)
-	}
-}
-
 // The codec flag spellings accepted by elasticd -codec.
 func TestParseWireCodec(t *testing.T) {
 	for spelling, want := range map[string]WireCodec{
 		"": CodecRaw, "raw": CodecRaw, "none": CodecRaw,
 		"fp16": CodecFP16, "F16": CodecFP16, "half": CodecFP16,
-		"int8": CodecInt8, "q8": CodecInt8,
 	} {
 		got, err := ParseWireCodec(spelling)
 		if err != nil || got != want {
 			t.Errorf("ParseWireCodec(%q) = %v, %v; want %v", spelling, got, err, want)
 		}
 	}
-	if _, err := ParseWireCodec("zstd"); err == nil {
-		t.Error("ParseWireCodec accepted an unknown codec")
+	// int8 and q8 were retired spellings; they must not parse now.
+	for _, spelling := range []string{"zstd", "int8", "q8"} {
+		if _, err := ParseWireCodec(spelling); err == nil {
+			t.Errorf("ParseWireCodec accepted unknown codec %q", spelling)
+		}
 	}
 }
 
-// allreduceBuf must apply lossy codecs only to base float slices;
+// allreduceBuf must apply fp16 only to base float slices;
 // integers always travel lossless no matter what was requested.
 func TestAllreduceBufCodecSelection(t *testing.T) {
 	if _, ok := allreduceBuf(make([]float32, 4), CodecFP16).(*compBuf[float32]); !ok {
 		t.Error("float32 + fp16 did not build a compressed buffer")
 	}
-	if _, ok := allreduceBuf(make([]float64, 4), CodecInt8).(*compBuf[float64]); !ok {
-		t.Error("float64 + int8 did not build a compressed buffer")
+	if _, ok := allreduceBuf(make([]float64, 4), CodecFP16).(*compBuf[float64]); !ok {
+		t.Error("float64 + fp16 did not build a compressed buffer")
 	}
 	if _, ok := allreduceBuf(make([]int64, 4), CodecFP16).(numBuf[int64]); !ok {
 		t.Error("int64 + fp16 did not fall back to the lossless buffer")
@@ -203,8 +114,6 @@ func TestAllreduceCompressedEndToEnd(t *testing.T) {
 		{"fp16-ring", CodecFP16, AlgoRing},
 		{"fp16-pipelined", CodecFP16, AlgoPipelinedRing},
 		{"fp16-recdouble", CodecFP16, AlgoRecursiveDoubling},
-		{"int8-ring", CodecInt8, AlgoRing},
-		{"int8-pipelined", CodecInt8, AlgoPipelinedRing},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const nodes, ppn = 2, 3
@@ -247,24 +156,9 @@ func TestAllreduceCompressedEndToEnd(t *testing.T) {
 				}
 			}
 			// Accuracy: generous multi-hop bounds (hops ≤ world+1 for the
-			// ring family, ≤ 2·log2(world) for recursive doubling). The
-			// int8 grid step follows the *chunk's* max partial magnitude,
-			// so its bound is global: any partial sum is ≤ the largest
-			// Σ|x_i| anywhere in the tensor.
-			maxSumAbs := 0.0
-			for _, s := range sumAbs {
-				if s > maxSumAbs {
-					maxSumAbs = s
-				}
-			}
+			// ring family, ≤ 2·log2(world) for recursive doubling).
 			for i, got := range results[0] {
-				var bound float64
-				switch tc.codec {
-				case CodecFP16:
-					bound = float64(world_+2) * 0x1p-11 * sumAbs[i]
-				case CodecInt8:
-					bound = float64(world_) * maxSumAbs / 127 // 2x over (world-1)·M/254
-				}
+				bound := float64(world_+2) * 0x1p-11 * sumAbs[i]
 				bound += 1e-6 // float32 accumulation noise for near-zero sums
 				if e := math.Abs(float64(got) - exact[i]); e > bound {
 					t.Fatalf("elem %d: |%v - %v| = %v exceeds bound %v", i, got, exact[i], e, bound)

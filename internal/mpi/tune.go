@@ -24,8 +24,8 @@ import (
 //
 // alpha is seeded from the live tcpnet flush-latency histogram (mean
 // per-frame write cost, read through the shared obs registry — no
-// import edge into the transport) and beta from the committed loopback
-// throughput baseline. Observations then override the model per
+// import edge into the transport) and beta from a measured loopback
+// throughput constant. Observations then override the model per
 // (algo, size-bucket, world) cell via EWMA, so a mispriced constant is
 // corrected after a handful of steps.
 //
@@ -34,8 +34,7 @@ import (
 // degenerates to the flat ring plus leader-election overhead.
 
 // tunerBetaDefault seeds the bandwidth term: bytes/second one rank can
-// stream through the TCP data plane (from the committed BENCH_dataplane
-// loopback baseline, rounded down).
+// stream through the TCP data plane (loopback, rounded down).
 const tunerBetaDefault = 100e6
 
 // tunerAlphaDefault seeds the per-step latency term when no flush

@@ -9,8 +9,8 @@ func newTestTuner() *tuner { return &tuner{observed: make(map[tunerKey]float64)}
 
 // The pipelined floor: at sizes whose per-rank segment is too small to
 // split (PipelineChunksFor == 1), the pipelined schedule must never be
-// picked — it would be the plain ring plus chunk bookkeeping. This is
-// the regression the 1 MiB bench rows guard.
+// picked — it would be the plain ring plus chunk bookkeeping. This test
+// is what keeps the 1 MiB pipelined-vs-ring regression fixed.
 func TestTunerDecideRespectsPipelineFloor(t *testing.T) {
 	tn := newTestTuner()
 	for _, bytes := range []int64{256 << 10, 1 << 20} {

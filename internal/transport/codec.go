@@ -6,7 +6,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"math"
-	"sync/atomic"
 	"unsafe"
 )
 
@@ -52,21 +51,9 @@ const (
 	rawBool   // one byte per element
 	rawProcID // transmitted as 64-bit
 	rawF16    // IEEE 754 binary16 bit patterns, two bytes per element
-	rawQ8     // block-quantized int8: 4-byte scale prefix + 1 byte per element; count = total bytes
+	// 0x0c once carried block-quantized int8. It stays unassigned, so a
+	// peer still sending it is rejected instead of misread.
 )
-
-// rawDisabled turns the raw fast path off, forcing every payload through
-// the gob envelope. Benchmarks and the data-plane ablation flip it to
-// measure the pre-raw-codec baseline; production code never touches it.
-var rawDisabled atomic.Bool
-
-// SetRawCodec enables or disables the raw fast path and reports the
-// previous setting. It exists for benchmarks and ablations that need the
-// gob baseline; both sides of a connection must agree only in the sense
-// that the decoder always accepts both formats.
-func SetRawCodec(enabled bool) (prev bool) {
-	return !rawDisabled.Swap(!enabled)
-}
 
 // hostLittleEndian reports whether the host stores integers little-endian,
 // enabling single-memmove bulk encoding of fixed-width numeric slices.
@@ -88,8 +75,9 @@ func RegisterWireType(v any) { gob.Register(v) }
 
 func init() {
 	// Slice payloads produced by the MPI layer's typed buffers. The
-	// numeric ones take the raw fast path; they stay gob-registered so the
-	// fallback (and SetRawCodec(false)) can carry them too.
+	// numeric ones always take the raw fast path; they stay gob-registered
+	// so the raw-vs-gob property test can use the envelope as its
+	// reference encoding.
 	RegisterWireType([]int{})
 	RegisterWireType([]int32{})
 	RegisterWireType([]int64{})
@@ -116,10 +104,8 @@ func AppendPayload(dst []byte, v any) ([]byte, error) {
 	if v == nil {
 		return dst, nil
 	}
-	if !rawDisabled.Load() {
-		if out, ok := appendRaw(dst, v); ok {
-			return out, nil
-		}
+	if out, ok := appendRaw(dst, v); ok {
+		return out, nil
 	}
 	return appendGob(dst, v)
 }
@@ -300,8 +286,6 @@ func appendRaw(dst []byte, v any) (out []byte, ok bool) {
 		return append(rawHeader(dst, rawU8, len(s), 1), s...), true
 	case F16:
 		return appendFixed(rawHeader(dst, rawF16, len(s), 2), []uint16(s)), true
-	case Q8:
-		return append(rawHeader(dst, rawQ8, len(s), 1), s...), true
 	case []int:
 		dst = rawHeader(dst, rawInt, len(s), 8)
 		var e [8]byte
@@ -350,7 +334,7 @@ func decodeRaw(b []byte) (any, error) {
 	if elemBytes == 0 {
 		return nil, fmt.Errorf("transport: decode payload: unknown raw type tag %#02x", tag)
 	}
-	if len(body) != rawBodyBytes(tag, count) {
+	if len(body) != count*elemBytes {
 		return nil, fmt.Errorf("transport: decode payload: raw body of %d bytes for %d elements of %d bytes",
 			len(body), count, elemBytes)
 	}
@@ -376,13 +360,6 @@ func decodeRaw(b []byte) (any, error) {
 		return out, nil
 	case rawF16:
 		return F16(decodeFixed[uint16](body, count)), nil
-	case rawQ8:
-		if count == 0 {
-			return Q8(nil), nil
-		}
-		out := make(Q8, count)
-		copy(out, body)
-		return out, nil
 	case rawInt:
 		if count == 0 {
 			return []int(nil), nil

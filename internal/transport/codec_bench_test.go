@@ -5,10 +5,9 @@ import (
 	"testing"
 )
 
-// BenchmarkCodecNumericSlices compares the raw binary codec against the
-// gob envelope on the payload shapes the collectives actually move. Run
-// with -benchmem; the acceptance bar for the raw path on []float32/256k is
-// >= 5x fewer allocs/op and >= 2x lower ns/op than gob.
+// BenchmarkCodecNumericSlices measures the raw codec's encode + decode
+// round trip on the payload shapes the collectives actually move. Run
+// with -benchmem: each round trip should cost one allocation per side.
 func BenchmarkCodecNumericSlices(b *testing.B) {
 	sizes := []int{1 << 10, 64 << 10, 256 << 10}
 	for _, n := range sizes {
@@ -31,19 +30,14 @@ func BenchmarkCodecNumericSlices(b *testing.B) {
 			{fmt.Sprintf("int64-%dk", n>>11), i64},
 		}
 		for _, p := range payloads {
-			b.Run(p.name+"/raw", func(b *testing.B) {
-				benchCodec(b, p.v, true)
-			})
-			b.Run(p.name+"/gob", func(b *testing.B) {
-				benchCodec(b, p.v, false)
+			b.Run(p.name, func(b *testing.B) {
+				benchCodec(b, p.v)
 			})
 		}
 	}
 }
 
-func benchCodec(b *testing.B, v any, raw bool) {
-	prev := SetRawCodec(raw)
-	defer SetRawCodec(prev)
+func benchCodec(b *testing.B, v any) {
 	b.ReportAllocs()
 	enc, err := EncodePayload(v)
 	if err != nil {

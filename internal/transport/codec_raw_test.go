@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -143,6 +144,7 @@ func TestRawDecodeCorrupt(t *testing.T) {
 		"truncated body":   good[:len(good)-3],
 		"trailing junk":    append(append([]byte(nil), good...), 0xab),
 		"bad type tag":     append([]byte{fmtRaw, 0x7f}, good[2:]...),
+		"retired tag 0x0c": append([]byte{fmtRaw, 0x0c}, good[2:]...),
 		"count overflow": func() []byte {
 			b := append([]byte(nil), good...)
 			for i := 2; i < 10; i++ {
@@ -158,25 +160,81 @@ func TestRawDecodeCorrupt(t *testing.T) {
 	}
 }
 
-// SetRawCodec(false) must route numeric slices through the gob envelope —
-// the knob the data-plane ablation uses to measure the old baseline.
-func TestSetRawCodecBaseline(t *testing.T) {
-	prev := SetRawCodec(false)
-	defer SetRawCodec(prev)
-	b, err := EncodePayload([]float32{1, 2})
+// FuzzDecodePayload holds the two receive-side decoders to one contract
+// on arbitrary bytes: DecodePayload returns an error or a value and never
+// panics; ParseRawPayload wraps exactly the raw payloads DecodePayload
+// accepts; a wrapped payload's views match its element count, its Decode
+// equals DecodePayload, and its release callback runs exactly once. The
+// seeds in testdata/fuzz/FuzzDecodePayload cover every raw tag, the
+// retired tag 0x0c, gob envelopes and the malformed shapes.
+func FuzzDecodePayload(f *testing.F) {
+	seed, err := EncodePayload([]float32{1, 2})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Fuzz(func(t *testing.T, b []byte) {
+		want, decErr := DecodePayload(b)
+		released := 0
+		p, ok, parseErr := ParseRawPayload(b, func() { released++ })
+		raw := len(b) > 0 && b[0] == fmtRaw
+		if ok != (raw && decErr == nil) {
+			t.Fatalf("ParseRawPayload ok=%v (err %v), DecodePayload err %v", ok, parseErr, decErr)
+		}
+		if parseErr != nil && decErr == nil {
+			t.Fatalf("ParseRawPayload rejected (%v) what DecodePayload accepted", parseErr)
+		}
+		if !ok {
+			if released != 0 {
+				t.Fatalf("rejected payload ran its release callback %d times", released)
+			}
+			return
+		}
+		views := map[string]int{}
+		if v, ok := p.AsF16(); ok {
+			views["F16"] = len(v)
+		}
+		if v, ok := RawPayloadView[uint8](p); ok {
+			views["uint8"] = len(v)
+		}
+		if v, ok := RawPayloadView[float32](p); ok {
+			views["float32"] = len(v)
+		}
+		if v, ok := RawPayloadView[int64](p); ok {
+			views["int64"] = len(v)
+		}
+		for name, n := range views {
+			if n != p.Elems() {
+				t.Fatalf("%s view has %d elements, payload declares %d", name, n, p.Elems())
+			}
+		}
+		got, err := p.Decode()
+		if err != nil {
+			t.Fatalf("Decode of a parsed payload: %v", err)
+		}
+		p.Release()
+		if !reflect.DeepEqual(got, want) && !sameBits(t, got, want) {
+			t.Fatalf("Decode = %#v, DecodePayload = %#v", got, want)
+		}
+		if released != 1 {
+			t.Fatalf("release callback ran %d times, want 1", released)
+		}
+	})
+}
+
+// sameBits reports whether two decoded values have the same type and
+// encode to the same bytes: DeepEqual's verdict, except that a float NaN
+// equals itself.
+func sameBits(t *testing.T, a, b any) bool {
+	ea, err := EncodePayload(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b[0] != fmtGob {
-		t.Fatalf("with raw disabled, format = %#02x, want gob", b[0])
-	}
-	out, err := DecodePayload(b)
+	eb, err := EncodePayload(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(out, []float32{1, 2}) {
-		t.Fatalf("round-trip = %#v", out)
-	}
+	return reflect.TypeOf(a) == reflect.TypeOf(b) && bytes.Equal(ea, eb)
 }
 
 // AppendPayload must append in place when capacity allows, so pooled frame

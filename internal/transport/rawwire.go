@@ -13,38 +13,15 @@ import (
 // reduce straight out of the frame buffer without an intermediate
 // decoded copy.
 //
-// It also defines the two compressed gradient element types, F16 and
-// Q8. They are transport-level types (not mpi-level) because they name
-// wire formats: a tag byte on the frame decides how the bytes decode,
-// and both ends must agree without negotiation state.
+// It also defines the compressed gradient element type, F16. It is a
+// transport-level type (not mpi-level) because it names a wire format:
+// a tag byte on the frame decides how the bytes decode, and both ends
+// must agree without negotiation state.
 
 // F16 is a slice of IEEE 754 binary16 values, stored as raw bit
 // patterns. It travels under its own raw-codec tag so the receiver can
 // decompress-and-reduce without an intermediate float32 slice.
 type F16 []uint16
-
-// Q8 is a block-quantized int8 payload: a little-endian float32 scale
-// in the first four bytes, then one int8 per element. value[i] =
-// scale * int8(q[i]); the scale is chosen per chunk as maxabs/127.
-type Q8 []byte
-
-// Q8HeaderLen is the per-chunk scale prefix inside a Q8 payload.
-const Q8HeaderLen = 4
-
-// Scale returns the per-chunk dequantization scale.
-func (q Q8) Scale() float32 {
-	return math.Float32frombits(binary.LittleEndian.Uint32(q[:Q8HeaderLen]))
-}
-
-// Elems returns the number of quantized elements in the payload.
-func (q Q8) Elems() int { return len(q) - Q8HeaderLen }
-
-func init() {
-	// Keep the gob fallback able to carry the compressed types too
-	// (SetRawCodec(false) ablations still work end to end).
-	RegisterWireType(F16{})
-	RegisterWireType(Q8{})
-}
 
 // Float16Bits converts a float32 to IEEE 754 binary16 bits with
 // round-to-nearest-even. Values beyond ±65504 overflow to ±Inf, NaN maps
@@ -128,11 +105,10 @@ func AppendRawPayloadHeader(dst []byte, tag byte, count int) []byte {
 // transports that scatter-gather the frame header and body straight to
 // the kernel (writev) without assembling a contiguous frame. ok is
 // false when the payload needs the element-converting or gob paths: an
-// unsupported or named type, a big-endian host, or the raw codec
-// disabled. The view aliases the caller's slice and is only valid until
+// unsupported or named type, or a big-endian host. The view aliases the caller's slice and is only valid until
 // the payload is mutated.
 func RawSendView(v any) (tag byte, count int, body []byte, ok bool) {
-	if rawDisabled.Load() || !hostLittleEndian {
+	if !hostLittleEndian {
 		return 0, 0, nil, false
 	}
 	switch s := v.(type) {
@@ -152,8 +128,6 @@ func RawSendView(v any) (tag byte, count int, body []byte, ok bool) {
 		return rawU8, len(s), s, true
 	case F16:
 		return rawF16, len(s), byteView([]uint16(s)), true
-	case Q8:
-		return rawQ8, len(s), []byte(s), true
 	}
 	return 0, 0, nil, false
 }
@@ -169,7 +143,7 @@ func byteView[T uint16 | uint32 | uint64 | int32 | int64 | float32 | float64](s 
 // RawPayload is a lazily decoded raw-codec payload whose bytes still
 // live in a transport-owned buffer (typically a pooled readLoop frame).
 // Receivers that can consume the bytes in place — the reduce loops —
-// take a typed view via RawPayloadView / AsF16 / AsQ8, then Release the
+// take a typed view via RawPayloadView / AsF16, then Release the
 // underlying buffer. Receivers that need an owning slice call Decode,
 // which also releases. Exactly one of those must happen, or the frame
 // pool leaks (OutstandingFrameBufs catches that in tests).
@@ -199,7 +173,7 @@ func ParseRawPayload(b []byte, release func()) (p *RawPayload, ok bool, err erro
 	if elem == 0 {
 		return nil, false, fmt.Errorf("transport: decode payload: unknown raw type tag %#02x", tag)
 	}
-	if bodyLen := len(b) - rawHeaderLen; bodyLen != rawBodyBytes(tag, count) {
+	if bodyLen := len(b) - rawHeaderLen; bodyLen != count*elem {
 		return nil, false, fmt.Errorf("transport: decode payload: raw body of %d bytes for %d elements of %d bytes",
 			bodyLen, count, elem)
 	}
@@ -239,15 +213,6 @@ func (p *RawPayload) AsF16() (F16, bool) {
 	}
 	v, ok := RawPayloadView[uint16](p)
 	return F16(v), ok
-}
-
-// AsQ8 returns the payload as a Q8 view if it carries a quantized int8
-// block. The view is valid until Release.
-func (p *RawPayload) AsQ8() (Q8, bool) {
-	if p.tag != rawQ8 || p.count < Q8HeaderLen {
-		return nil, false
-	}
-	return Q8(p.body()), true
 }
 
 // RawPayloadView returns a typed zero-copy view of the payload's bulk
@@ -316,15 +281,8 @@ func rawElemBytes(tag byte) int {
 		return 8
 	case rawF16:
 		return 2
-	case rawU8, rawBool, rawQ8:
+	case rawU8, rawBool:
 		return 1
 	}
 	return 0
-}
-
-// rawBodyBytes returns the expected body length for a tag and declared
-// count. For Q8 the count is the total payload byte length (scale
-// prefix included), so the body is exactly count bytes.
-func rawBodyBytes(tag byte, count int) int {
-	return count * rawElemBytes(tag)
 }

@@ -3,6 +3,8 @@ package tcpnet_test
 import (
 	"math"
 	"math/rand"
+	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -83,9 +85,6 @@ func TestZeroCopyLosslessBitIdenticalToSeedRing(t *testing.T) {
 	zc := base
 	zc.ZeroCopyMin = 1
 
-	prev := transport.SetRawCodec(true)
-	defer transport.SetRawCodec(prev)
-
 	// Reference: the seed entry point on a default-config world (the
 	// pre-round-2 data plane: 16 KiB zero-copy floor, static auto pick).
 	seed := loopbackWorld(t, world, base, inputs, func(c *mpi.Comm, data []float32) error {
@@ -115,10 +114,26 @@ func TestZeroCopyLosslessBitIdenticalToSeedRing(t *testing.T) {
 	}
 }
 
+// countingConn tallies the bytes written through one connection into a
+// counter shared by the whole world. Wrapping hides the *net.TCPConn, so
+// sends lose writev and go out as plain writes; the byte count is the same.
+type countingConn struct {
+	net.Conn
+	n *atomic.Int64
+}
+
+func (c countingConn) Write(b []byte) (int, error) {
+	n, err := c.Conn.Write(b)
+	c.n.Add(int64(n))
+	return n, err
+}
+
 // Compressed traffic under the forced zero-copy floor: the fp16 wire
 // payloads ride the same vectored-send/lazy-delivery path, and every
 // rank must still agree bit for bit (AsF16 views into the frame buffer
-// must decode the same bits the sender wrote).
+// must decode the same bits the sender wrote). The same inputs then run
+// raw and fp16 through byte-counting connections: fp16 must put at most
+// 0.55x the raw bytes on the wire (half, plus framing).
 func TestZeroCopyCompressedUniform(t *testing.T) {
 	const world = 3
 	const elems = 48 << 10
@@ -131,12 +146,13 @@ func TestZeroCopyCompressedUniform(t *testing.T) {
 		}
 	}
 	cfg := tcpnet.Config{DialRetries: 4, DialBackoff: 20 * time.Millisecond, DialTimeout: time.Second, ZeroCopyMin: 1}
-	prev := transport.SetRawCodec(true)
-	defer transport.SetRawCodec(prev)
-	got := loopbackWorld(t, world, cfg, inputs, func(c *mpi.Comm, data []float32) error {
-		return mpi.AllreduceOpts(c, data, mpi.OpSum,
-			mpi.AllreduceOptions{Algo: mpi.AlgoPipelinedRing, Chunks: 2, Codec: mpi.CodecFP16})
-	})
+	run := func(cfg tcpnet.Config, codec mpi.WireCodec) [][]float32 {
+		return loopbackWorld(t, world, cfg, inputs, func(c *mpi.Comm, data []float32) error {
+			return mpi.AllreduceOpts(c, data, mpi.OpSum,
+				mpi.AllreduceOptions{Algo: mpi.AlgoPipelinedRing, Chunks: 2, Codec: codec})
+		})
+	}
+	got := run(cfg, mpi.CodecFP16)
 	for r := 1; r < world; r++ {
 		for i := range got[0] {
 			if math.Float32bits(got[r][i]) != math.Float32bits(got[0][i]) {
@@ -145,4 +161,17 @@ func TestZeroCopyCompressedUniform(t *testing.T) {
 			}
 		}
 	}
+
+	wireBytes := func(codec mpi.WireCodec) int64 {
+		var n atomic.Int64
+		counted := cfg
+		counted.WrapConn = func(conn net.Conn, _ bool) net.Conn { return countingConn{conn, &n} }
+		run(counted, codec)
+		return n.Load()
+	}
+	raw, fp16 := wireBytes(mpi.CodecRaw), wireBytes(mpi.CodecFP16)
+	if raw == 0 || float64(fp16) > 0.55*float64(raw) {
+		t.Fatalf("fp16 moved %d wire bytes, raw %d: want fp16 <= 0.55x raw", fp16, raw)
+	}
+	t.Logf("wire bytes: raw %d, fp16 %d (%.3fx)", raw, fp16, float64(fp16)/float64(raw))
 }
