@@ -61,6 +61,12 @@ func (d *daemon) runSteps(start int) error {
 	// reduction overwrites it in place, and everything that outlives the
 	// step (the checkpoint model, the newcomer state stream) copies out.
 	data := make([]float64, d.n)
+	// The rollback restore point is staged in one vector too: the store
+	// keeps its own copy of whatever it is handed.
+	var model tensor.Vector
+	if d.ck != nil {
+		model = make(tensor.Vector, d.n)
+	}
 	for step := start; step < d.steps; step++ {
 		transport.Hit(nd.Proc, transport.PointElasticRound)
 		plan := mpi.PlanAllreduce(tensorBytes, r.Size(), d.opts)
@@ -94,7 +100,6 @@ func (d *daemon) runSteps(start int) error {
 			step, nd.Proc, r.Size(), data[0])
 		transport.Hit(nd.Proc, transport.PointElasticCommit)
 		if d.ck != nil {
-			model := make(tensor.Vector, len(data))
 			for i, v := range data {
 				model[i] = float32(v)
 			}

@@ -115,6 +115,7 @@ type Job struct {
 	cluster *simnet.Cluster
 	cfg     Config
 	group   *simnet.Group
+	gate    *failure.Gate // lands each scheduled failure at the same point of every run
 
 	mu        sync.Mutex
 	eventSeq  int
@@ -141,6 +142,7 @@ func NewJob(cl *simnet.Cluster, cfg Config) (*Job, error) {
 		cluster: cl,
 		cfg:     cfg,
 		group:   simnet.NewGroup(),
+		gate:    failure.NewGate(),
 		claims:  make(map[string]int),
 		reports: make(map[int]*EventReport),
 		spawned: make(map[int]bool),

@@ -145,6 +145,7 @@ type Job struct {
 	cfg     Config
 	ckpt    *checkpoint.Store
 	group   *simnet.Group
+	gate    *failure.Gate // lands each scheduled failure at the same point of every run
 
 	mu        sync.Mutex
 	asn       map[int]*assignment
@@ -170,6 +171,7 @@ func NewJob(cl *simnet.Cluster, kv *kvstore.Store, cfg Config) (*Job, error) {
 		cfg:       cfg,
 		ckpt:      checkpoint.NewStore(),
 		group:     simnet.NewGroup(),
+		gate:      failure.NewGate(),
 		asn:       make(map[int]*assignment),
 		blacklist: make(map[simnet.NodeID]bool),
 		reports:   make(map[int]*EventReport),

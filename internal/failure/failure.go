@@ -98,13 +98,12 @@ func (s *Schedule) Remaining() int {
 	return len(s.Events) - s.next
 }
 
-// Fire applies a failure to the cluster, honoring its blast radius.
+// Fire applies a failure to the cluster, honoring its blast radius. It
+// runs on the victim's goroutine; a node failure happens at the victim's
+// clock for every process on the node.
 func Fire(c *simnet.Cluster, victim simnet.ProcID, kind Kind) {
-	if kind == KillNode {
-		if node, err := c.NodeOf(victim); err == nil {
-			c.KillNode(node)
-			return
-		}
+	if kind == KillNode && c.KillNodeOf(victim) == nil {
+		return
 	}
 	c.Kill(victim)
 }

@@ -44,12 +44,12 @@ func init() {
 // observeAllreduce records one completed (or failed) allreduce under the
 // schedule that ran it. Out-of-range algos (future additions missing an
 // init entry) fall back to the auto child rather than panicking mid-step.
-func observeAllreduce(algo AllreduceAlgo, start time.Time, err error) {
+func observeAllreduce(algo AllreduceAlgo, start time.Time, failed bool) {
 	if algo < 0 || int(algo) >= len(obsAllreduceSeconds) {
 		algo = AlgoAuto
 	}
 	obsAllreduceSeconds[algo].ObserveSince(start)
-	if err != nil {
+	if failed {
 		obsAllreduceErrors.Inc()
 	}
 }

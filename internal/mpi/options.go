@@ -63,7 +63,7 @@ func AllreduceOpts[T Number](c *Comm, data []T, op Op, o AllreduceOptions) error
 	b := allreduceBuf(data, plan.Codec)
 	start := time.Now()
 	err = c.runAllreduce(b, op, plan)
-	observeAllreduce(plan.Algo, start, err)
+	observeAllreduce(plan.Algo, start, err != nil)
 	if err == nil && tunable(c, bytes) {
 		// Feed the selector from every real-transport run, explicit
 		// picks included — benchmarks and ablations sharpen the model

@@ -99,8 +99,8 @@ type ResilientComm struct {
 	pendingPol *pendingPolicy
 	rollback   bool // a rollback advice is armed (TakeRollback consumes)
 	// kept is the buffer AllreduceOpts remembers its caller's contribution
-	// in (a []T of the last element type used), kept across operations and
-	// regrown only when a longer tensor arrives.
+	// in on the bandwidth path (a []T of the last element type used), kept
+	// across operations and regrown only when a longer tensor arrives.
 	kept any
 }
 
@@ -142,13 +142,27 @@ func AllreduceWith[T mpi.Number](r *ResilientComm, data []T, op mpi.Op, algo mpi
 }
 
 // AllreduceOpts is Allreduce under explicit data-plane options (schedule,
-// pipeline chunks, wire codec). Each retry restores the caller's original
-// contribution and re-resolves the plan against the repaired communicator
-// — a tuned pick or a size-derived chunk count renegotiates at the new
-// world size, uniformly, because resolution happens inside the collective.
-// The contribution is remembered in a buffer the ResilientComm keeps, so
-// the failure-free path costs one copy and no allocation.
+// pipeline chunks, wire codec).
+//
+// On the latency path — where the options leave mpi.AllreduceOpts to its
+// static tree (mpi.AgreedPath) — the operation is one agreement that
+// carries the reduction (mpi.AllreduceAgreed): its outcome is already
+// uniform, so no separate agreement follows, and data is written only
+// with an agreed result, so nothing needs restoring before a retry.
+//
+// On the bandwidth path each attempt is the plain collective sealed by an
+// agreement. Each retry restores the caller's original contribution and
+// re-resolves the plan against the repaired communicator — a tuned pick
+// or a size-derived chunk count renegotiates at the new world size,
+// uniformly, because resolution happens inside the collective. The
+// contribution is remembered in a buffer the ResilientComm keeps, so the
+// failure-free path costs one copy and no allocation.
 func AllreduceOpts[T mpi.Number](r *ResilientComm, data []T, op mpi.Op, o mpi.AllreduceOptions) error {
+	if mpi.AgreedPath(r.comm, data, o) {
+		return r.attempts(func() (bool, error) {
+			return mpi.AllreduceAgreed(r.comm, data, op)
+		}, false)
+	}
 	orig, _ := r.kept.([]T)
 	if cap(orig) < len(data) {
 		orig = make([]T, len(data))
@@ -216,8 +230,20 @@ func Allgather[T any](r *ResilientComm, send []T, recvOf func(size int) []T) ([]
 // and strand the failed ranks' recovery. With it, every member learns
 // uniformly whether anyone failed, and all repair and retry in lockstep —
 // the trade-off (one agreement per operation) is the documented cost of
-// ULFM's uniform collectives.
+// ULFM's uniform collectives. The small allreduce avoids it by being the
+// agreement (AllreduceOpts).
 func (r *ResilientComm) retry(op func() error) error {
+	return r.attempts(func() (bool, error) {
+		err := op()
+		return err == nil, err
+	}, true)
+}
+
+// attempts is the repair-and-retry loop. op reports whether the attempt
+// succeeded and, if it failed here, why. With seal set that outcome is
+// local, and the members agree on it after every attempt; an operation
+// whose outcome is already agreed (mpi.AllreduceAgreed) passes false.
+func (r *ResilientComm) attempts(op func() (bool, error), seal bool) error {
 	for attempt := 0; ; attempt++ {
 		var sw *vtime.Stopwatch
 		if attempt > 0 {
@@ -225,7 +251,7 @@ func (r *ResilientComm) retry(op func() error) error {
 			// phase; first attempts are ordinary collectives and untimed.
 			sw = vtime.NewStopwatch(r.comm.Proc().Endpoint().VClock())
 		}
-		err := op()
+		ok, err := op()
 		var retrySec float64
 		if sw != nil {
 			retrySec = sw.Lap()
@@ -234,16 +260,19 @@ func (r *ResilientComm) retry(op func() error) error {
 		if err != nil && !mpi.IsFault(err) {
 			return err
 		}
-		ok := uint32(1)
-		if err != nil {
-			ok = 0
+		if seal {
+			flag := uint32(0)
+			if ok {
+				flag = 1
+			}
+			r.comm.FailureAck()
+			agreed, aerr := r.comm.Agree(flag)
+			if aerr != nil && !mpi.IsProcFailed(aerr) {
+				return aerr
+			}
+			ok = agreed == 1 && aerr == nil
 		}
-		r.comm.FailureAck()
-		agreed, aerr := r.comm.Agree(ok)
-		if aerr != nil && !mpi.IsProcFailed(aerr) {
-			return aerr
-		}
-		if agreed == 1 && aerr == nil {
+		if ok {
 			r.realizePolicy(retrySec)
 			return nil // success everywhere, membership intact
 		}

@@ -377,11 +377,45 @@ func TestAllreduceRemembersInputWithoutAllocating(t *testing.T) {
 	}
 }
 
-// TestRetryReducesOriginalAcrossLengths: the kept buffer is reused across
-// operations of different lengths — shorter (a stale tail behind the live
-// prefix), then longer (regrown) — and an operation that is aborted by a
-// failure and retried still reduces each survivor's original contribution
-// at every element.
+// TestLatencyPathRetriesWithoutCopy: an 8 KiB allreduce is one agreement
+// that carries the reduction. Aborted by a death, it repairs and retries
+// like any other operation, yet the wrapper never copies the caller's
+// contribution — a failed agreement leaves data untouched.
+func TestLatencyPathRetriesWithoutCopy(t *testing.T) {
+	c := testCluster(1, 5)
+	errs := runWorld(t, c, func(rank int, r *ResilientComm, barrier func()) error {
+		barrier()
+		if rank == 2 {
+			c.Kill(r.Comm().Proc().ID())
+			return nil
+		}
+		data := make([]float64, 1024)
+		for i := range data {
+			data[i] = float64(rank + 1)
+		}
+		if err := Allreduce(r, data, mpi.OpSum); err != nil {
+			return err
+		}
+		for i, v := range data {
+			if v != 1+2+4+5 {
+				return fmt.Errorf("rank %d: element %d = %v, want 12", rank, i, v)
+			}
+		}
+		if len(r.Events()) != 1 || r.kept != nil {
+			return fmt.Errorf("rank %d: %d repairs and a kept copy %T; want 1 and none", rank, len(r.Events()), r.kept)
+		}
+		return nil
+	})
+	if err := simnet.FirstError(errs); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRetryReducesOriginalAcrossLengths: on the bandwidth path (above
+// 64 KiB) the kept buffer is reused across operations of different
+// lengths — shorter (a stale tail behind the live prefix), then longer
+// (regrown) — and an operation that is aborted by a failure and retried
+// still reduces each survivor's original contribution at every element.
 func TestRetryReducesOriginalAcrossLengths(t *testing.T) {
 	c := testCluster(1, 5)
 	procs := c.Procs()
@@ -409,7 +443,7 @@ func TestRetryReducesOriginalAcrossLengths(t *testing.T) {
 			}
 			return nil
 		}
-		if err := reduce(4096, 15); err != nil {
+		if err := reduce(16<<10, 15); err != nil {
 			return err
 		}
 		wg.Done()
@@ -420,13 +454,13 @@ func TestRetryReducesOriginalAcrossLengths(t *testing.T) {
 		}
 		// Shorter than the kept buffer, aborted by rank 2's death, retried
 		// on four survivors: 1+2+4+5.
-		if err := reduce(1024, 12); err != nil {
+		if err := reduce(12<<10, 12); err != nil {
 			return err
 		}
 		if len(r.Events()) != 1 {
 			return fmt.Errorf("rank %d: %d repairs, want 1", rank, len(r.Events()))
 		}
-		return reduce(3*4096, 12) // longer: the buffer regrows
+		return reduce(3*16<<10, 12) // longer: the buffer regrows
 	})
 	if err := simnet.FirstError(errs); err != nil {
 		t.Fatal(err)
