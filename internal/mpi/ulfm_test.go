@@ -628,7 +628,9 @@ func TestNodeFailureShrink(t *testing.T) {
 		}
 		if ep.Node() == 1 {
 			if rank%3 == 0 {
-				c.KillNode(1)
+				if err := c.KillNodeOf(ep.ID()); err != nil {
+					return err
+				}
 			}
 			return nil
 		}

@@ -330,7 +330,7 @@ func decodeRaw(b []byte) (any, error) {
 	}
 	count := int(count64)
 	body := b[rawHeaderLen:]
-	elemBytes := rawElemBytes(tag)
+	elemBytes := RawElemBytes(tag)
 	if elemBytes == 0 {
 		return nil, fmt.Errorf("transport: decode payload: unknown raw type tag %#02x", tag)
 	}

@@ -169,7 +169,7 @@ func ParseRawPayload(b []byte, release func()) (p *RawPayload, ok bool, err erro
 		return nil, false, fmt.Errorf("transport: decode payload: raw count %d exceeds %d payload bytes", count64, len(b))
 	}
 	count := int(count64)
-	elem := rawElemBytes(tag)
+	elem := RawElemBytes(tag)
 	if elem == 0 {
 		return nil, false, fmt.Errorf("transport: decode payload: unknown raw type tag %#02x", tag)
 	}
@@ -271,9 +271,9 @@ func ReleaseMessage(m *Message) {
 	}
 }
 
-// rawElemBytes returns the wire width of one element for a raw tag, or
-// 0 for an unknown tag.
-func rawElemBytes(tag byte) int {
+// RawElemBytes returns the wire width of one element for a raw-codec type
+// tag (the tag RawSendView reports), or 0 for an unknown tag.
+func RawElemBytes(tag byte) int {
 	switch tag {
 	case rawF32, rawI32, rawU32:
 		return 4
