@@ -6,7 +6,7 @@
 #   make lint    analyzer self-tests + elasticvet over the whole tree
 #   make vet-fix-check  standalone elasticvet incl. test variants; zero findings
 #   make test    full test suite (+ race on the fast packages)
-#   make fuzz-smoke  ten seconds each of FuzzAgreeMessage (agreement decoder + delivery switch) and FuzzDecodePayload (wire codec)
+#   make fuzz-smoke  ten seconds each of FuzzAgreeMessage (agreement decoder + delivery switch), FuzzDecodePayload (wire codec) and FuzzReadFrame (tcpnet frame reader)
 #   make chaos   chaos conformance at the pinned seeds
 #   make cluster clustertest conformance (gossip control plane) at world 32
 #   make grow    grow-path conformance (autopilot + warm spares) at world 32
@@ -63,6 +63,8 @@ test:
 # race: every package whose tests finish under the detector in minutes
 # on two cores. gossip (8 s), policy (2 s) and core (22 s) joined with
 # PR 23; none of the three was left out. node (2 s) joined with PR 25.
+# gloo and horovod (about 1 s each) joined when their sends started
+# relying on simnet's copy of every payload instead of their own.
 # clustertest is not here because `make grow policy` already run it
 # under -race at world 32.
 race:
@@ -80,17 +82,22 @@ race:
 		./internal/gossip/... \
 		./internal/policy/... \
 		./internal/core/... \
-		./internal/node/...
+		./internal/node/... \
+		./internal/gloo/... \
+		./internal/horovod/...
 
 # fuzz-smoke: ten seconds of native fuzzing per target, each starting
 # from its checked-in corpus: the agreement message decoder and the
 # control handler's delivery switch (internal/mpi/testdata/fuzz), then
 # the wire codec's DecodePayload/ParseRawPayload pair
-# (internal/transport/testdata/fuzz). A crasher lands there as a new
-# corpus file and fails every later `go test`.
+# (internal/transport/testdata/fuzz), then the tcpnet frame reader and
+# its lazy raw-payload hand-off (internal/transport/tcpnet/testdata/fuzz).
+# A crasher lands there as a new corpus file and fails every later
+# `go test`.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzAgreeMessage -fuzztime=10s ./internal/mpi/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodePayload -fuzztime=10s ./internal/transport/
+	$(GO) test -run='^$$' -fuzz=FuzzReadFrame -fuzztime=10s ./internal/transport/tcpnet/
 
 chaos:
 	@for seed in $(SEEDS); do \

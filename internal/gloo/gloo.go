@@ -295,8 +295,7 @@ func (c *Context) Bcast(data []float32, root int) error {
 		}
 	}
 	if me < c.size-1 {
-		out := append([]float32(nil), data...)
-		if err := c.ep.Send(c.procs[(c.rank+1)%c.size], tag, out, int64(len(data))*4); err != nil {
+		if err := c.ep.Send(c.procs[(c.rank+1)%c.size], tag, data, int64(len(data))*4); err != nil {
 			return c.fail(err)
 		}
 	}
@@ -311,7 +310,7 @@ func (c *Context) next() int {
 // chunkBuf abstracts real vs virtual ring payloads.
 type chunkBuf interface {
 	length() int
-	slice(lo, hi int) any
+	slice(lo, hi int) any // [lo,hi) for sending, valid until Send returns
 	addIn(lo, hi int, pay any)
 	setIn(lo, hi int, pay any)
 }
@@ -320,12 +319,8 @@ type realBuf struct{ v []float32 }
 
 func realChunks(v []float32) chunkBuf { return realBuf{v: v} }
 
-func (b realBuf) length() int { return len(b.v) }
-func (b realBuf) slice(lo, hi int) any {
-	out := make([]float32, hi-lo)
-	copy(out, b.v[lo:hi])
-	return out
-}
+func (b realBuf) length() int          { return len(b.v) }
+func (b realBuf) slice(lo, hi int) any { return b.v[lo:hi:hi] }
 func (b realBuf) addIn(lo, hi int, pay any) {
 	in := pay.([]float32)
 	dst := b.v[lo:hi]

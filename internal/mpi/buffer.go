@@ -50,10 +50,15 @@ type Number interface {
 // (rawBuf), and virtual payloads that only exercise the cost model
 // (virtBuf — used to simulate multi-hundred-MB gradient tensors without
 // allocating them).
+//
+// payload(lo, hi) is what a send of [lo,hi) puts on the wire. It is
+// valid until the Send it is passed to returns: numBuf and rawBuf lend a
+// view of their own storage, which Send's borrow contract allows, so a
+// schedule may write the sent range again only after that Send returns.
 type buf interface {
 	length() int               // logical element count
 	bytesFor(n int) int64      // wire size of n elements
-	extract(lo, hi int) any    // copy out [lo,hi) for sending
+	payload(lo, hi int) any    // [lo,hi) for sending, valid until Send returns
 	setIn(lo, hi int, pay any) // overwrite [lo,hi) with a received payload
 	reduceIn(lo, hi int, pay any, op Op)
 }
@@ -69,11 +74,7 @@ func (b numBuf[T]) bytesFor(n int) int64 {
 	return int64(n) * int64(unsafe.Sizeof(z))
 }
 
-func (b numBuf[T]) extract(lo, hi int) any {
-	out := make([]T, hi-lo)
-	copy(out, b.v[lo:hi])
-	return out
-}
+func (b numBuf[T]) payload(lo, hi int) any { return b.v[lo:hi:hi] }
 
 func (b numBuf[T]) setIn(lo, hi int, pay any) {
 	if rp, ok := pay.(*transport.RawPayload); ok {
@@ -258,11 +259,7 @@ func (b rawBuf[T]) bytesFor(n int) int64 {
 	return int64(n) * int64(unsafe.Sizeof(z))
 }
 
-func (b rawBuf[T]) extract(lo, hi int) any {
-	out := make([]T, hi-lo)
-	copy(out, b.v[lo:hi])
-	return out
-}
+func (b rawBuf[T]) payload(lo, hi int) any { return b.v[lo:hi:hi] }
 
 func (b rawBuf[T]) setIn(lo, hi int, pay any) {
 	copy(b.v[lo:hi], payloadAs[T](pay))
@@ -281,6 +278,6 @@ type virtBuf struct{ bytes int64 }
 
 func (b virtBuf) length() int                        { return int(b.bytes) }
 func (b virtBuf) bytesFor(n int) int64               { return int64(n) }
-func (b virtBuf) extract(lo, hi int) any             { return nil }
+func (b virtBuf) payload(lo, hi int) any             { return nil }
 func (b virtBuf) setIn(lo, hi int, pay any)          {}
 func (b virtBuf) reduceIn(lo, hi int, pay any, o Op) {}

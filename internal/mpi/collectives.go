@@ -245,12 +245,12 @@ func (c *Comm) gather(send, recv buf, root int) error {
 	n := send.length()
 	tag := c.collTag(seq, phLinear)
 	if c.rank != root {
-		return c.sendRaw(root, tag, send.extract(0, n), send.bytesFor(n))
+		return c.sendRaw(root, tag, send.payload(0, n), send.bytesFor(n))
 	}
 	if recv.length() != n*c.Size() {
 		return fmt.Errorf("mpi: gather: recv length %d != %d*%d", recv.length(), c.Size(), n)
 	}
-	recv.setIn(root*n, (root+1)*n, send.extract(0, n))
+	recv.setIn(root*n, (root+1)*n, send.payload(0, n))
 	for r := 0; r < c.Size(); r++ {
 		if r == root {
 			continue
@@ -281,10 +281,10 @@ func (c *Comm) scatter(send, recv buf, root int) error {
 		}
 		for r := 0; r < c.Size(); r++ {
 			if r == root {
-				recv.setIn(0, n, send.extract(root*n, (root+1)*n))
+				recv.setIn(0, n, send.payload(root*n, (root+1)*n))
 				continue
 			}
-			if err := c.sendRaw(r, tag, send.extract(r*n, (r+1)*n), send.bytesFor(n)); err != nil {
+			if err := c.sendRaw(r, tag, send.payload(r*n, (r+1)*n), send.bytesFor(n)); err != nil {
 				return err
 			}
 		}
@@ -306,7 +306,7 @@ func (c *Comm) reduceTree(b buf, op Op, root, seq int) error {
 	for mask := 1; mask < p; mask <<= 1 {
 		if vrank&mask != 0 {
 			parent := ((vrank - mask) + root) % p
-			return c.sendRaw(parent, tag, b.extract(0, n), b.bytesFor(n))
+			return c.sendRaw(parent, tag, b.payload(0, n), b.bytesFor(n))
 		}
 		if vrank|mask < p {
 			child := ((vrank | mask) + root) % p
@@ -342,7 +342,7 @@ func (c *Comm) bcastTree(b buf, root, seq int) error {
 	for mask > 0 {
 		if vrank+mask < p {
 			child := ((vrank + mask) + root) % p
-			if err := c.sendRaw(child, tag, b.extract(0, n), b.bytesFor(n)); err != nil {
+			if err := c.sendRaw(child, tag, b.payload(0, n), b.bytesFor(n)); err != nil {
 				return err
 			}
 		}
@@ -361,7 +361,7 @@ func (c *Comm) reduceScatterRing(b buf, op Op, bounds []int, seq int) error {
 		sc := (r - step + p) % p
 		rc := (r - step - 1 + 2*p) % p
 		lo, hi := bounds[sc], bounds[sc+1]
-		if err := c.sendRaw(right, tag, b.extract(lo, hi), b.bytesFor(hi-lo)); err != nil {
+		if err := c.sendRaw(right, tag, b.payload(lo, hi), b.bytesFor(hi-lo)); err != nil {
 			return err
 		}
 		m, err := c.recvRaw(left, tag)
@@ -390,7 +390,7 @@ func (c *Comm) ringAllgather(b buf, bounds []int, seq int, afterRS bool) error {
 		sc := (start - step + 2*p) % p
 		rc := (start - step - 1 + 2*p) % p
 		lo, hi := bounds[sc], bounds[sc+1]
-		if err := c.sendRaw(right, tag, b.extract(lo, hi), b.bytesFor(hi-lo)); err != nil {
+		if err := c.sendRaw(right, tag, b.payload(lo, hi), b.bytesFor(hi-lo)); err != nil {
 			return err
 		}
 		m, err := c.recvRaw(left, tag)

@@ -29,10 +29,9 @@ func ReduceScatterBlock[T Number](c *Comm, data []T, recv []T, op Op) error {
 	if len(data) != n*c.Size() {
 		return fmt.Errorf("mpi: reduce-scatter: data length %d != %d*%d", len(data), c.Size(), n)
 	}
-	// Reuse the ring reduce-scatter over a scratch copy, then extract the
-	// rank's completed chunk ((rank+1)%p owns chunk... the ring leaves
-	// chunk (r+1)%p complete at r; use uniform bounds of n each and then
-	// rotate the result to rank r's own block by a final exchange).
+	// Reuse the ring reduce-scatter over a scratch copy with uniform
+	// bounds of n each. The ring leaves chunk (r+1)%p complete at r, so
+	// a final exchange rotates every block to its owner.
 	seq := c.nextSeq()
 	if err := c.checkCollective(); err != nil {
 		return err
@@ -58,9 +57,8 @@ func ReduceScatterBlock[T Number](c *Comm, data []T, recv []T, op Op) error {
 	// Rank r now holds chunk (r+1)%p; forward it to its owner.
 	p, r := c.Size(), c.rank
 	owner := (r + 1) % p
-	have := work[bounds[owner]:bounds[owner+1]]
 	tag := c.collTag(seq, phPairFix)
-	if err := c.sendRaw(owner, tag, append([]T(nil), have...), b.bytesFor(n)); err != nil {
+	if err := c.sendRaw(owner, tag, b.payload(bounds[owner], bounds[owner+1]), b.bytesFor(n)); err != nil {
 		return err
 	}
 	m, err := c.recvRaw((r-1+p)%p, tag)
@@ -97,7 +95,7 @@ func Alltoall[T any](c *Comm, send, recv []T) error {
 	for s := 1; s < p; s++ {
 		dst := (c.rank + s) % p
 		src := (c.rank - s + p) % p
-		out := b.extract(dst*n, (dst+1)*n)
+		out := b.payload(dst*n, (dst+1)*n)
 		if err := c.sendRaw(dst, tag, out, b.bytesFor(n)); err != nil {
 			return err
 		}
@@ -133,7 +131,7 @@ func Scan[T Number](c *Comm, data []T, op Op) error {
 		b.reduceIn(0, len(data), m.Data, op)
 	}
 	if c.rank < c.Size()-1 {
-		if err := c.sendRaw(c.rank+1, tag, b.extract(0, len(data)), b.bytesFor(len(data))); err != nil {
+		if err := c.sendRaw(c.rank+1, tag, b.payload(0, len(data)), b.bytesFor(len(data))); err != nil {
 			return err
 		}
 	}
@@ -163,7 +161,7 @@ func Exscan[T Number](c *Comm, data []T, op Op) error {
 	// received exclusive prefix.
 	var inclusive any
 	if c.rank == 0 {
-		inclusive = b.extract(0, len(data))
+		inclusive = b.payload(0, len(data))
 	} else {
 		m, err := c.recvRaw(c.rank-1, tag)
 		if err != nil {
@@ -226,7 +224,7 @@ func (c *Comm) allreduceRecDouble(b buf, op Op) error {
 	var vrank int
 	switch {
 	case r < 2*rem && r%2 == 0:
-		if err := c.sendRaw(r+1, fixTag, b.extract(0, n), b.bytesFor(n)); err != nil {
+		if err := c.sendRaw(r+1, fixTag, b.payload(0, n), b.bytesFor(n)); err != nil {
 			return err
 		}
 		vrank = -1
@@ -250,7 +248,7 @@ func (c *Comm) allreduceRecDouble(b buf, op Op) error {
 		}
 		for mask := 1; mask < pow2; mask <<= 1 {
 			partner := toRank(vrank ^ mask)
-			if err := c.sendRaw(partner, tag, b.extract(0, n), b.bytesFor(n)); err != nil {
+			if err := c.sendRaw(partner, tag, b.payload(0, n), b.bytesFor(n)); err != nil {
 				return err
 			}
 			m, err := c.recvRaw(partner, tag)
@@ -272,7 +270,7 @@ func (c *Comm) allreduceRecDouble(b buf, op Op) error {
 		}
 		b.setIn(0, n, m.Data)
 	case r < 2*rem:
-		if err := c.sendRaw(r-1, fixTag, b.extract(0, n), b.bytesFor(n)); err != nil {
+		if err := c.sendRaw(r-1, fixTag, b.payload(0, n), b.bytesFor(n)); err != nil {
 			return err
 		}
 	}
@@ -337,7 +335,7 @@ func (c *Comm) allreduceHier(b buf, op Op) error {
 	// Phase 1: intra-node reduce to the leader (linear fan-in; node widths
 	// are small).
 	if c.rank != leader {
-		if err := c.sendRaw(leader, redTag, b.extract(0, n), b.bytesFor(n)); err != nil {
+		if err := c.sendRaw(leader, redTag, b.payload(0, n), b.bytesFor(n)); err != nil {
 			return err
 		}
 	} else {
@@ -365,7 +363,7 @@ func (c *Comm) allreduceHier(b buf, op Op) error {
 		// final from here on — distribution-direction sends.
 		markDistribute(b)
 		for _, peer := range myPeers[1:] {
-			if err := c.sendRaw(peer, bcTag, b.extract(0, n), b.bytesFor(n)); err != nil {
+			if err := c.sendRaw(peer, bcTag, b.payload(0, n), b.bytesFor(n)); err != nil {
 				return err
 			}
 		}
@@ -391,7 +389,7 @@ func (c *Comm) ringAmong(b buf, op Op, members []int, idx int, bounds []int, seq
 		sc := (idx - step + p) % p
 		rc := (idx - step - 1 + 2*p) % p
 		lo, hi := bounds[sc], bounds[sc+1]
-		if err := c.sendRaw(right, tagRS, b.extract(lo, hi), b.bytesFor(hi-lo)); err != nil {
+		if err := c.sendRaw(right, tagRS, b.payload(lo, hi), b.bytesFor(hi-lo)); err != nil {
 			return err
 		}
 		m, err := c.recvRaw(left, tagRS)
@@ -408,7 +406,7 @@ func (c *Comm) ringAmong(b buf, op Op, members []int, idx int, bounds []int, seq
 		sc := (start - step + 2*p) % p
 		rc := (start - step - 1 + 2*p) % p
 		lo, hi := bounds[sc], bounds[sc+1]
-		if err := c.sendRaw(right, tagAG, b.extract(lo, hi), b.bytesFor(hi-lo)); err != nil {
+		if err := c.sendRaw(right, tagAG, b.payload(lo, hi), b.bytesFor(hi-lo)); err != nil {
 			return err
 		}
 		m, err := c.recvRaw(left, tagAG)

@@ -10,14 +10,14 @@ import (
 // Wire-format gradient compression. A WireCodec selects how a float
 // collective's chunks travel: raw little-endian bits (lossless) or IEEE
 // binary16 (half the bytes for float32). Compression happens inside the
-// buffer abstraction — extract() emits a compressed transport payload,
+// buffer abstraction — payload() emits a compressed transport payload,
 // setIn()/reduceIn() decompress-and-combine in one pass — so every
 // allreduce schedule (ring, pipelined, tree, recursive doubling,
 // hierarchical) compresses without algorithm changes, and ULFM
 // retry-after-shrink replays it like any other collective.
 //
 // Uniformity. ULFM requires every member to finish a collective with
-// bit-identical results. extract() quantizes the sender's own range in
+// bit-identical results. payload() quantizes the sender's own range in
 // place before sending, so a rank always holds exactly the values its
 // receivers decode; because the binary16 round-trip is idempotent
 // (re-encoding an already-representable value returns its own bits),
@@ -117,7 +117,7 @@ func (b *compBuf[T]) length() int { return len(b.v) }
 
 func (b *compBuf[T]) bytesFor(n int) int64 { return int64(n) * 2 }
 
-func (b *compBuf[T]) extract(lo, hi int) any { return f16Compress(b.v[lo:hi]) }
+func (b *compBuf[T]) payload(lo, hi int) any { return f16Compress(b.v[lo:hi]) }
 
 func (b *compBuf[T]) setIn(lo, hi int, pay any) {
 	dst := b.v[lo:hi]

@@ -1,10 +1,11 @@
 package mpi
 
 // Send transmits a typed slice to rank dst with a user tag (0..2^23-1).
-// The data is copied, so callers may reuse the slice immediately.
+// Send borrows data only until it returns, so callers may reuse the
+// slice immediately.
 func Send[T any](c *Comm, dst int, tag int, data []T) error {
 	b := rawBuf[T]{v: data}
-	return c.sendRaw(dst, c.p2pTag(tag), b.extract(0, len(data)), b.bytesFor(len(data)))
+	return c.sendRaw(dst, c.p2pTag(tag), b.payload(0, len(data)), b.bytesFor(len(data)))
 }
 
 // Recv blocks for a typed slice from rank src with the matching user tag.

@@ -120,7 +120,7 @@ func (c *Comm) reduceScatterRingPipelined(b buf, op Op, bounds []int, seq, K int
 		rb := evenBounds(bounds[rc+1]-rlo, K)
 		for k := 0; k < K; k++ {
 			lo, hi := slo+sb[k], slo+sb[k+1]
-			if err := c.sendRaw(right, tag, b.extract(lo, hi), b.bytesFor(hi-lo)); err != nil {
+			if err := c.sendRaw(right, tag, b.payload(lo, hi), b.bytesFor(hi-lo)); err != nil {
 				return err
 			}
 			transport.Hit(c.p.ep.ID(), transport.PointPipelineRSChunk)
@@ -157,7 +157,7 @@ func (c *Comm) ringAllgatherPipelined(b buf, bounds []int, seq, K int) error {
 		rb := evenBounds(bounds[rc+1]-rlo, K)
 		for k := 0; k < K; k++ {
 			lo, hi := slo+sb[k], slo+sb[k+1]
-			if err := c.sendRaw(right, tag, b.extract(lo, hi), b.bytesFor(hi-lo)); err != nil {
+			if err := c.sendRaw(right, tag, b.payload(lo, hi), b.bytesFor(hi-lo)); err != nil {
 				return err
 			}
 			transport.Hit(c.p.ep.ID(), transport.PointPipelineAGChunk)

@@ -2,7 +2,9 @@ package mpi
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/simnet"
@@ -325,13 +327,29 @@ func TestAgreeAfterAckNoError(t *testing.T) {
 // lookup would split them, and on a scenario's last collective the clean
 // members would exit and strand the erroring ones in a repair nobody
 // joins.
+//
+// Rank 5's tree parent is rank 1, which holds it dead: rank 5 gets the
+// decision only as rank 1's ward, or from rank 1's retained decision
+// when its contribution arrives after rank 1 has decided. So every rank
+// stays in the world, answering, until the last one is through — a rank
+// that returned at once would strand a late rank 5 for ever.
 func TestAgreeUniformError(t *testing.T) {
 	c := newTestCluster(2, 3)
 	procs := c.Procs()
 	var mu sync.Mutex
 	vals := map[int]uint32{}
 	failedAt := map[int]bool{}
+	var busy atomic.Int32 // ranks that may still need an answer
+	busy.Store(int32(len(procs)))
 	errs := simnet.RunAll(c, procs, func(rank int, ep *simnet.Endpoint) error {
+		released := false
+		release := func() {
+			if !released {
+				released = true
+				busy.Add(-1)
+			}
+		}
+		defer release()
 		p := Attach(ep)
 		comm, err := World(p, procs)
 		if err != nil {
@@ -351,6 +369,13 @@ func TestAgreeUniformError(t *testing.T) {
 		vals[rank] = v
 		failedAt[rank] = err != nil
 		mu.Unlock()
+		release()
+		for busy.Load() > 0 { // gone on, and still there to be asked
+			if err := p.Poll(); err != nil {
+				break
+			}
+			runtime.Gosched()
+		}
 		return nil
 	})
 	if err := simnet.FirstError(errs); err != nil {

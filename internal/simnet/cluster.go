@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+
+	"repro/internal/transport"
 )
 
 // Cluster is the simulated machine: a dynamic set of nodes and processes
@@ -255,7 +257,9 @@ func (c *Cluster) send(from *Endpoint, dst ProcID, tag int, data any, bytes int6
 		from.Clock.Advance(float64(bytes) / bw)
 	}
 	arrive := from.Clock.Now() + lat
-	to.deliver(&Message{From: from.id, To: dst, Tag: tag, Data: data, Bytes: bytes, ArriveAt: arrive})
+	// The mailbox outlives Send, and Send only borrows data: deliver a
+	// copy. The copy costs no virtual time.
+	to.deliver(&Message{From: from.id, To: dst, Tag: tag, Data: transport.Owned(data), Bytes: bytes, ArriveAt: arrive})
 	return nil
 }
 

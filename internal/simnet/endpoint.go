@@ -114,10 +114,11 @@ func (e *Endpoint) Closed() bool {
 	return e.closed
 }
 
-// Send transmits data to the process dst. Bytes drives the bandwidth cost;
-// the payload is not copied, so senders must not mutate it afterwards
-// (higher layers copy when needed). Sending to a dead process returns
-// PeerFailedError; sending from a dead process returns ErrDead.
+// Send transmits data to the process dst. Bytes drives the bandwidth cost.
+// The receiver gets its own copy of a slice payload (transport.Owned), so
+// the sender may reuse data as soon as Send returns. Sending to a dead
+// process returns PeerFailedError; sending from a dead process returns
+// ErrDead.
 func (e *Endpoint) Send(dst ProcID, tag int, data any, bytes int64) error {
 	if e.Closed() {
 		return ErrDead

@@ -41,8 +41,11 @@ func (c *Endpoint) Send(dst transport.ProcID, tag int, data any, bytes int64) er
 	id := c.inner.ID()
 	v, held := c.eng.onSend(id, dst, tag, bytes, !c.receiving)
 
+	// A held or delayed message goes out after Send has returned, and
+	// Send only borrows data: keep a copy. Every other verdict delivers
+	// before returning.
 	if v.hold {
-		c.eng.holdMessage(id, heldMsg{dst: dst, tag: tag, data: data, bytes: bytes})
+		c.eng.holdMessage(id, heldMsg{dst: dst, tag: tag, data: transport.Owned(data), bytes: bytes})
 		return nil
 	}
 
@@ -63,6 +66,7 @@ func (c *Endpoint) Send(dst transport.ProcID, tag int, data any, bytes int64) er
 	case v.drop:
 		err = nil
 	case v.delay > 0:
+		data := transport.Owned(data)
 		c.eng.wg.Add(1)
 		go func() {
 			defer c.eng.wg.Done()

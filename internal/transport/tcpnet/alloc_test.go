@@ -1,0 +1,93 @@
+package tcpnet_test
+
+import (
+	"runtime"
+	"sync"
+	"testing"
+
+	"repro/internal/mpi"
+)
+
+// TestAllreduceAllocatesLessThanAChunk guards the send path's borrow
+// contract end to end: a world-4 allreduce of 4 MiB of float64 over
+// loopback TCP sends its chunks straight out of the tensor and reduces
+// received chunks in place out of pooled frame buffers, so once the pools
+// are warm an op allocates less per rank than one chunk. A send path that
+// snapshots each outgoing chunk allocates six chunks per op per rank.
+func TestAllreduceAllocatesLessThanAChunk(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops Puts at random, so pooled frame buffers are reallocated")
+	}
+	const (
+		world  = 4
+		elems  = 1 << 19 // 4 MiB of float64
+		warmup = 3
+		ops    = 8
+	)
+	segment := int64(elems) * 8 / world
+	for _, tc := range []struct {
+		name  string
+		algo  mpi.AllreduceAlgo
+		chunk int64
+	}{
+		{"ring", mpi.AlgoRing, segment},
+		{"pipelined", mpi.AlgoPipelinedRing, segment / int64(mpi.DefaultPipelineChunks)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eps, procs := benchWorld(t, world)
+			comms := make([]*mpi.Comm, world)
+			tensors := make([][]float64, world)
+			for i, ep := range eps {
+				comm, err := mpi.World(mpi.Attach(ep), procs)
+				if err != nil {
+					t.Fatalf("world: %v", err)
+				}
+				comms[i] = comm
+				tensors[i] = make([]float64, elems)
+			}
+			run := func(n int) {
+				t.Helper()
+				var wg sync.WaitGroup
+				errs := make([]error, world)
+				for r := 0; r < world; r++ {
+					wg.Add(1)
+					go func(r int) {
+						defer wg.Done()
+						for it := 0; it < n; it++ {
+							for j := range tensors[r] {
+								tensors[r][j] = float64(r + it)
+							}
+							if err := mpi.AllreduceWith(comms[r], tensors[r], mpi.OpSum, tc.algo); err != nil {
+								errs[r] = err
+								return
+							}
+						}
+					}(r)
+				}
+				wg.Wait()
+				for r, err := range errs {
+					if err != nil {
+						t.Fatalf("rank %d: %v", r, err)
+					}
+				}
+			}
+			run(warmup)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			run(ops)
+			runtime.ReadMemStats(&after)
+			// The last op summed r+ops-1 over the ranks.
+			want := float64(world*(ops-1) + world*(world-1)/2)
+			for r := range tensors {
+				if got := tensors[r][elems-1]; got != want {
+					t.Fatalf("rank %d: last element %v, want %v", r, got, want)
+				}
+			}
+			perOpRank := int64(after.TotalAlloc-before.TotalAlloc) / (ops * world)
+			t.Logf("%s: %d B allocated per op per rank (chunk %d B)", tc.name, perOpRank, tc.chunk)
+			if perOpRank >= tc.chunk {
+				t.Fatalf("%s: %d B allocated per op per rank, want < one %d B chunk", tc.name, perOpRank, tc.chunk)
+			}
+		})
+	}
+}

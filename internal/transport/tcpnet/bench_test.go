@@ -4,7 +4,10 @@ package tcpnet_test
 // workers in this process, each with its own Endpoint, reducing float32
 // tensors of 1 MiB and 16 MiB. It exercises the full data plane — raw
 // codec, pooled frame buffers, buffered writers — under both the plain
-// ring (the auto pick at these sizes) and the chunk-pipelined ring.
+// ring (the auto pick at these sizes) and the chunk-pipelined ring, plus
+// the 16 MiB float64 auto allreduce of the steady_16m workload. B/op is
+// reported: the send path borrows the tensor, so it should stay far
+// below one chunk.
 
 import (
 	"fmt"
@@ -19,7 +22,7 @@ import (
 
 // benchWorld wires up n loopback endpoints with manual peer maps (no
 // rendezvous — nothing is allowed to fail in a benchmark).
-func benchWorld(b *testing.B, n int) ([]*tcpnet.Endpoint, []transport.ProcID) {
+func benchWorld(b testing.TB, n int) ([]*tcpnet.Endpoint, []transport.ProcID) {
 	b.Helper()
 	cfg := tcpnet.Config{DialRetries: 4, DialBackoff: 20 * time.Millisecond, DialTimeout: time.Second}
 	eps := make([]*tcpnet.Endpoint, n)
@@ -64,16 +67,19 @@ func BenchmarkTCPAllreduce(b *testing.B) {
 	for _, sz := range sizes {
 		for _, al := range algos {
 			b.Run(fmt.Sprintf("%s/%s", sz.name, al.name), func(b *testing.B) {
-				benchTCPAllreduce(b, world, sz.elems, al.algo)
+				benchTCPAllreduce[float32](b, world, sz.elems, 4, al.algo)
 			})
 		}
 	}
+	b.Run("16MB-f64/auto", func(b *testing.B) {
+		benchTCPAllreduce[float64](b, world, 1<<21, 8, mpi.AlgoAuto)
+	})
 }
 
-func benchTCPAllreduce(b *testing.B, world, elems int, algo mpi.AllreduceAlgo) {
+func benchTCPAllreduce[T float32 | float64](b *testing.B, world, elems, elemBytes int, algo mpi.AllreduceAlgo) {
 	eps, procs := benchWorld(b, world)
 	comms := make([]*mpi.Comm, world)
-	tensors := make([][]float32, world)
+	tensors := make([][]T, world)
 	for i, ep := range eps {
 		p := mpi.Attach(ep)
 		comm, err := mpi.World(p, procs)
@@ -81,12 +87,13 @@ func benchTCPAllreduce(b *testing.B, world, elems int, algo mpi.AllreduceAlgo) {
 			b.Fatalf("world: %v", err)
 		}
 		comms[i] = comm
-		tensors[i] = make([]float32, elems)
+		tensors[i] = make([]T, elems)
 		for j := range tensors[i] {
-			tensors[i][j] = float32(i + 1)
+			tensors[i][j] = T(i + 1)
 		}
 	}
-	b.SetBytes(int64(elems) * 4)
+	b.SetBytes(int64(elems * elemBytes))
+	b.ReportAllocs()
 	b.ResetTimer()
 	var wg sync.WaitGroup
 	errs := make([]error, world)

@@ -20,8 +20,9 @@ import (
 //	offset 32 : wire-codec payload (empty for nil payloads)
 //
 // Both reader and writer reject frames larger than the configured limit,
-// so a corrupted or hostile length prefix cannot drive an unbounded
-// allocation.
+// and the reader grows its buffer with the bytes that arrive rather than
+// with the prefix, so a corrupted or hostile length prefix cannot drive
+// an allocation larger than what the peer actually sent.
 
 // frameHeaderLen is the fixed body prefix before the payload.
 const frameHeaderLen = 32
@@ -150,6 +151,10 @@ func writeFrame(w io.Writer, f *frame, maxFrame int) error {
 // instead of decoding into a fresh slice.
 const payloadAlignPad = 6
 
+// frameGrowMin is the first step by which readBody grows a scratch
+// buffer too small for the frame it is reading.
+const frameGrowMin = 64 << 10
+
 // readFrameBuf reads one frame from r using buf as scratch storage,
 // growing it as needed. The returned frame's Payload aliases the returned
 // buffer, which callers pass back in on the next call — one allocation per
@@ -168,16 +173,14 @@ func readFrameBuf(r io.Reader, buf []byte, maxFrame int) (*frame, []byte, error)
 	if n > maxFrame {
 		return nil, buf, fmt.Errorf("tcpnet: frame body of %d bytes exceeds limit %d", n, maxFrame)
 	}
-	if cap(buf) < payloadAlignPad+n {
-		buf = make([]byte, payloadAlignPad+n)
-	}
-	body := buf[payloadAlignPad : payloadAlignPad+n]
-	if _, err := io.ReadFull(r, body); err != nil {
+	buf, err := readBody(r, buf, n)
+	if err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
 		return nil, buf, err
 	}
+	body := buf[payloadAlignPad : payloadAlignPad+n]
 	f := &frame{
 		From:  int64(binary.BigEndian.Uint64(body[0:8])),
 		To:    int64(binary.BigEndian.Uint64(body[8:16])),
@@ -188,6 +191,37 @@ func readFrameBuf(r io.Reader, buf []byte, maxFrame int) (*frame, []byte, error)
 		f.Payload = body[frameHeaderLen:]
 	}
 	return f, buf, nil
+}
+
+// readBody reads an n-byte frame body into buf at payloadAlignPad and
+// returns the buffer, grown if it was too small. Growth follows the bytes
+// that actually arrive, not the length prefix: the buffer doubles (from
+// at least frameGrowMin) each time it fills, so a corrupt or hostile
+// prefix below the frame limit costs an allocation the size of what the
+// peer really sent, not of what it claimed. A warm pooled buffer already
+// fits and takes the single ReadFull.
+func readBody(r io.Reader, buf []byte, n int) ([]byte, error) {
+	need := payloadAlignPad + n
+	if cap(buf) >= need {
+		buf = buf[:need]
+		_, err := io.ReadFull(r, buf[payloadAlignPad:])
+		return buf, err
+	}
+	got := payloadAlignPad
+	buf = buf[:cap(buf)]
+	for got < need {
+		if got >= len(buf) {
+			grown := make([]byte, min(need, max(2*len(buf), frameGrowMin)))
+			copy(grown, buf)
+			buf = grown
+		}
+		k, err := io.ReadFull(r, buf[got:min(need, len(buf))])
+		got += k
+		if err != nil {
+			return buf, err
+		}
+	}
+	return buf[:need], nil
 }
 
 // readFrame reads one frame with a private buffer (test convenience).

@@ -22,6 +22,7 @@ import (
 	"bufio"
 	"context"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -389,45 +390,62 @@ func (e *Endpoint) readLoop(conn net.Conn) {
 	bufp := getFrameBuf()
 	defer func() { putFrameBuf(bufp) }()
 	for {
-		var f *frame
-		var err error
-		buf := *bufp
-		f, buf, err = readFrameBuf(conn, buf, e.cfg.MaxFrame)
-		*bufp = buf
+		m, err := readMessage(conn, &bufp, e.cfg.MaxFrame, e.cfg.ZeroCopyMin)
 		if err != nil {
 			return
 		}
-		obsRxFrames.Inc()
-		obsRxBytes.Add(uint64(4 + frameHeaderLen + len(f.Payload)))
-		var data any
-		if zc := e.cfg.ZeroCopyMin; zc > 0 && len(f.Payload) >= zc && f.Tag > int64(transport.CtlTagBase) {
-			owned := bufp
-			rp, ok, perr := transport.ParseRawPayload(f.Payload, func() { putFrameBuf(owned) })
-			if perr != nil {
-				return
-			}
-			if ok {
-				obsRxInplace.Inc()
-				data = rp
-				bufp = getFrameBuf()
-			}
-		}
-		if data == nil {
-			var derr error
-			data, derr = transport.DecodePayload(f.Payload)
-			if derr != nil {
-				return
-			}
-		}
-		e.deliver(&transport.Message{
-			From:     transport.ProcID(f.From),
-			To:       transport.ProcID(f.To),
-			Tag:      int(f.Tag),
-			Data:     data,
-			Bytes:    f.Bytes,
-			ArriveAt: e.now(),
-		})
+		m.ArriveAt = e.now()
+		e.deliver(m)
 	}
+}
+
+// readMessage reads one frame from r into the pooled scratch buffer
+// *bufp and turns it into a message (ArriveAt unset). A raw payload of
+// at least zeroCopyMin bytes on a data tag is handed off lazily: the
+// message's RawPayload takes the scratch buffer, its Release returns it
+// to the pool, and *bufp is replaced with a fresh one at least as large.
+// On every other outcome, errors included, *bufp stays the caller's.
+// zeroCopyMin <= 0 decodes every payload eagerly.
+func readMessage(r io.Reader, bufp **[]byte, maxFrame, zeroCopyMin int) (*transport.Message, error) {
+	f, buf, err := readFrameBuf(r, **bufp, maxFrame)
+	**bufp = buf
+	if err != nil {
+		return nil, err
+	}
+	obsRxFrames.Inc()
+	obsRxBytes.Add(uint64(4 + frameHeaderLen + len(f.Payload)))
+	var data any
+	if zeroCopyMin > 0 && len(f.Payload) >= zeroCopyMin && f.Tag > int64(transport.CtlTagBase) {
+		owned := *bufp
+		rp, ok, err := transport.ParseRawPayload(f.Payload, func() { putFrameBuf(owned) })
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			obsRxInplace.Inc()
+			data = rp
+			*bufp = getFrameBuf()
+			if cap(**bufp) < cap(buf) {
+				// The next frame is likely as large as this one. Size the
+				// fresh buffer by bytes that arrived, so readBody's
+				// prefix-safe growth runs once per connection, not once
+				// per frame while the pool is cold.
+				**bufp = make([]byte, 0, cap(buf))
+			}
+		}
+	}
+	if data == nil {
+		if data, err = transport.DecodePayload(f.Payload); err != nil {
+			return nil, err
+		}
+	}
+	return &transport.Message{
+		From:  transport.ProcID(f.From),
+		To:    transport.ProcID(f.To),
+		Tag:   int(f.Tag),
+		Data:  data,
+		Bytes: f.Bytes,
+	}, nil
 }
 
 // deliver enqueues m and wakes the owner. Messages to a closed endpoint
@@ -466,6 +484,11 @@ func (e *Endpoint) takeLocked(i int) *transport.Message {
 // resets — which the rendezvous heartbeat detector later confirms or
 // refutes globally; a declaration that arrives first (MarkDead) ends the
 // retries at once with the same error.
+//
+// Both write paths are done with data when Send returns — appendFrame
+// has encoded it into the frame buffer, sendVec has handed every body
+// byte to the kernel — so Send never copies a payload to keep it, and
+// the caller may overwrite data at once.
 func (e *Endpoint) Send(dst transport.ProcID, tag int, data any, bytes int64) error {
 	e.mu.Lock()
 	if e.closed {
@@ -519,14 +542,13 @@ func (e *Endpoint) Send(dst transport.ProcID, tag int, data any, bytes int64) er
 // sendVec is the zero-copy send path: the length prefix, frame header,
 // and raw payload header are assembled into a small pooled buffer, and
 // the payload body goes to the kernel as a second iovec via net.Buffers
-// (writev on *net.TCPConn) — no contiguous frame is ever built, so the
-// last per-chunk copy on the send path disappears. The body slice
-// aliases the caller's data; it is written (possibly across redial
-// attempts) entirely before Send returns, matching the contract that a
-// payload may be reused once Send completes. Wrapped connections that
-// are not *net.TCPConn degrade to sequential writes inside
-// net.Buffers.WriteTo, keeping the chaos harness's byte-level conn
-// faults effective.
+// (writev on *net.TCPConn) — no contiguous frame is ever built and the
+// payload is never copied in-process. The body slice aliases the
+// caller's data; it is written (possibly across redial attempts)
+// entirely before Send returns, which is all Send's borrow contract
+// asks. Wrapped connections that are not *net.TCPConn degrade to
+// sequential writes inside net.Buffers.WriteTo, keeping the chaos
+// harness's byte-level conn faults effective.
 func (e *Endpoint) sendVec(p *peer, from, dst transport.ProcID, tag int, bytes int64, ptag byte, count int, body []byte) error {
 	n := frameHeaderLen + transport.RawPayloadHeaderLen + len(body)
 	if n > e.cfg.MaxFrame {

@@ -12,7 +12,11 @@
 // retry — run identically over both.
 package transport
 
-import "repro/internal/vtime"
+import (
+	"reflect"
+
+	"repro/internal/vtime"
+)
 
 // ProcID identifies a process (rank container). IDs are global to a run
 // and never reused, so a respawned worker is distinguishable from the
@@ -76,10 +80,11 @@ type Endpoint interface {
 	ID() ProcID
 
 	// Send transmits data to the process dst. Bytes drives the cost
-	// model; the payload is not copied in-process, so senders must not
-	// mutate it afterwards (higher layers copy when needed). Sending to a
-	// dead process returns PeerFailedError; sending from a dead process
-	// returns ErrDead.
+	// model. Send borrows data only until it returns: the caller may
+	// overwrite or reuse it afterwards, so a backend that delivers after
+	// returning (an in-process mailbox, a deferred delivery) takes its own
+	// copy first (Owned). Sending to a dead process returns
+	// PeerFailedError; sending from a dead process returns ErrDead.
 	Send(dst ProcID, tag int, data any, bytes int64) error
 
 	// Recv blocks until a message with the given source and tag arrives.
@@ -119,6 +124,21 @@ type Endpoint interface {
 	// Compute charges d seconds of local computation to the clock. Real
 	// transports may make this a no-op (wall time advances by itself).
 	Compute(d float64)
+}
+
+// Owned returns a payload the caller may keep after the Send that lent
+// it returns: a slice is copied into a fresh slice of the same type
+// (named element types such as F16 survive), any other value is returned
+// unchanged. Backends that deliver after Send returns call it on the
+// borrowed payload.
+func Owned(v any) any {
+	rv := reflect.ValueOf(v)
+	if rv.Kind() != reflect.Slice || rv.IsNil() {
+		return v
+	}
+	out := reflect.MakeSlice(rv.Type(), rv.Len(), rv.Len())
+	reflect.Copy(out, rv)
+	return out.Interface()
 }
 
 // Locator is an optional Endpoint capability: backends that know the
