@@ -7,6 +7,7 @@
 #   make vet-fix-check  standalone elasticvet incl. test variants; zero findings
 #   make test    full test suite (+ race on the fast packages)
 #   make fuzz-smoke  ten seconds each of FuzzAgreeMessage (agreement decoder + delivery switch), FuzzDecodePayload (wire codec) and FuzzReadFrame (tcpnet frame reader)
+#   make fp16-exhaustive  the binary16 encoders against the reference on all 2^32 float32 inputs
 #   make chaos   chaos conformance at the pinned seeds
 #   make cluster clustertest conformance (gossip control plane) at world 32
 #   make grow    grow-path conformance (autopilot + warm spares) at world 32
@@ -22,7 +23,7 @@ GO      ?= go
 BIN     := bin
 SEEDS   ?= 1 7 42
 
-.PHONY: all build vet lint vet-fix-check test race fuzz-smoke chaos cluster grow policy cover bench-gate bench-check bench bench-aa check clean
+.PHONY: all build vet lint vet-fix-check test race fuzz-smoke fp16-exhaustive chaos cluster grow policy cover bench-gate bench-check bench bench-aa check clean
 
 # World size for the clustertest conformance suite (CI: 32 per PR,
 # 64/128 nightly).
@@ -98,6 +99,14 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzAgreeMessage -fuzztime=10s ./internal/mpi/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodePayload -fuzztime=10s ./internal/transport/
 	$(GO) test -run='^$$' -fuzz=FuzzReadFrame -fuzztime=10s ./internal/transport/tcpnet/
+
+# fp16-exhaustive: every float32 bit pattern through EncodeF16,
+# EncodeQuantizeF16 and QuantizeF16, compared with the reference scalar
+# encoder kept in internal/transport/f16_test.go, split across GOMAXPROCS
+# (about 80 s on two cores). Plain `go test` checks the rounding
+# boundaries only.
+fp16-exhaustive:
+	$(GO) test -count=1 -timeout 30m -run '^TestF16EncodeExhaustive$$' ./internal/transport/ -f16.exhaustive
 
 chaos:
 	@for seed in $(SEEDS); do \
@@ -190,7 +199,7 @@ bench:
 bench-aa:
 	bash bench/run.sh --aa --seconds 6
 
-check: build vet lint test race fuzz-smoke bench-check chaos cluster grow policy
+check: build vet lint test race fuzz-smoke fp16-exhaustive bench-check chaos cluster grow policy
 
 clean:
 	rm -rf $(BIN) .bench_build cover.out cover.html fresh_controlplane.json

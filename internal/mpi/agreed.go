@@ -82,7 +82,7 @@ func AllreduceAgreed[T Number](c *Comm, data []T, op Op) (ok bool, err error) {
 // raw wire form. Every member answers the same: it depends only on the
 // arguments, the world size and the kind of transport.
 func AgreedPath[T Number](c *Comm, data []T, o AllreduceOptions) bool {
-	b := allreduceBuf(data, o.Codec)
+	b := allreduceBuf(data, o.Codec, nil)
 	bytes := b.bytesFor(len(data))
 	_, lossless := b.(numBuf[T])
 	return o.Algo == AlgoAuto && lossless && newCarry(data, OpSum) != nil &&

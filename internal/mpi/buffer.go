@@ -53,8 +53,9 @@ type Number interface {
 //
 // payload(lo, hi) is what a send of [lo,hi) puts on the wire. It is
 // valid until the Send it is passed to returns: numBuf and rawBuf lend a
-// view of their own storage, which Send's borrow contract allows, so a
-// schedule may write the sent range again only after that Send returns.
+// view of their own storage and compBuf its one reused encode scratch,
+// which Send's borrow contract allows, so a schedule may write the sent
+// range, or take the next payload, only after that Send returns.
 type buf interface {
 	length() int               // logical element count
 	bytesFor(n int) int64      // wire size of n elements
@@ -139,14 +140,20 @@ func lazyView[T Number](rp *transport.RawPayload) ([]T, bool) {
 	}
 }
 
-// decodeLazy materializes a lazy raw payload into an owning slice and
+// decoded materializes a lazy raw payload into an owning value and
 // releases the underlying transport buffer. The payload was validated
 // at receive time, so a decode failure here is a programming error.
-func decodeLazy[T any](rp *transport.RawPayload) []T {
+func decoded(rp *transport.RawPayload) any {
 	v, err := rp.Decode()
 	if err != nil {
 		panic(fmt.Sprintf("mpi: corrupt lazy payload: %v", err))
 	}
+	return v
+}
+
+// decodeLazy is decoded as a []T.
+func decodeLazy[T any](rp *transport.RawPayload) []T {
+	v := decoded(rp)
 	if v == nil {
 		return nil
 	}

@@ -23,6 +23,7 @@ type Comm struct {
 	agreeSeq   int             // out-of-band agreement sequence (see nextAgreeSeq)
 	members    map[ProcID]bool // memberSet, built on first use
 	derivedSeq int             // number of derived communicators created from this one
+	f16        transport.F16   // fp16 allreduce payload scratch (compBuf.out)
 }
 
 // World builds the initial communicator over the given process list. Every

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/transport"
@@ -10,11 +11,14 @@ import (
 // Wire-format gradient compression. A WireCodec selects how a float
 // collective's chunks travel: raw little-endian bits (lossless) or IEEE
 // binary16 (half the bytes for float32). Compression happens inside the
-// buffer abstraction — payload() emits a compressed transport payload,
+// buffer abstraction — payload() encodes into a transport payload,
 // setIn()/reduceIn() decompress-and-combine in one pass — so every
 // allreduce schedule (ring, pipelined, tree, recursive doubling,
 // hierarchical) compresses without algorithm changes, and ULFM
-// retry-after-shrink replays it like any other collective.
+// retry-after-shrink replays it like any other collective. The
+// per-element work is transport's batch binary16 kernels; payload()
+// encodes into the communicator's one reused scratch, which Send only
+// borrows, so a steady fp16 allreduce allocates no payloads.
 //
 // Uniformity. ULFM requires every member to finish a collective with
 // bit-identical results. payload() quantizes the sender's own range in
@@ -24,7 +28,8 @@ import (
 // this makes sends self-consistent everywhere. At the reduce→distribute
 // boundary (markDistribute) every rank additionally round-trips its
 // whole local buffer, because quantize-on-send cannot reach ranks that
-// never forward a finished segment.
+// never forward a finished segment. From there on every value is on the
+// grid, so payload() only encodes.
 //
 // Error bounds (documented for the property tests): one fp16
 // quantization of x adds at most 2^-11·|x| relative error for |x| in
@@ -76,9 +81,6 @@ func WireBytesPerElem(c WireCodec, elemBytes int) float64 {
 	return float64(elemBytes)
 }
 
-// Float constrains the element types the lossy codec applies to.
-type Float interface{ ~float32 | ~float64 }
-
 // markDistribute flips a compression-aware buffer into distribution
 // mode: the collective's remaining sends carry finished values (see the
 // uniformity notes above). A no-op for plain buffers.
@@ -90,9 +92,10 @@ func markDistribute(b buf) {
 
 // compBuf wraps a float slice with the fp16 wire codec. Pointer
 // receiver: the distribution flag mutates during the collective.
-type compBuf[T Float] struct {
+type compBuf[T transport.Float] struct {
 	v    []T
 	dist bool
+	out  *transport.F16 // payload scratch, reused by every send (Send only borrows it)
 }
 
 // beginDistribution marks the reduce→distribute boundary by
@@ -104,12 +107,9 @@ type compBuf[T Float] struct {
 // Without this, quantize-on-send alone leaves non-senders off-grid and
 // the group diverges. Idempotent: the second call finds grid values.
 func (b *compBuf[T]) beginDistribution() {
-	if b.dist {
-		return
-	}
-	b.dist = true
-	for i, v := range b.v {
-		b.v[i] = T(transport.Float16From(transport.Float16Bits(float32(v))))
+	if !b.dist {
+		b.dist = true
+		transport.QuantizeF16(b.v)
 	}
 }
 
@@ -117,7 +117,18 @@ func (b *compBuf[T]) length() int { return len(b.v) }
 
 func (b *compBuf[T]) bytesFor(n int) int64 { return int64(n) * 2 }
 
-func (b *compBuf[T]) payload(lo, hi int) any { return f16Compress(b.v[lo:hi]) }
+// payload encodes [lo,hi) into the scratch, quantizing the range in
+// place until distribution (see the uniformity notes above).
+func (b *compBuf[T]) payload(lo, hi int) any {
+	out := slices.Grow((*b.out)[:0], hi-lo)[:hi-lo]
+	*b.out = out
+	if b.dist {
+		transport.EncodeF16(out, b.v[lo:hi])
+	} else {
+		transport.EncodeQuantizeF16(out, b.v[lo:hi])
+	}
+	return out
+}
 
 func (b *compBuf[T]) setIn(lo, hi int, pay any) {
 	dst := b.v[lo:hi]
@@ -130,7 +141,7 @@ func (b *compBuf[T]) setIn(lo, hi int, pay any) {
 			p.Release()
 			return
 		}
-		numBuf[T]{v: b.v}.setIn(lo, hi, pay)
+		b.setIn(lo, hi, decoded(p))
 	default:
 		numBuf[T]{v: b.v}.setIn(lo, hi, pay)
 	}
@@ -149,7 +160,8 @@ func (b *compBuf[T]) reduceIn(lo, hi int, pay any, op Op) {
 			p.Release()
 			return
 		}
-		numBuf[T]{v: b.v}.reduceIn(lo, hi, pay, op)
+		// Unviewable (misaligned, big-endian): decode, dispatch again.
+		b.reduceIn(lo, hi, decoded(p), op)
 	default:
 		numBuf[T]{v: b.v}.reduceIn(lo, hi, pay, op)
 	}
@@ -159,13 +171,13 @@ func (b *compBuf[T]) reduceIn(lo, hi int, pay any, op Op) {
 // the requested codec. fp16 applies to the base float slice types;
 // anything else (integers, named float types) falls back to the lossless
 // numeric buffer regardless of the requested codec.
-func allreduceBuf[T Number](data []T, codec WireCodec) buf {
+func allreduceBuf[T Number](data []T, codec WireCodec, scratch *transport.F16) buf {
 	if codec == CodecFP16 {
 		switch v := any(data).(type) {
 		case []float32:
-			return &compBuf[float32]{v: v}
+			return &compBuf[float32]{v: v, out: scratch}
 		case []float64:
-			return &compBuf[float64]{v: v}
+			return &compBuf[float64]{v: v, out: scratch}
 		}
 	}
 	return numBuf[T]{v: data}
@@ -173,45 +185,33 @@ func allreduceBuf[T Number](data []T, codec WireCodec) buf {
 
 // --- fp16 ---------------------------------------------------------------
 
-// f16Compress quantizes src to binary16 in place (so the sender holds
-// exactly what receivers will decode) and returns the wire payload.
-func f16Compress[T Float](src []T) transport.F16 {
-	out := make(transport.F16, len(src))
-	for i, v := range src {
-		h := transport.Float16Bits(float32(v))
-		out[i] = h
-		src[i] = T(transport.Float16From(h))
-	}
-	return out
+func f16Set[T transport.Float](dst []T, in transport.F16) {
+	checkLen(len(dst), len(in))
+	transport.DecodeF16(dst, in)
 }
 
-func f16Set[T Float](dst []T, in transport.F16) {
-	checkLen(len(dst), len(in), "fp16")
-	for i := range dst {
-		dst[i] = T(transport.Float16From(in[i]))
-	}
-}
-
-func f16Reduce[T Float](dst []T, in transport.F16, op Op) {
-	checkLen(len(dst), len(in), "fp16")
+func f16Reduce[T transport.Float](dst []T, in transport.F16, op Op) {
+	checkLen(len(dst), len(in))
+	dst = dst[:len(in)]
+	t := transport.Float16Table()
 	switch op {
 	case OpSum:
-		for i := range dst {
-			dst[i] += T(transport.Float16From(in[i]))
+		for i, h := range in {
+			dst[i] += T(t[h])
 		}
 	case OpProd:
-		for i := range dst {
-			dst[i] *= T(transport.Float16From(in[i]))
+		for i, h := range in {
+			dst[i] *= T(t[h])
 		}
 	case OpMax:
-		for i := range dst {
-			if v := T(transport.Float16From(in[i])); v > dst[i] {
+		for i, h := range in {
+			if v := T(t[h]); v > dst[i] {
 				dst[i] = v
 			}
 		}
 	case OpMin:
-		for i := range dst {
-			if v := T(transport.Float16From(in[i])); v < dst[i] {
+		for i, h := range in {
+			if v := T(t[h]); v < dst[i] {
 				dst[i] = v
 			}
 		}
@@ -220,8 +220,8 @@ func f16Reduce[T Float](dst []T, in transport.F16, op Op) {
 	}
 }
 
-func checkLen(dst, in int, codec string) {
+func checkLen(dst, in int) {
 	if dst != in {
-		panic(fmt.Sprintf("mpi: %s payload of %d elements for a %d-element range", codec, in, dst))
+		panic(fmt.Sprintf("mpi: fp16 payload of %d elements for a %d-element range", in, dst))
 	}
 }

@@ -19,7 +19,9 @@ func TestF16OneHopErrorBound(t *testing.T) {
 		if math.IsNaN(float64(x)) || math.IsInf(float64(x), 0) {
 			return true
 		}
-		got := transport.Float16From(transport.Float16Bits(x))
+		q := []float32{x}
+		transport.QuantizeF16(q)
+		got := q[0]
 		ax := math.Abs(float64(x))
 		switch {
 		case ax < 0x1p-14: // subnormal range: absolute error within one subnormal step
@@ -43,8 +45,8 @@ func TestF16OneHopErrorBound(t *testing.T) {
 	}
 }
 
-// f16Compress must be idempotent: the sender rewrites its range to the
-// decoded values, so re-compressing yields bit-identical wire payloads
+// Quantize-on-send must be idempotent: the sender rewrites its range to
+// the decoded values, so re-encoding yields bit-identical wire payloads
 // (the uniformity property every fp16 send leans on).
 func TestF16CompressIdempotent(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
@@ -52,9 +54,11 @@ func TestF16CompressIdempotent(t *testing.T) {
 	for i := range src {
 		src[i] = float32(r.NormFloat64()) * float32(math.Pow(2, float64(r.Intn(30)-15)))
 	}
-	first := f16Compress(src)
+	first := make(transport.F16, len(src))
+	transport.EncodeQuantizeF16(first, src)
 	snapshot := append([]float32(nil), src...)
-	second := f16Compress(src)
+	second := make(transport.F16, len(src))
+	transport.EncodeQuantizeF16(second, src)
 	for i := range first {
 		if first[i] != second[i] {
 			t.Fatalf("elem %d: wire bits %04x then %04x — fp16 re-encode not idempotent", i, first[i], second[i])
@@ -87,16 +91,16 @@ func TestParseWireCodec(t *testing.T) {
 // allreduceBuf must apply fp16 only to base float slices;
 // integers always travel lossless no matter what was requested.
 func TestAllreduceBufCodecSelection(t *testing.T) {
-	if _, ok := allreduceBuf(make([]float32, 4), CodecFP16).(*compBuf[float32]); !ok {
+	if _, ok := allreduceBuf(make([]float32, 4), CodecFP16, nil).(*compBuf[float32]); !ok {
 		t.Error("float32 + fp16 did not build a compressed buffer")
 	}
-	if _, ok := allreduceBuf(make([]float64, 4), CodecFP16).(*compBuf[float64]); !ok {
+	if _, ok := allreduceBuf(make([]float64, 4), CodecFP16, nil).(*compBuf[float64]); !ok {
 		t.Error("float64 + fp16 did not build a compressed buffer")
 	}
-	if _, ok := allreduceBuf(make([]int64, 4), CodecFP16).(numBuf[int64]); !ok {
+	if _, ok := allreduceBuf(make([]int64, 4), CodecFP16, nil).(numBuf[int64]); !ok {
 		t.Error("int64 + fp16 did not fall back to the lossless buffer")
 	}
-	if _, ok := allreduceBuf(make([]float32, 4), CodecRaw).(numBuf[float32]); !ok {
+	if _, ok := allreduceBuf(make([]float32, 4), CodecRaw, nil).(numBuf[float32]); !ok {
 		t.Error("float32 + raw did not use the lossless buffer")
 	}
 }
@@ -216,4 +220,52 @@ func TestAllreduceOptsRawMatchesAllreduce(t *testing.T) {
 			}
 		}
 	}
+}
+
+// A lazy fp16 payload whose body cannot be viewed in place — here parsed
+// from an odd offset, as on a big-endian host or from an arbitrary byte
+// slice — must still decode into the buffer and release its bytes once.
+func TestCompBufUnviewableF16Payload(t *testing.T) {
+	want := []float32{1, -2, 0.5, 65504, float32(math.Inf(-1))}
+	bits := make(transport.F16, len(want))
+	transport.EncodeF16(bits, want)
+	enc, err := transport.EncodePayload(bits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lazy := func(t *testing.T, released *int) *transport.RawPayload {
+		odd := make([]byte, len(enc)+1)[1:]
+		copy(odd, enc)
+		p, ok, err := transport.ParseRawPayload(odd, func() { *released++ })
+		if !ok || err != nil {
+			t.Fatalf("parse: ok %v err %v", ok, err)
+		}
+		if _, ok := p.AsF16(); ok {
+			t.Skip("payload body viewable at an odd offset")
+		}
+		return p
+	}
+	check := func(t *testing.T, got []float64, released int) {
+		t.Helper()
+		for i := range want {
+			if got[i] != float64(want[i]) {
+				t.Fatalf("elem %d = %v, want %v", i, got[i], want[i])
+			}
+		}
+		if released != 1 {
+			t.Fatalf("payload released %d times, want once", released)
+		}
+	}
+	t.Run("setIn", func(t *testing.T) {
+		var released int
+		b := &compBuf[float64]{v: make([]float64, len(want))}
+		b.setIn(0, len(want), lazy(t, &released))
+		check(t, b.v, released)
+	})
+	t.Run("reduceIn", func(t *testing.T) {
+		var released int
+		b := &compBuf[float64]{v: make([]float64, len(want))}
+		b.reduceIn(0, len(want), lazy(t, &released), OpSum)
+		check(t, b.v, released)
+	})
 }

@@ -60,7 +60,7 @@ func AllreduceOpts[T Number](c *Comm, data []T, op Op, o AllreduceOptions) error
 	if err != nil {
 		return err
 	}
-	b := allreduceBuf(data, plan.Codec)
+	b := allreduceBuf(data, plan.Codec, &c.f16)
 	start := time.Now()
 	err = c.runAllreduce(b, op, plan)
 	observeAllreduce(plan.Algo, start, err != nil)

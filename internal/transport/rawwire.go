@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync"
 	"unsafe"
 )
 
@@ -23,66 +24,129 @@ import (
 // decompress-and-reduce without an intermediate float32 slice.
 type F16 []uint16
 
-// Float16Bits converts a float32 to IEEE 754 binary16 bits with
-// round-to-nearest-even. Values beyond ±65504 overflow to ±Inf, NaN maps
-// to a quiet NaN, and magnitudes below 2^-24 flush to signed zero.
-// Conversion is idempotent: encoding an exactly representable binary16
-// value returns its own bits, which is what makes an fp16 round-trip on
-// the sender a no-op for already-quantized tensors.
-func Float16Bits(f float32) uint16 {
-	b := math.Float32bits(f)
-	sign := uint16(b >> 16 & 0x8000)
-	exp := int32(b>>23&0xff) - 127 + 15
-	man := b & 0x7fffff
-	switch {
-	case exp >= 0x1f:
-		if b&0x7fffffff > 0x7f800000 {
-			return sign | 0x7e00 // NaN
-		}
-		return sign | 0x7c00 // Inf (including overflow)
-	case exp <= 0:
-		if exp < -10 {
-			return sign // underflow to signed zero
-		}
-		man |= 0x800000
-		shift := uint32(14 - exp) // exp in [-10, 0] → shift in [14, 24]
-		half := man >> shift
-		rem := man & (1<<shift - 1)
-		halfway := uint32(1) << (shift - 1)
-		if rem > halfway || (rem == halfway && half&1 == 1) {
-			half++
-		}
-		return sign | uint16(half)
+// Float is the element types the binary16 kernels convert. A float64
+// is narrowed to float32 first, then rounded to binary16, so both widths
+// travel as the same bits.
+type Float interface{ ~float32 | ~float64 }
+
+// Binary16 rounding, as float32 bit arithmetic. A float32 magnitude in
+// [2^-14, 65520) lands in the binary16 normal range. For it, rounding to
+// binary16 is dropping the low 13 mantissa bits with round-to-nearest-
+// even, and a mantissa carry rolls into the exponent on its own. Values
+// outside that span — zero, binary16 subnormals, overflow, Inf and NaN —
+// take f16Edge, out of line, so the kernels' loops stay small.
+const (
+	f16FastLo   = 0x38800000 // 2^-14, the least binary16 normal
+	f16FastSpan = 0x477ff000 - f16FastLo
+	f16Rebias   = (127 - 15) << 23 // float32 minus binary16 exponent bias, in place
+)
+
+// f16Fast reports whether float32 bits b take the fast path.
+func f16Fast(b uint32) bool { return b&0x7fffffff-f16FastLo < f16FastSpan }
+
+// f16Round rounds fast-path float32 bits b to the nearest binary16 value,
+// ties to even: the result is float32 bits on the binary16 grid. It is
+// the one place binary16 rounding is written down.
+func f16Round(b uint32) uint32 { return (b + 0xfff + b>>13&1) &^ 0x1fff }
+
+// f16Bits is the binary16 encoding of float32 bits r that f16Round
+// returned: the sign moves down, the exponent is rebiased.
+func f16Bits(r uint32) uint16 { return uint16(r>>16)&0x8000 | uint16((r-f16Rebias)>>13) }
+
+// f16Edge encodes float32 bits b that are not on the fast path: NaN
+// becomes a quiet NaN of the same sign, overflow rounds to ±Inf. Below
+// 2^-14, adding 0.5 lets the FPU round: the float32 ulp at 0.5 is 2^-24,
+// the binary16 subnormal step, so the sum's low mantissa bits are the
+// rounded subnormal (or, at 1024, the least normal).
+//
+//go:noinline
+func f16Edge(b uint32) uint16 {
+	sign := uint16(b>>16) & 0x8000
+	switch a := b & 0x7fffffff; {
+	case a > 0x7f800000:
+		return sign | 0x7e00
+	case a >= f16FastLo: // and past the fast path: 65520 and up
+		return sign | 0x7c00
 	default:
-		half := uint16(exp)<<10 | uint16(man>>13)
-		rem := man & 0x1fff
-		if rem > 0x1000 || (rem == 0x1000 && half&1 == 1) {
-			half++ // mantissa carry may roll into the exponent; 0x7c00 is Inf, which is correct
-		}
-		return sign | half
+		return sign | uint16(math.Float32bits(math.Float32frombits(a)+0.5)-0x3f000000)
 	}
 }
 
-// Float16From converts IEEE 754 binary16 bits to float32, exactly.
-func Float16From(h uint16) float32 {
-	sign := uint32(h&0x8000) << 16
-	exp := uint32(h >> 10 & 0x1f)
-	man := uint32(h & 0x3ff)
-	switch {
-	case exp == 0:
-		if man == 0 {
-			return math.Float32frombits(sign)
+// f16Table is the binary16 decode table: element h is h's exact float32
+// value. Built on first fp16 use, so raw-codec processes never pay for
+// its 256 KiB.
+var f16Table = sync.OnceValue(func() *[1 << 16]float32 {
+	t := new([1 << 16]float32)
+	for h := range t {
+		sign, man := uint32(h&0x8000)<<16, uint32(h&0x3ff)
+		switch h >> 10 & 0x1f {
+		case 0: // zero and subnormals: man · 2^-24
+			t[h] = math.Float32frombits(sign | math.Float32bits(float32(man)*0x1p-24))
+		case 0x1f: // Inf, and NaN with its payload
+			t[h] = math.Float32frombits(sign | 0x7f800000 | man<<13)
+		default:
+			t[h] = math.Float32frombits(sign | uint32(h&0x7fff)<<13 + f16Rebias)
 		}
-		e := uint32(113) // normalize a binary16 subnormal into float32
-		for man&0x400 == 0 {
-			man <<= 1
-			e--
+	}
+	return t
+})
+
+// Float16Table returns the binary16 decode table: element h is the
+// exact float32 value of bits h. Callers must not write to it.
+func Float16Table() *[1 << 16]float32 { return f16Table() }
+
+// EncodeF16 writes the binary16 encoding of each src element to dst,
+// which must be at least as long.
+func EncodeF16[T Float](dst F16, src []T) {
+	dst = dst[:len(src)]
+	for i, v := range src {
+		if b := math.Float32bits(float32(v)); f16Fast(b) {
+			dst[i] = f16Bits(f16Round(b))
+		} else {
+			dst[i] = f16Edge(b)
 		}
-		return math.Float32frombits(sign | e<<23 | (man&0x3ff)<<13)
-	case exp == 0x1f:
-		return math.Float32frombits(sign | 0x7f800000 | man<<13)
-	default:
-		return math.Float32frombits(sign | (exp+112)<<23 | man<<13)
+	}
+}
+
+// EncodeQuantizeF16 is EncodeF16 that also rewrites each src element to
+// the value its encoding decodes to, so the sender holds exactly what
+// its receivers will. Quantizing is idempotent: an element already on
+// the binary16 grid encodes to its own bits and keeps its value.
+func EncodeQuantizeF16[T Float](dst F16, src []T) {
+	t := f16Table()
+	dst = dst[:len(src)]
+	for i, v := range src {
+		if b := math.Float32bits(float32(v)); f16Fast(b) {
+			r := f16Round(b)
+			dst[i] = f16Bits(r)
+			src[i] = T(math.Float32frombits(r))
+		} else {
+			dst[i] = f16Edge(b)
+			src[i] = T(t[dst[i]])
+		}
+	}
+}
+
+// QuantizeF16 rounds every element of v to the binary16 value it would
+// travel as: v[i] becomes the decoding of its own encoding.
+func QuantizeF16[T Float](v []T) {
+	t := f16Table()
+	for i, x := range v {
+		if b := math.Float32bits(float32(x)); f16Fast(b) {
+			v[i] = T(math.Float32frombits(f16Round(b)))
+		} else {
+			v[i] = T(t[f16Edge(b)])
+		}
+	}
+}
+
+// DecodeF16 writes the value of each src element to dst, which must be
+// at least as long. Decoding is exact.
+func DecodeF16[T Float](dst []T, src F16) {
+	t := f16Table()
+	dst = dst[:len(src)]
+	for i, h := range src {
+		dst[i] = T(t[h])
 	}
 }
 

@@ -14,6 +14,9 @@ import (
 // received chunks in place out of pooled frame buffers, so once the pools
 // are warm an op allocates less per rank than one chunk. A send path that
 // snapshots each outgoing chunk allocates six chunks per op per rank.
+// Under fp16 every send encodes into the communicator's one reused
+// payload scratch, so the bound is one binary16 chunk; an encoder that
+// allocates its payload per send spends six of them.
 func TestAllreduceAllocatesLessThanAChunk(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops Puts at random, so pooled frame buffers are reallocated")
@@ -25,13 +28,17 @@ func TestAllreduceAllocatesLessThanAChunk(t *testing.T) {
 		ops    = 8
 	)
 	segment := int64(elems) * 8 / world
+	f16Segment := int64(elems) * 2 / world
 	for _, tc := range []struct {
 		name  string
 		algo  mpi.AllreduceAlgo
+		codec mpi.WireCodec
 		chunk int64
 	}{
-		{"ring", mpi.AlgoRing, segment},
-		{"pipelined", mpi.AlgoPipelinedRing, segment / int64(mpi.DefaultPipelineChunks)},
+		{"ring", mpi.AlgoRing, mpi.CodecRaw, segment},
+		{"pipelined", mpi.AlgoPipelinedRing, mpi.CodecRaw, segment / int64(mpi.DefaultPipelineChunks)},
+		{"fp16-ring", mpi.AlgoRing, mpi.CodecFP16, f16Segment},
+		{"fp16-pipelined", mpi.AlgoPipelinedRing, mpi.CodecFP16, f16Segment / int64(mpi.DefaultPipelineChunks)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eps, procs := benchWorld(t, world)
@@ -57,7 +64,8 @@ func TestAllreduceAllocatesLessThanAChunk(t *testing.T) {
 							for j := range tensors[r] {
 								tensors[r][j] = float64(r + it)
 							}
-							if err := mpi.AllreduceWith(comms[r], tensors[r], mpi.OpSum, tc.algo); err != nil {
+							opts := mpi.AllreduceOptions{Algo: tc.algo, Codec: tc.codec}
+							if err := mpi.AllreduceOpts(comms[r], tensors[r], mpi.OpSum, opts); err != nil {
 								errs[r] = err
 								return
 							}

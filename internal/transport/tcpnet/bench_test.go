@@ -5,9 +5,11 @@ package tcpnet_test
 // tensors of 1 MiB and 16 MiB. It exercises the full data plane — raw
 // codec, pooled frame buffers, buffered writers — under both the plain
 // ring (the auto pick at these sizes) and the chunk-pipelined ring, plus
-// the 16 MiB float64 auto allreduce of the steady_16m workload. B/op is
-// reported: the send path borrows the tensor, so it should stay far
-// below one chunk.
+// the 16 MiB float64 auto allreduce of the steady_16m workload, raw and
+// fp16 (steady_16m_fp16). B/op is reported: the send path borrows the
+// tensor, or encodes into a reused scratch under fp16, so it should stay
+// far below one chunk. Every op refills its tensor first, as elasticd
+// does every step, so sums stay finite and in the binary16 range.
 
 import (
 	"fmt"
@@ -67,16 +69,19 @@ func BenchmarkTCPAllreduce(b *testing.B) {
 	for _, sz := range sizes {
 		for _, al := range algos {
 			b.Run(fmt.Sprintf("%s/%s", sz.name, al.name), func(b *testing.B) {
-				benchTCPAllreduce[float32](b, world, sz.elems, 4, al.algo)
+				benchTCPAllreduce[float32](b, world, sz.elems, 4, mpi.AllreduceOptions{Algo: al.algo})
 			})
 		}
 	}
 	b.Run("16MB-f64/auto", func(b *testing.B) {
-		benchTCPAllreduce[float64](b, world, 1<<21, 8, mpi.AlgoAuto)
+		benchTCPAllreduce[float64](b, world, 1<<21, 8, mpi.AllreduceOptions{})
+	})
+	b.Run("16MB-f64-fp16/auto", func(b *testing.B) {
+		benchTCPAllreduce[float64](b, world, 1<<21, 8, mpi.AllreduceOptions{Codec: mpi.CodecFP16})
 	})
 }
 
-func benchTCPAllreduce[T float32 | float64](b *testing.B, world, elems, elemBytes int, algo mpi.AllreduceAlgo) {
+func benchTCPAllreduce[T float32 | float64](b *testing.B, world, elems, elemBytes int, opts mpi.AllreduceOptions) {
 	eps, procs := benchWorld(b, world)
 	comms := make([]*mpi.Comm, world)
 	tensors := make([][]T, world)
@@ -88,9 +93,6 @@ func benchTCPAllreduce[T float32 | float64](b *testing.B, world, elems, elemByte
 		}
 		comms[i] = comm
 		tensors[i] = make([]T, elems)
-		for j := range tensors[i] {
-			tensors[i][j] = T(i + 1)
-		}
 	}
 	b.SetBytes(int64(elems * elemBytes))
 	b.ReportAllocs()
@@ -102,7 +104,10 @@ func benchTCPAllreduce[T float32 | float64](b *testing.B, world, elems, elemByte
 		go func(r int) {
 			defer wg.Done()
 			for it := 0; it < b.N; it++ {
-				if err := mpi.AllreduceWith(comms[r], tensors[r], mpi.OpSum, algo); err != nil {
+				for j := range tensors[r] {
+					tensors[r][j] = T(r + 1)
+				}
+				if err := mpi.AllreduceOpts(comms[r], tensors[r], mpi.OpSum, opts); err != nil {
 					errs[r] = err
 					return
 				}
