@@ -6,7 +6,7 @@
 #   make lint    analyzer self-tests + elasticvet over the whole tree
 #   make vet-fix-check  standalone elasticvet incl. test variants; zero findings
 #   make test    full test suite (+ race on the fast packages)
-#   make fuzz-smoke  ten seconds each of FuzzAgreeMessage (agreement decoder + delivery switch), FuzzDecodePayload (wire codec) and FuzzReadFrame (tcpnet frame reader)
+#   make fuzz-smoke  ten seconds each of FuzzAgreeMessage (agreement decoder + delivery switch), FuzzDecodePayload (wire codec), FuzzReadFrame (tcpnet frame reader), FuzzGossipPacket (SWIM packet decoder + handler) and FuzzParseSchedule (-scale-policy parser)
 #   make fp16-exhaustive  the binary16 encoders against the reference on all 2^32 float32 inputs
 #   make chaos   chaos conformance at the pinned seeds
 #   make cluster clustertest conformance (gossip control plane) at world 32
@@ -92,13 +92,18 @@ race:
 # control handler's delivery switch (internal/mpi/testdata/fuzz), then
 # the wire codec's DecodePayload/ParseRawPayload pair
 # (internal/transport/testdata/fuzz), then the tcpnet frame reader and
-# its lazy raw-payload hand-off (internal/transport/tcpnet/testdata/fuzz).
+# its lazy raw-payload hand-off (internal/transport/tcpnet/testdata/fuzz),
+# then the gossip packet decoder and a node handling what it decodes
+# (internal/gossip/testdata/fuzz), then the -scale-policy schedule
+# parser (internal/autopilot/testdata/fuzz).
 # A crasher lands there as a new corpus file and fails every later
 # `go test`.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzAgreeMessage -fuzztime=10s ./internal/mpi/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodePayload -fuzztime=10s ./internal/transport/
 	$(GO) test -run='^$$' -fuzz=FuzzReadFrame -fuzztime=10s ./internal/transport/tcpnet/
+	$(GO) test -run='^$$' -fuzz=FuzzGossipPacket -fuzztime=10s ./internal/gossip/
+	$(GO) test -run='^$$' -fuzz=FuzzParseSchedule -fuzztime=10s ./internal/autopilot/
 
 # fp16-exhaustive: every float32 bit pattern through EncodeF16,
 # EncodeQuantizeF16 and QuantizeF16, compared with the reference scalar

@@ -107,6 +107,33 @@ func TestClusterConformance(t *testing.T) {
 		c.CheckOutcomes(outs, c.ProcsExcept(world-1))
 	})
 
+	// Scenario 1c: the compressed kill lands inside the allgather. Every
+	// survivor holds the binary16 chunks it received one step earlier, to
+	// forward them as received, when the victim's death aborts the step:
+	// the aborted collective must release each held frame exactly once
+	// (the harness teardown counts pooled buffers), and the retry must
+	// still land the bit-exact survivors-only sum at every rank.
+	t.Run("kill_mid_compressed_ag", func(t *testing.T) {
+		if sum := world * (world + 1) / 2; sum > 2048 {
+			t.Skipf("world %d: full sum %d exceeds the binary16 exact-integer range; the bit-exact check needs world <= 63", world, sum)
+		}
+		c := boot(t)
+		victim := c.Workers[world-1]
+		c.Eng.AddRule(chaos.Rule{
+			Name: "killcomp_ag", Proc: victim.Proc, Point: transport.PointPipelineAGChunk,
+			Nth: 5, Op: chaos.OpKill, Disabled: true,
+		})
+		c.Eng.OnKill(victim.Proc, victim.Die)
+		opts := mpi.AllreduceOptions{Algo: mpi.AlgoPipelinedRing, Codec: mpi.CodecFP16}
+		outs := c.Run(clustertest.RoundsBodyOpts(opts, 2, func(w *clustertest.Worker, round int) bool {
+			if round == 1 && w.Rank == world-1 {
+				c.Eng.Enable("killcomp_ag") // armed after the clean round
+			}
+			return true
+		}))
+		c.CheckOutcomes(outs, c.ProcsExcept(world-1))
+	})
+
 	// Scenario 2: node kill — two co-located workers die at once, so one
 	// repair must absorb a multi-process failure event.
 	t.Run("kill_node", func(t *testing.T) {

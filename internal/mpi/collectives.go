@@ -153,12 +153,12 @@ func (c *Comm) allreduce(b buf, op Op) error {
 		markDistribute(b)
 		return c.bcastTree(b, 0, seq)
 	}
-	// Bandwidth-optimal ring: reduce-scatter then ring allgather.
+	// Bandwidth-optimal ring: reduce-scatter then ring allgather, with
+	// no markDistribute (see compress.go).
 	bounds := evenBounds(b.length(), c.Size())
 	if err := c.reduceScatterRing(b, op, bounds, seq); err != nil {
 		return err
 	}
-	markDistribute(b)
 	return c.ringAllgather(b, bounds, seq, true)
 }
 
@@ -181,7 +181,6 @@ func (c *Comm) allreduceRing(b buf, op Op) error {
 	if err := c.reduceScatterRing(b, op, bounds, seq); err != nil {
 		return err
 	}
-	markDistribute(b)
 	return c.ringAllgather(b, bounds, seq, true)
 }
 
@@ -386,11 +385,13 @@ func (c *Comm) ringAllgather(b buf, bounds []int, seq int, afterRS bool) error {
 		start = (r + 1) % p
 	}
 	tag := c.collTag(seq, phAllgather)
+	rl := relayOf(b)
+	defer rl.drop()
 	for step := 0; step < p-1; step++ {
 		sc := (start - step + 2*p) % p
 		rc := (start - step - 1 + 2*p) % p
 		lo, hi := bounds[sc], bounds[sc+1]
-		if err := c.sendRaw(right, tag, b.payload(lo, hi), b.bytesFor(hi-lo)); err != nil {
+		if err := rl.send(c, right, tag, 0, lo, hi); err != nil {
 			return err
 		}
 		m, err := c.recvRaw(left, tag)
@@ -398,9 +399,69 @@ func (c *Comm) ringAllgather(b buf, bounds []int, seq int, afterRS bool) error {
 			return err
 		}
 		lo, hi = bounds[rc], bounds[rc+1]
-		b.setIn(lo, hi, m.Data)
+		rl.recv(0, lo, hi, m.Data, step < p-2)
 	}
 	return nil
+}
+
+// forwarder is a buffer whose ring-allgather chunks travel on as
+// received (compBuf; see "Forwarding" in compress.go). Chunk slot k is
+// the chunk's index among the K a step moves.
+type forwarder interface {
+	hold(k, lo, hi int, pay any) // setIn, keeping pay for the next step
+	forward(k int) any           // slot k's held payload, or nil
+	release(k int)               // after slot k's forwarding send returns
+	drop()                       // on every exit of the allgather
+}
+
+// relay runs a ring allgather's chunk traffic over b. A forwarder holds
+// each received chunk until its forwarding send returns; any other
+// buffer re-reads the tensor for every send and releases received
+// chunks at once.
+type relay struct {
+	b  buf
+	fw forwarder // nil: b does not forward
+}
+
+func relayOf(b buf) relay {
+	fw, _ := b.(forwarder)
+	return relay{b: b, fw: fw}
+}
+
+// send sends chunk slot k, [lo,hi): the chunk received one step earlier
+// if the buffer holds it, else the range read from the tensor (the
+// rank's own segment at step 0). Re-reading a range the allgather
+// decoded sends the same bits, since quantizing is idempotent.
+func (r relay) send(c *Comm, to, tag, k, lo, hi int) error {
+	var pay any
+	if r.fw != nil {
+		pay = r.fw.forward(k)
+	}
+	if pay == nil {
+		pay = r.b.payload(lo, hi)
+	}
+	err := c.sendRaw(to, tag, pay, r.b.bytesFor(hi-lo))
+	if r.fw != nil {
+		r.fw.release(k)
+	}
+	return err
+}
+
+// recv stores chunk slot k's received payload in [lo,hi); keep holds it
+// for the next step's send (false on the last step).
+func (r relay) recv(k, lo, hi int, pay any, keep bool) {
+	if r.fw != nil && keep {
+		r.fw.hold(k, lo, hi, pay)
+		return
+	}
+	r.b.setIn(lo, hi, pay)
+}
+
+// drop releases whatever the relay still holds.
+func (r relay) drop() {
+	if r.fw != nil {
+		r.fw.drop()
+	}
 }
 
 // evenBounds splits n elements into p nearly equal contiguous chunks.

@@ -23,7 +23,7 @@ type Comm struct {
 	agreeSeq   int             // out-of-band agreement sequence (see nextAgreeSeq)
 	members    map[ProcID]bool // memberSet, built on first use
 	derivedSeq int             // number of derived communicators created from this one
-	f16        transport.F16   // fp16 allreduce payload scratch (compBuf.out)
+	f16        f16Scratch      // fp16 allreduce payload scratch and held allgather chunks
 }
 
 // World builds the initial communicator over the given process list. Every

@@ -69,7 +69,6 @@ func (c *Comm) allreducePipelined(b buf, op Op, chunks int) error {
 	if err := c.reduceScatterRingPipelined(b, op, bounds, seq, chunks); err != nil {
 		return err
 	}
-	markDistribute(b)
 	return c.ringAllgatherPipelined(b, bounds, seq, chunks)
 }
 
@@ -143,21 +142,27 @@ func (c *Comm) reduceScatterRingPipelined(b buf, op Op, bounds []int, seq, K int
 
 // ringAllgatherPipelined circulates the completed chunks with the same
 // K-way send/recv overlap; starting segment (r+1)%p matches the chunk the
-// pipelined reduce-scatter completed at this rank.
+// pipelined reduce-scatter completed at this rank. Chunk k of one step's
+// receive is chunk k of the next step's send, and its send comes before
+// the next receive into slot k, so a forwarding buffer holds at most K
+// chunks.
 func (c *Comm) ringAllgatherPipelined(b buf, bounds []int, seq, K int) error {
 	p, r := c.Size(), c.rank
 	right, left := (r+1)%p, (r-1+p)%p
 	start := (r + 1) % p
 	tag := c.collTag(seq, phPipeAG)
+	rl := relayOf(b)
+	defer rl.drop()
 	for step := 0; step < p-1; step++ {
 		sc := (start - step + 2*p) % p
 		rc := (start - step - 1 + 2*p) % p
 		slo, rlo := bounds[sc], bounds[rc]
 		sb := evenBounds(bounds[sc+1]-slo, K)
 		rb := evenBounds(bounds[rc+1]-rlo, K)
+		keep := step < p-2
 		for k := 0; k < K; k++ {
 			lo, hi := slo+sb[k], slo+sb[k+1]
-			if err := c.sendRaw(right, tag, b.payload(lo, hi), b.bytesFor(hi-lo)); err != nil {
+			if err := rl.send(c, right, tag, k, lo, hi); err != nil {
 				return err
 			}
 			transport.Hit(c.p.ep.ID(), transport.PointPipelineAGChunk)
@@ -166,14 +171,14 @@ func (c *Comm) ringAllgatherPipelined(b buf, bounds []int, seq, K int) error {
 				if err != nil {
 					return err
 				}
-				b.setIn(rlo+rb[k-1], rlo+rb[k], m.Data)
+				rl.recv(k-1, rlo+rb[k-1], rlo+rb[k], m.Data, keep)
 			}
 		}
 		m, err := c.recvRaw(left, tag)
 		if err != nil {
 			return err
 		}
-		b.setIn(rlo+rb[K-1], rlo+rb[K], m.Data)
+		rl.recv(K-1, rlo+rb[K-1], rlo+rb[K], m.Data, keep)
 	}
 	return nil
 }

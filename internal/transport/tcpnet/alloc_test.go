@@ -15,8 +15,11 @@ import (
 // are warm an op allocates less per rank than one chunk. A send path that
 // snapshots each outgoing chunk allocates six chunks per op per rank.
 // Under fp16 every send encodes into the communicator's one reused
-// payload scratch, so the bound is one binary16 chunk; an encoder that
-// allocates its payload per send spends six of them.
+// payload scratch, or forwards a received chunk from a pooled frame, so
+// the bound is one binary16 chunk; an encoder that allocates its
+// payload per send spends six of them. The K = 8 case mirrors the
+// steady_16m_fp16 pipeline, where every rank holds up to eight chunks
+// to forward: the slots that hold them live on the communicator.
 func TestAllreduceAllocatesLessThanAChunk(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops Puts at random, so pooled frame buffers are reallocated")
@@ -30,15 +33,17 @@ func TestAllreduceAllocatesLessThanAChunk(t *testing.T) {
 	segment := int64(elems) * 8 / world
 	f16Segment := int64(elems) * 2 / world
 	for _, tc := range []struct {
-		name  string
-		algo  mpi.AllreduceAlgo
-		codec mpi.WireCodec
-		chunk int64
+		name   string
+		algo   mpi.AllreduceAlgo
+		codec  mpi.WireCodec
+		chunks int // 0: PipelineChunksFor's pick
+		chunk  int64
 	}{
-		{"ring", mpi.AlgoRing, mpi.CodecRaw, segment},
-		{"pipelined", mpi.AlgoPipelinedRing, mpi.CodecRaw, segment / int64(mpi.DefaultPipelineChunks)},
-		{"fp16-ring", mpi.AlgoRing, mpi.CodecFP16, f16Segment},
-		{"fp16-pipelined", mpi.AlgoPipelinedRing, mpi.CodecFP16, f16Segment / int64(mpi.DefaultPipelineChunks)},
+		{"ring", mpi.AlgoRing, mpi.CodecRaw, 0, segment},
+		{"pipelined", mpi.AlgoPipelinedRing, mpi.CodecRaw, 0, segment / int64(mpi.DefaultPipelineChunks)},
+		{"fp16-ring", mpi.AlgoRing, mpi.CodecFP16, 0, f16Segment},
+		{"fp16-pipelined", mpi.AlgoPipelinedRing, mpi.CodecFP16, 0, f16Segment / int64(mpi.DefaultPipelineChunks)},
+		{"fp16-pipelined-k8", mpi.AlgoPipelinedRing, mpi.CodecFP16, 8, f16Segment / 8},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eps, procs := benchWorld(t, world)
@@ -64,7 +69,7 @@ func TestAllreduceAllocatesLessThanAChunk(t *testing.T) {
 							for j := range tensors[r] {
 								tensors[r][j] = float64(r + it)
 							}
-							opts := mpi.AllreduceOptions{Algo: tc.algo, Codec: tc.codec}
+							opts := mpi.AllreduceOptions{Algo: tc.algo, Chunks: tc.chunks, Codec: tc.codec}
 							if err := mpi.AllreduceOpts(comms[r], tensors[r], mpi.OpSum, opts); err != nil {
 								errs[r] = err
 								return

@@ -1,6 +1,7 @@
 package tcpnet_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"net"
@@ -11,13 +12,17 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/transport"
 	"repro/internal/transport/tcpnet"
+	"repro/internal/vtime"
 )
 
 // loopbackWorld spins up a fully connected loopback TCP world and runs
-// body at every rank, returning each rank's tensor afterwards.
+// body at every rank, returning each rank's tensor afterwards. Once the
+// endpoints are closed the frame pool must be back at its baseline: a
+// lazy payload released twice, or never, shows there.
 func loopbackWorld(t *testing.T, world int, cfg tcpnet.Config, inputs [][]float32,
 	body func(c *mpi.Comm, data []float32) error) [][]float32 {
 	t.Helper()
+	bufs0 := tcpnet.OutstandingFrameBufs()
 	eps := make([]*tcpnet.Endpoint, world)
 	peers := make(map[transport.ProcID]string, world)
 	procs := make([]transport.ProcID, world)
@@ -61,6 +66,12 @@ func loopbackWorld(t *testing.T, world int, cfg tcpnet.Config, inputs [][]float3
 		if err != nil {
 			t.Fatalf("rank %d: %v", rank, err)
 		}
+	}
+	for _, ep := range eps {
+		ep.Close()
+	}
+	if !vtime.WaitUntil(5*time.Second, func() bool { return tcpnet.OutstandingFrameBufs() == bufs0 }) {
+		t.Fatalf("%d pooled frame buffers outstanding, %d before the run", tcpnet.OutstandingFrameBufs(), bufs0)
 	}
 	return out
 }
@@ -131,47 +142,52 @@ func (c countingConn) Write(b []byte) (int, error) {
 // Compressed traffic under the forced zero-copy floor: the fp16 wire
 // payloads ride the same vectored-send/lazy-delivery path, and every
 // rank must still agree bit for bit (AsF16 views into the frame buffer
-// must decode the same bits the sender wrote). The same inputs then run
-// raw and fp16 through byte-counting connections: fp16 must put at most
-// 0.55x the raw bytes on the wire (half, plus framing).
+// must decode the same bits the sender wrote, including the chunks the
+// allgather forwards as received). The same inputs then run raw and
+// fp16 through byte-counting connections: fp16 must put at most 0.55x
+// the raw bytes on the wire (half, plus framing). Worlds 4 and 5 at 8
+// chunks hold up to eight forwarded frames per rank at a time.
 func TestZeroCopyCompressedUniform(t *testing.T) {
-	const world = 3
 	const elems = 48 << 10
-	inputs := make([][]float32, world)
-	for r := range inputs {
-		rng := rand.New(rand.NewSource(int64(9 + r)))
-		inputs[r] = make([]float32, elems)
-		for i := range inputs[r] {
-			inputs[r][i] = float32(rng.NormFloat64())
-		}
-	}
 	cfg := tcpnet.Config{DialRetries: 4, DialBackoff: 20 * time.Millisecond, DialTimeout: time.Second, ZeroCopyMin: 1}
-	run := func(cfg tcpnet.Config, codec mpi.WireCodec) [][]float32 {
-		return loopbackWorld(t, world, cfg, inputs, func(c *mpi.Comm, data []float32) error {
-			return mpi.AllreduceOpts(c, data, mpi.OpSum,
-				mpi.AllreduceOptions{Algo: mpi.AlgoPipelinedRing, Chunks: 2, Codec: codec})
+	for _, tc := range []struct{ world, chunks int }{{3, 2}, {4, 2}, {4, 8}, {5, 8}} {
+		t.Run(fmt.Sprintf("world%d/k%d", tc.world, tc.chunks), func(t *testing.T) {
+			inputs := make([][]float32, tc.world)
+			for r := range inputs {
+				rng := rand.New(rand.NewSource(int64(9 + r)))
+				inputs[r] = make([]float32, elems)
+				for i := range inputs[r] {
+					inputs[r][i] = float32(rng.NormFloat64())
+				}
+			}
+			run := func(cfg tcpnet.Config, codec mpi.WireCodec) [][]float32 {
+				return loopbackWorld(t, tc.world, cfg, inputs, func(c *mpi.Comm, data []float32) error {
+					return mpi.AllreduceOpts(c, data, mpi.OpSum,
+						mpi.AllreduceOptions{Algo: mpi.AlgoPipelinedRing, Chunks: tc.chunks, Codec: codec})
+				})
+			}
+			got := run(cfg, mpi.CodecFP16)
+			for r := 1; r < tc.world; r++ {
+				for i := range got[0] {
+					if math.Float32bits(got[r][i]) != math.Float32bits(got[0][i]) {
+						t.Fatalf("rank %d elem %d = %v, rank 0 = %v — compressed zero-copy path diverged",
+							r, i, got[r][i], got[0][i])
+					}
+				}
+			}
+
+			wireBytes := func(codec mpi.WireCodec) int64 {
+				var n atomic.Int64
+				counted := cfg
+				counted.WrapConn = func(conn net.Conn, _ bool) net.Conn { return countingConn{conn, &n} }
+				run(counted, codec)
+				return n.Load()
+			}
+			raw, fp16 := wireBytes(mpi.CodecRaw), wireBytes(mpi.CodecFP16)
+			if raw == 0 || float64(fp16) > 0.55*float64(raw) {
+				t.Fatalf("fp16 moved %d wire bytes, raw %d: want fp16 <= 0.55x raw", fp16, raw)
+			}
+			t.Logf("wire bytes: raw %d, fp16 %d (%.3fx)", raw, fp16, float64(fp16)/float64(raw))
 		})
 	}
-	got := run(cfg, mpi.CodecFP16)
-	for r := 1; r < world; r++ {
-		for i := range got[0] {
-			if math.Float32bits(got[r][i]) != math.Float32bits(got[0][i]) {
-				t.Fatalf("rank %d elem %d = %v, rank 0 = %v — compressed zero-copy path diverged",
-					r, i, got[r][i], got[0][i])
-			}
-		}
-	}
-
-	wireBytes := func(codec mpi.WireCodec) int64 {
-		var n atomic.Int64
-		counted := cfg
-		counted.WrapConn = func(conn net.Conn, _ bool) net.Conn { return countingConn{conn, &n} }
-		run(counted, codec)
-		return n.Load()
-	}
-	raw, fp16 := wireBytes(mpi.CodecRaw), wireBytes(mpi.CodecFP16)
-	if raw == 0 || float64(fp16) > 0.55*float64(raw) {
-		t.Fatalf("fp16 moved %d wire bytes, raw %d: want fp16 <= 0.55x raw", fp16, raw)
-	}
-	t.Logf("wire bytes: raw %d, fp16 %d (%.3fx)", raw, fp16, float64(fp16)/float64(raw))
 }

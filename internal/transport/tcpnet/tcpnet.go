@@ -425,12 +425,14 @@ func readMessage(r io.Reader, bufp **[]byte, maxFrame, zeroCopyMin int) (*transp
 			obsRxInplace.Inc()
 			data = rp
 			*bufp = getFrameBuf()
-			if cap(**bufp) < cap(buf) {
+			if cap(**bufp) < len(buf) {
 				// The next frame is likely as large as this one. Size the
-				// fresh buffer by bytes that arrived, so readBody's
-				// prefix-safe growth runs once per connection, not once
-				// per frame while the pool is cold.
-				**bufp = make([]byte, 0, cap(buf))
+				// fresh buffer by the bytes of the frame just handed off,
+				// not by its buffer's capacity (the largest frame that
+				// pooled buffer ever held), so readBody's prefix-safe
+				// growth runs once per connection, not once per frame
+				// while the pool is cold.
+				**bufp = make([]byte, 0, len(buf))
 			}
 		}
 	}
@@ -723,10 +725,6 @@ func setNoDelay(conn net.Conn) {
 func (e *Endpoint) Recv(src transport.ProcID, tag int) (*transport.Message, error) {
 	e.mu.Lock()
 	for {
-		if e.closed {
-			e.mu.Unlock()
-			return nil, transport.ErrDead
-		}
 		if i := e.matchLocked(src, tag); i >= 0 {
 			m := e.takeLocked(i)
 			e.mu.Unlock()
@@ -737,12 +735,18 @@ func (e *Endpoint) Recv(src transport.ProcID, tag int) (*transport.Message, erro
 			e.mu.Unlock()
 			return nil, err
 		}
-		// drainCtl released the lock; a matching message may have landed.
+		// drainCtl released the lock; a matching message may have landed,
+		// or Close may have run, its Broadcast reaching no waiter (Close
+		// empties the queue, so a closed endpoint matches nothing).
 		if i := e.matchLocked(src, tag); i >= 0 {
 			m := e.takeLocked(i)
 			e.mu.Unlock()
 			e.touch()
 			return m, nil
+		}
+		if e.closed {
+			e.mu.Unlock()
+			return nil, transport.ErrDead
 		}
 		if src != transport.AnySource && e.dead[src] {
 			e.mu.Unlock()

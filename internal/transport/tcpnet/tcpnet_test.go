@@ -154,6 +154,33 @@ func TestMarkDeadWakesRecvAndRunsHandler(t *testing.T) {
 	}
 }
 
+// TestCloseInsideCtlHandlerEndsRecv: a control handler runs with the
+// endpoint unlocked, so a Close can land while a Recv drains notices
+// (a chaos kill while the rank agrees on a failure). Its Broadcast then
+// finds no waiter, and the Recv must still see the endpoint closed
+// instead of waiting forever.
+func TestCloseInsideCtlHandlerEndsRecv(t *testing.T) {
+	a, _ := pair(t)
+	a.SetCtlHandler(func(m *transport.Message) error {
+		a.Close()
+		return nil
+	})
+	a.MarkDead(1)
+	done := make(chan error, 1)
+	go func() {
+		_, err := a.Recv(transport.AnySource, 5)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, transport.ErrDead) {
+			t.Fatalf("recv on an endpoint closed by its handler = %v, want ErrDead", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("recv still blocked 5 s after its handler closed the endpoint")
+	}
+}
+
 func TestDeliveredDataBeatsFailureNotice(t *testing.T) {
 	a, b := pair(t)
 
