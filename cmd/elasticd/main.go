@@ -290,10 +290,9 @@ func main() {
 				len(state), math.Float64frombits(binary.LittleEndian.Uint64(state)), step, step+1)
 			return d.runSteps(int(step) + 1)
 		}
-		// The resolved data-plane plan goes to stdout at startup (what the
-		// first round will run, per the tuner's current model) and into the
-		// journal every round — after a shrink or enough observations the
-		// tuned pick can change, and the journal is where that shows.
+		// The resolved data-plane plan goes to stdout at startup: what
+		// every round runs until the world changes size, when each member
+		// re-plans by the same rule.
 		plan := mpi.PlanAllreduce(int64(*n)*8, nd.CL.World(), opts)
 		fmt.Printf("elasticd: data plane: %s (%d x float64, world %d)\n", plan, *n, nd.CL.World())
 		d.awaitSpares(*spares, 2*time.Minute)

@@ -56,7 +56,6 @@ type daemon struct {
 // caller to report.
 func (d *daemon) runSteps(start int) error {
 	nd, r := d.nd, d.nd.R
-	tensorBytes := int64(d.n) * 8
 	// One tensor for the life of the run, refilled every step: the
 	// reduction overwrites it in place, and everything that outlives the
 	// step (the checkpoint model, the newcomer state stream) copies out.
@@ -69,8 +68,6 @@ func (d *daemon) runSteps(start int) error {
 	}
 	for step := start; step < d.steps; step++ {
 		transport.Hit(nd.Proc, transport.PointElasticRound)
-		plan := mpi.PlanAllreduce(tensorBytes, r.Size(), d.opts)
-		d.rec.Plan(nd.Now(), int(nd.Proc), step, plan.Algo.String(), plan.Chunks, plan.Codec.String(), plan.Tuned)
 		for i := range data {
 			data[i] = float64(nd.Proc) + 1
 		}

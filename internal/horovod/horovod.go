@@ -48,10 +48,10 @@ type Backend interface {
 
 // MPIBackend adapts an mpi.Comm (ULFM-capable) as a Horovod backend.
 // Algo selects the allreduce schedule for gradient exchange (the zero
-// value keeps the library's automatic pick, which self-tunes on real
-// transports); Chunks pins the pipelined split factor and Codec selects
-// the gradient wire format — zero values mean size-derived chunking and
-// lossless full-width floats.
+// value keeps the library's size-based pick, mpi.PlanAllreduce); Chunks
+// pins the pipelined split factor and Codec selects the gradient wire
+// format — zero values mean size-derived chunking and lossless
+// full-width floats.
 type MPIBackend struct {
 	Comm   *mpi.Comm
 	Algo   mpi.AllreduceAlgo

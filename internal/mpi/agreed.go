@@ -80,13 +80,13 @@ func AllreduceAgreed[T Number](c *Comm, data []T, op Op) (ok bool, err error) {
 // AllreduceOpts would run the static latency tree for it (the auto
 // schedule on a small payload), the codec is lossless for T, and T has a
 // raw wire form. Every member answers the same: it depends only on the
-// arguments, the world size and the kind of transport.
+// arguments and the world size.
 func AgreedPath[T Number](c *Comm, data []T, o AllreduceOptions) bool {
 	b := allreduceBuf(data, o.Codec, nil)
 	bytes := b.bytesFor(len(data))
 	_, lossless := b.(numBuf[T])
 	return o.Algo == AlgoAuto && lossless && newCarry(data, OpSum) != nil &&
-		!tunable(c, bytes) && (bytes <= smallThreshold || len(data) < c.Size())
+		(bytes <= smallThreshold || len(data) < c.Size())
 }
 
 // agreeCarry is the reduction an agreement carries.

@@ -164,8 +164,8 @@ func (c *Comm) allreduce(b buf, op Op) error {
 
 // allreduceRing is the explicit plain-ring allreduce (AlgoRing): the
 // bandwidth-optimal reduce-scatter + allgather schedule with no
-// small-payload tree shortcut, so benchmarks and the tuner can pin the
-// exact algorithm regardless of tensor size.
+// small-payload tree shortcut, so benchmarks can pin the exact
+// algorithm regardless of tensor size.
 func (c *Comm) allreduceRing(b buf, op Op) error {
 	seq := c.nextSeq()
 	if err := c.checkCollective(); err != nil {

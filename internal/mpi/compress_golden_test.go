@@ -26,8 +26,10 @@ import (
 //
 // chunks is the pipelined split factor K (0: DefaultPipelineChunks) and
 // elems the tensor length (0: 9001, prime, so no world·K divides it).
-// The AlgoAuto cases at 20011 elements take Allreduce's ring branch for
-// both element types; at 9001 the float32 tensor takes the tree.
+// AlgoAuto's tree/ring split counts wire bytes, two per fp16 element:
+// its cases at 9001 and 20011 elements take the tree for both element
+// types, and at 40009 the ring branch (recorded from the explicit ring
+// at that length, which it must match).
 var fp16GoldenCases = []struct {
 	algo          AllreduceAlgo
 	nodes, ppn    int
@@ -125,7 +127,7 @@ var fp16GoldenCases = []struct {
 	{AlgoRing, 4, 1, 0, 3, OpSum,
 		"619f95f185ef441a85021071c6fe363386f939ec60f5cd5786cf9fd0e182b415",
 		"9880e76eed190b78d9d62e8f4c67af0241184997cd229e5e6a2615f9bf019c24"},
-	// The auto schedule: the ring branch, and (float32 at 9001) the tree.
+	// The auto schedule: the tree, and at 40009 elements the ring branch.
 	{AlgoAuto, 1, 3, 0, 20011, OpSum,
 		"50aff4ceb244dca59a7ddcb95854ae04fdbbfbf287bf5633c5a567ac98496a95",
 		"02abc35ca6b6b79758e54aaf299544de0aad038cfb3697460c0b41ee176fdeff"},
@@ -138,6 +140,9 @@ var fp16GoldenCases = []struct {
 	{AlgoAuto, 4, 1, 0, 0, OpSum,
 		"8bb875bd277fbe8fa974e078a6dca5991bb5496bace1e24d6673a83ce0ae8b93",
 		"4065c2255be45d808c35e16375a62be08e2b4bad858fb7049b435dca84e93062"},
+	{AlgoAuto, 4, 1, 0, 40009, OpSum,
+		"842c94b0d898797b09cddd6f1723b33586d9fb1ea569cf246e5f64201c48b365",
+		"641f4c7c4fa728c66b80ada48cd27700d68c7ec0ce314b41e31a8007f4bb7ce0"},
 }
 
 // fp16GoldenInput is rank's seeded input: mostly normal values spread
@@ -272,13 +277,13 @@ func TestFP16GoldenOutputs(t *testing.T) {
 // those payloads, so a chunk used after its frame went back to the pool
 // shows as a wrong hash, and one released twice or never shows in the
 // pool count, which must be back at its baseline after every run.
-// (AlgoAuto tunes its pick on TCP, and hierarchical groups by placement.)
+// (Hierarchical groups by placement, which tcpnet does not report.)
 func TestFP16GoldenOutputsTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loopback sockets")
 	}
 	for _, tc := range fp16GoldenCases {
-		if tc.algo != AlgoRing && tc.algo != AlgoPipelinedRing && tc.algo != AlgoRecursiveDoubling {
+		if tc.algo == AlgoHierarchical {
 			continue
 		}
 		chunks, elems := goldenShape(tc.chunks, tc.elems)

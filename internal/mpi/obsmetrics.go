@@ -13,7 +13,6 @@ import (
 
 var (
 	obsAllreduceSeconds [algoCount]*obs.Histogram
-	obsTunerDecisions   [algoCount]*obs.Counter
 	obsAllreduceErrors  = obs.Default().Counter("mpi_allreduce_errors_total",
 		"Allreduces that returned an error (peer failure, revoked comm, shutdown).")
 
@@ -35,9 +34,6 @@ func init() {
 		obsAllreduceSeconds[a] = obs.Default().Histogram("mpi_allreduce_seconds",
 			"Wall latency of one allreduce, by schedule.",
 			obs.SecondsBuckets(), obs.L("algo", a.String()))
-		obsTunerDecisions[a] = obs.Default().Counter("mpi_tuner_decisions_total",
-			"Schedules picked by the self-tuning allreduce selector.",
-			obs.L("algo", a.String()))
 	}
 }
 
@@ -52,12 +48,4 @@ func observeAllreduce(algo AllreduceAlgo, start time.Time, failed bool) {
 	if failed {
 		obsAllreduceErrors.Inc()
 	}
-}
-
-// observeTunerDecision counts one selector pick under its schedule.
-func observeTunerDecision(algo AllreduceAlgo) {
-	if algo < 0 || int(algo) >= len(obsTunerDecisions) {
-		algo = AlgoAuto
-	}
-	obsTunerDecisions[algo].Inc()
 }

@@ -3,17 +3,14 @@ package mpi
 import (
 	"fmt"
 	"time"
-
-	"repro/internal/transport"
 )
 
 // AllreduceOptions selects the full data-plane configuration of one
 // allreduce: schedule, pipeline chunk count, and wire codec. The zero
 // value reproduces Allreduce exactly (auto schedule, lossless wire).
 type AllreduceOptions struct {
-	// Algo picks the schedule. AlgoAuto defers to the self-tuning
-	// selector on real transports for bandwidth-bound tensors, and to
-	// Allreduce's static ring/tree pick everywhere else.
+	// Algo picks the schedule. AlgoAuto resolves by PlanAllreduce's
+	// size rule.
 	Algo AllreduceAlgo
 	// Chunks is the pipelined-ring split factor K. Zero means
 	// PipelineChunksFor's size-based pick; ignored by other schedules.
@@ -30,98 +27,42 @@ type AllreducePlan struct {
 	Algo   AllreduceAlgo
 	Chunks int
 	Codec  WireCodec
-	// Tuned reports whether the self-tuning selector made the pick (as
-	// opposed to an explicit request or the static auto path).
-	Tuned bool
 }
 
 func (p AllreducePlan) String() string {
-	s := fmt.Sprintf("algo=%s chunks=%d codec=%s", p.Algo, p.Chunks, p.Codec)
-	if p.Tuned {
-		s += " (tuned)"
-	}
-	return s
+	return fmt.Sprintf("algo=%s chunks=%d codec=%s", p.Algo, p.Chunks, p.Codec)
 }
 
-// AllreduceOpts runs an allreduce under explicit data-plane options.
-//
-// When o.Algo is AlgoAuto, the tensor is bandwidth-bound, and the
-// transport is a real network (no placement oracle — the simulator keeps
-// its virtual-time auto path), rank 0 consults the self-tuning selector
-// and broadcasts the (algo, chunks) pick to the group before the
-// reduction starts. The negotiation is itself a collective, so every
-// member — including ULFM retries after a shrink, which re-enter here
-// and renegotiate at the new world size — executes the same schedule.
-// Everything the selector reads is rank-local, so only the broadcast
-// keeps the decision uniform.
+// AllreduceOpts runs an allreduce under explicit data-plane options,
+// by the plan PlanAllreduce resolves for the tensor's size and the
+// world. The plan depends on nothing else, so every member runs the
+// same schedule without a word exchanged, and a ULFM retry after a
+// shrink re-plans at the new world size by the same rule.
 func AllreduceOpts[T Number](c *Comm, data []T, op Op, o AllreduceOptions) error {
-	bytes := numBuf[T]{}.bytesFor(len(data))
-	plan, err := resolvePlan(c, bytes, o)
-	if err != nil {
-		return err
-	}
+	plan := PlanAllreduce(numBuf[T]{}.bytesFor(len(data)), c.Size(), o)
 	b := allreduceBuf(data, plan.Codec, &c.f16)
 	start := time.Now()
-	err = c.runAllreduce(b, op, plan)
+	err := c.runAllreduce(b, op, plan)
 	observeAllreduce(plan.Algo, start, err != nil)
-	if err == nil && tunable(c, bytes) {
-		// Feed the selector from every real-transport run, explicit
-		// picks included — benchmarks and ablations sharpen the model
-		// for free. Simulator runs are excluded: their wall clock
-		// measures the virtual-time engine, not the network.
-		defaultTuner.Observe(plan.Algo, bytes, c.Size(), time.Since(start))
-	}
 	return err
 }
 
-// resolvePlan turns requested options into the concrete plan for this
-// tensor size and world, running the tuner negotiation when it applies.
-func resolvePlan(c *Comm, bytes int64, o AllreduceOptions) (AllreducePlan, error) {
-	plan := AllreducePlan{Algo: o.Algo, Chunks: o.Chunks, Codec: o.Codec}
-	if o.Algo == AlgoAuto && tunable(c, bytes) {
-		if c.Rank() == 0 {
-			plan.Algo, plan.Chunks = defaultTuner.Decide(bytes, c.Size())
-		}
-		pick := []int64{int64(plan.Algo), int64(plan.Chunks)}
-		if err := Bcast(c, pick, 0); err != nil {
-			return plan, err
-		}
-		plan.Algo, plan.Chunks = AllreduceAlgo(pick[0]), int(pick[1])
-		plan.Tuned = true
-		observeTunerDecision(plan.Algo)
-	}
-	if plan.Algo == AlgoPipelinedRing && plan.Chunks <= 0 {
-		plan.Chunks = PipelineChunksFor(bytes, c.Size())
-	}
-	return plan, nil
-}
-
-// tunable reports whether the self-tuning selector should pick the
-// schedule: a real transport (backends with a placement oracle are the
-// simulator's — their virtual-time numbers must keep the legacy static
-// pick), a bandwidth-bound tensor, and an actual group to schedule.
-func tunable(c *Comm, bytes int64) bool {
-	if c.Size() <= 1 || bytes <= smallThreshold {
-		return false
-	}
-	_, sim := c.p.ep.(transport.Locator)
-	return !sim
-}
-
-// PlanAllreduce resolves the plan AllreduceOpts would run for the given
-// options against a tensor of the given byte size at the given world
-// size, without running a collective. cmd/elasticd prints this at
-// startup and stamps it into the trace journal every round. The tuned
-// pick reflects the selector's current model, so the answer sharpens as
-// observations accumulate.
+// PlanAllreduce resolves the plan AllreduceOpts runs for the given
+// options against a tensor of the given byte size (elements times their
+// full width, whatever the codec) at the given world size. It is a pure
+// function of its arguments. Explicit schedules pass through, a
+// pipelined one with a zero chunk count taking PipelineChunksFor's.
+// AlgoAuto becomes the pipelined ring wherever PipelineChunksFor splits
+// a segment (K > 1), and otherwise stays Allreduce's static pick: the
+// latency tree at or below 64 KiB on the wire or with fewer elements
+// than ranks, the plain ring above.
 func PlanAllreduce(bytes int64, world int, o AllreduceOptions) AllreducePlan {
 	plan := AllreducePlan{Algo: o.Algo, Chunks: o.Chunks, Codec: o.Codec}
-	if o.Algo == AlgoAuto && world > 1 && bytes > smallThreshold {
-		plan.Algo, plan.Chunks = defaultTuner.Decide(bytes, world)
-		plan.Tuned = true
-	}
-	if plan.Algo == AlgoPipelinedRing && plan.Chunks <= 0 {
-		plan.Chunks = PipelineChunksFor(bytes, world)
+	switch k := PipelineChunksFor(bytes, world); {
+	case o.Algo == AlgoAuto && k > 1:
+		plan.Algo, plan.Chunks = AlgoPipelinedRing, k
+	case o.Algo == AlgoPipelinedRing && o.Chunks <= 0:
+		plan.Chunks = k
 	}
 	return plan
 }

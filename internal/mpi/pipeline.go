@@ -186,12 +186,13 @@ func (c *Comm) ringAllgatherPipelined(b buf, bounds []int, seq, K int) error {
 // --- algorithm selection -------------------------------------------------
 
 // AllreduceAlgo selects an allreduce schedule for AllreduceWith. The zero
-// value (AlgoAuto) is Allreduce's built-in ring/tree pick.
+// value (AlgoAuto) is the size rule of PlanAllreduce.
 type AllreduceAlgo int
 
 const (
-	// AlgoAuto lets Allreduce pick: tree for latency-bound payloads, ring
-	// for bandwidth-bound ones.
+	// AlgoAuto resolves by size (PlanAllreduce): the pipelined ring where
+	// a segment splits into chunks, else Allreduce's pick — tree for
+	// latency-bound payloads, ring for bandwidth-bound ones.
 	AlgoAuto AllreduceAlgo = iota
 	// AlgoRecursiveDoubling is the latency-optimal pairwise exchange.
 	AlgoRecursiveDoubling
@@ -200,8 +201,8 @@ const (
 	// AlgoPipelinedRing is the chunk-pipelined bandwidth-optimal ring.
 	AlgoPipelinedRing
 	// AlgoRing is the plain ring schedule, forced even for payloads the
-	// auto path would route to the tree (benchmarks and the tuner use it
-	// to pin the exact algorithm).
+	// auto path would route to the tree (benchmarks use it to pin the
+	// exact algorithm).
 	AlgoRing
 )
 

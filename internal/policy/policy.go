@@ -13,9 +13,8 @@
 // readings (recovery-phase means, state-transfer durations, spare-swap
 // recovery latency — all via Registry.Value, so the engine registers no
 // families it does not own), and finally refined per (class, strategy)
-// cell with an EWMA of realized costs, exactly like the allreduce tuner
-// in internal/mpi/tune.go. A mispriced constant is corrected after a
-// handful of failures.
+// cell with an EWMA of realized costs. A mispriced constant is corrected
+// after a handful of failures.
 //
 // The engine is wired into the ULFM repair pipeline through the
 // ulfm.Advisor interface: rank 0 of the shrunken communicator calls

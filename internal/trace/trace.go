@@ -104,17 +104,6 @@ func (r *Recorder) Membership(t float64, proc int, kind string, extra map[string
 	r.Emit(Event{T: t, Proc: proc, Kind: kind, Extra: extra})
 }
 
-// Plan emits a data-plane decision record: the (algorithm, chunk count,
-// codec) an allreduce round ran with, tuned or pinned. Seq carries the
-// round/step number so journal analysis can watch the self-tuning
-// selector change its mind as observations accumulate or the world
-// shrinks.
-func (r *Recorder) Plan(t float64, proc, step int, algo string, chunks int, codec string, tuned bool) {
-	r.Emit(Event{T: t, Proc: proc, Kind: "plan", Seq: step, Extra: map[string]any{
-		"algo": algo, "chunks": chunks, "codec": codec, "tuned": tuned,
-	}})
-}
-
 // Decision emits an autopilot control-loop record: what the elasticity
 // controller decided at an epoch boundary (swap_in / scale_up /
 // scale_down), how many spares it admitted, and the world size it was

@@ -4,9 +4,11 @@ package tcpnet_test
 // workers in this process, each with its own Endpoint, reducing float32
 // tensors of 1 MiB and 16 MiB. It exercises the full data plane — raw
 // codec, pooled frame buffers, buffered writers — under both the plain
-// ring (the auto pick at these sizes) and the chunk-pipelined ring, plus
-// the 16 MiB float64 auto allreduce of the steady_16m workload, raw and
-// fp16 (steady_16m_fp16). B/op is reported: the send path borrows the
+// ring and the chunk-pipelined ring, plus the 16 MiB float64 auto
+// allreduce of the steady_16m workload, raw and fp16 (steady_16m_fp16).
+// The sweep rows time the bandwidth schedules on float64 tensors from
+// 64 KiB to 4 MiB at worlds 4 and 8: the evidence for AlgoAuto's size
+// rule (DESIGN §5c). B/op is reported: the send path borrows the
 // tensor, or encodes into a reused scratch under fp16, so it should stay
 // far below one chunk. Every op refills its tensor first, as elasticd
 // does every step, so sums stay finite and in the binary16 range.
@@ -63,7 +65,7 @@ func BenchmarkTCPAllreduce(b *testing.B) {
 		name string
 		algo mpi.AllreduceAlgo
 	}{
-		{"ring", mpi.AlgoAuto}, // auto picks the ring at these sizes
+		{"ring", mpi.AlgoRing},
 		{"pipelined", mpi.AlgoPipelinedRing},
 	}
 	for _, sz := range sizes {
@@ -71,6 +73,26 @@ func BenchmarkTCPAllreduce(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/%s", sz.name, al.name), func(b *testing.B) {
 				benchTCPAllreduce[float32](b, world, sz.elems, 4, mpi.AllreduceOptions{Algo: al.algo})
 			})
+		}
+	}
+	// auto is what PlanAllreduce runs; pipelined4 splits every segment
+	// in four, even where PipelineChunksFor (and so auto) keeps the ring.
+	sweep := []struct {
+		name string
+		o    mpi.AllreduceOptions
+	}{
+		{"auto", mpi.AllreduceOptions{}},
+		{"ring", mpi.AllreduceOptions{Algo: mpi.AlgoRing}},
+		{"recdouble", mpi.AllreduceOptions{Algo: mpi.AlgoRecursiveDoubling}},
+		{"pipelined4", mpi.AllreduceOptions{Algo: mpi.AlgoPipelinedRing, Chunks: mpi.DefaultPipelineChunks}},
+	}
+	for _, w := range []int{4, 8} {
+		for kib := 64; kib <= 4<<10; kib *= 4 {
+			for _, al := range sweep {
+				b.Run(fmt.Sprintf("sweep/world%d/%dKB/%s", w, kib, al.name), func(b *testing.B) {
+					benchTCPAllreduce[float64](b, w, kib<<10/8, 8, al.o)
+				})
+			}
 		}
 	}
 	b.Run("16MB-f64/auto", func(b *testing.B) {

@@ -152,10 +152,10 @@ func AllreduceWith[T mpi.Number](r *ResilientComm, data []T, op mpi.Op, algo mpi
 //
 // On the bandwidth path each attempt is the plain collective sealed by an
 // agreement. Each retry restores the caller's original contribution and
-// re-resolves the plan against the repaired communicator — a tuned pick
-// or a size-derived chunk count renegotiates at the new world size,
-// uniformly, because resolution happens inside the collective. The
-// contribution is remembered in a buffer the ResilientComm keeps, so the
+// re-plans against the repaired communicator by the same pure function
+// (mpi.PlanAllreduce of the tensor size and the new world size), so a
+// size-derived chunk count follows the shrink on every survivor alike.
+// The contribution is remembered in a buffer the ResilientComm keeps, so the
 // failure-free path costs one copy and no allocation.
 func AllreduceOpts[T mpi.Number](r *ResilientComm, data []T, op mpi.Op, o mpi.AllreduceOptions) error {
 	if mpi.AgreedPath(r.comm, data, o) {
