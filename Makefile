@@ -3,10 +3,10 @@
 #
 #   make build   compile everything
 #   make vet     stock go vet
-#   make lint    analyzer self-tests + elasticvet over the whole tree
+#   make lint    analyzer self-tests + elasticvet over the whole tree + no encoding/gob in elasticd
 #   make vet-fix-check  standalone elasticvet incl. test variants; zero findings
 #   make test    full test suite (+ race on the fast packages)
-#   make fuzz-smoke  ten seconds each of FuzzAgreeMessage (agreement decoder + delivery switch), FuzzDecodePayload (wire codec), FuzzReadFrame (tcpnet frame reader), FuzzGossipPacket (SWIM packet decoder + handler) and FuzzParseSchedule (-scale-policy parser)
+#   make fuzz-smoke  ten seconds each of FuzzAgreeMessage (agreement decoder + delivery switch), FuzzControlWords (revoke + join decoders), FuzzDecodePayload (wire codec), FuzzReadFrame (tcpnet frame reader), FuzzGossipPacket (SWIM packet decoder + handler), FuzzParseSchedule (-scale-policy parser) and FuzzStateWords (state-transfer offer + ack decoders)
 #   make fp16-exhaustive  the binary16 encoders against the reference on all 2^32 float32 inputs
 #   make chaos   chaos conformance at the pinned seeds
 #   make cluster clustertest conformance (gossip control plane) at world 32
@@ -39,11 +39,14 @@ vet:
 
 # lint = the elasticvet suite: first its own analyzer tests (fixture
 # modules with golden diagnostics), then the real tree through the
-# go vet vettool protocol, which caches per-package results.
+# go vet vettool protocol, which caches per-package results. Last, the
+# shipped daemon must not link encoding/gob: every wire message is a
+# raw-codec slice, and gob is not hardened against adversarial input.
 lint: $(BIN)/elasticvet
 	$(GO) test ./internal/analysis/...
 	$(GO) vet -vettool=$(abspath $(BIN)/elasticvet) ./...
 	$(MAKE) vet-fix-check
+	@! $(GO) list -deps ./cmd/elasticd | grep -qx encoding/gob || { echo "lint: cmd/elasticd links encoding/gob"; exit 1; }
 
 # vet-fix-check: the standalone loader analyzes the _test.go variants
 # the vettool protocol never compiles, so this is the gate that every
@@ -89,21 +92,25 @@ race:
 
 # fuzz-smoke: ten seconds of native fuzzing per target, each starting
 # from its checked-in corpus: the agreement message decoder and the
-# control handler's delivery switch (internal/mpi/testdata/fuzz), then
+# control handler's delivery switch, then the revoke and join decoders
+# (internal/mpi/testdata/fuzz), then
 # the wire codec's DecodePayload/ParseRawPayload pair
 # (internal/transport/testdata/fuzz), then the tcpnet frame reader and
 # its lazy raw-payload hand-off (internal/transport/tcpnet/testdata/fuzz),
 # then the gossip packet decoder and a node handling what it decodes
 # (internal/gossip/testdata/fuzz), then the -scale-policy schedule
-# parser (internal/autopilot/testdata/fuzz).
+# parser and the state-transfer offer and ack decoders
+# (internal/autopilot/testdata/fuzz).
 # A crasher lands there as a new corpus file and fails every later
 # `go test`.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzAgreeMessage -fuzztime=10s ./internal/mpi/
+	$(GO) test -run='^$$' -fuzz=FuzzControlWords -fuzztime=10s ./internal/mpi/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodePayload -fuzztime=10s ./internal/transport/
 	$(GO) test -run='^$$' -fuzz=FuzzReadFrame -fuzztime=10s ./internal/transport/tcpnet/
 	$(GO) test -run='^$$' -fuzz=FuzzGossipPacket -fuzztime=10s ./internal/gossip/
 	$(GO) test -run='^$$' -fuzz=FuzzParseSchedule -fuzztime=10s ./internal/autopilot/
+	$(GO) test -run='^$$' -fuzz=FuzzStateWords -fuzztime=10s ./internal/autopilot/
 
 # fp16-exhaustive: every float32 bit pattern through EncodeF16,
 # EncodeQuantizeF16 and QuantizeF16, compared with the reference scalar

@@ -547,7 +547,7 @@ func TestSigtermIsALeave(t *testing.T) {
 }
 
 // TestLostHubIsLogged: the lead hosts the rendezvous; when it is killed the
-// workers cannot detect failures any more (ROADMAP item 3 — nothing
+// workers cannot detect failures any more (ROADMAP item 1 — nothing
 // recovers from this yet), and each says so, once.
 func TestLostHubIsLogged(t *testing.T) {
 	if testing.Short() {

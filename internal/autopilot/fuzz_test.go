@@ -1,6 +1,7 @@
 package autopilot
 
 import (
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"strings"
@@ -48,4 +49,42 @@ func FuzzParseSchedule(f *testing.F) {
 				s, steps, strings.Join(entries, ","), back, err)
 		}
 	})
+}
+
+// FuzzStateWords feeds arbitrary word vectors to the state-transfer
+// offer and ack decoders. Each input decodes to an error or to a value
+// that encodes back to the same words, and an accepted offer never
+// announces a chunk size the sender could not use.
+func FuzzStateWords(f *testing.F) {
+	// The variety is in testdata/fuzz/FuzzStateWords; these seeds keep
+	// the target meaningful without it.
+	f.Add(wordBytes(stateOffer{total: 4 << 20, chunkBytes: defaultChunkBytes, crc: 0xdeadbeef, step: 12}.words()))
+	f.Add(wordBytes(stateAck{ok: true, crc: 0xdeadbeef}.words()))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		words := make([]int64, len(raw)/8)
+		for i := range words {
+			words[i] = int64(binary.LittleEndian.Uint64(raw[8*i:]))
+		}
+		if o, err := decodeOffer(words); err == nil {
+			if o.chunkBytes <= 0 || o.total < 0 {
+				t.Fatalf("offer %v decoded to %+v", words, o)
+			}
+			if back := o.words(); !reflect.DeepEqual(back, words) {
+				t.Fatalf("offer %v decoded to %+v, which encodes to %v", words, o, back)
+			}
+		}
+		if a, err := decodeAck(words); err == nil {
+			if back := a.words(); !reflect.DeepEqual(back, words) {
+				t.Fatalf("ack %v decoded to %+v, which encodes to %v", words, a, back)
+			}
+		}
+	})
+}
+
+func wordBytes(w []int64) []byte {
+	raw := make([]byte, 8*len(w))
+	for i, x := range w {
+		binary.LittleEndian.PutUint64(raw[8*i:], uint64(x))
+	}
+	return raw
 }

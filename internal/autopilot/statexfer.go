@@ -3,50 +3,83 @@ package autopilot
 import (
 	"fmt"
 	"hash/crc32"
+	"math"
 
 	"repro/internal/transport"
 )
 
 // Newcomer state transfer: the joining rank receives the model/optimizer
 // state as a chunked stream over the plain endpoint tag space, below the
-// communicator tag plane, so it can run concurrently with (and never
-// collide with) live collectives. The stream is bandwidth-capped by a
-// token bucket so a large state cannot stall the training collective
-// sharing the wire, exactly the paper's requirement that newcomers join
-// at epoch i+1 without slowing epoch i.
+// communicator tag plane, so it never collides with collective traffic.
+// The stream is not concurrent with training: the decision seat runs it
+// inside node.Boundary, after the Grow and before the next collective,
+// so the rest of the world waits on the seat for the whole stream. The
+// optional token bucket only caps the stream's own bandwidth.
 //
 // Wire protocol (all on plain tags, clear of mpi's tagJoin=7 and the
 // comm tag plane which always carries a context id in bits 32..63):
 //
-//	offer  (tag 8): StateOffer{Total, ChunkBytes, CRC, Step}
-//	chunks (tag 9): []uint8 slices, rawU8 zero-copy path, in order
-//	ack    (tag 10): StateAck{OK, CRC}
+//	offer  (tag 8):  []int64{total, chunkBytes, crc, step}
+//	chunks (tag 9):  []uint8 slices, rawU8 zero-copy path, in order
+//	ack    (tag 10): []int64{ok, crc}, ok 1 or 0
 //
-// The receiver verifies length and CRC32 before acking; the sender
-// treats a missing or failed ack as a failed swap-in.
+// The offer and ack are fixed-layout word vectors on the raw codec, like
+// every control message; decodeOffer and decodeAck validate them. The
+// receiver verifies length and CRC32 before acking; the sender treats a
+// missing or failed ack as a failed swap-in.
 const (
 	tagStateOffer = 8
 	tagStateChunk = 9
 	tagStateAck   = 10
 )
 
-// StateOffer announces a state stream to the joining rank.
-type StateOffer struct {
-	Total      int64  // total state bytes
-	ChunkBytes int    // chunk size the sender will use
-	CRC        uint32 // IEEE CRC32 of the full state
-	Step       int64  // training step the state is valid at (epoch boundary)
+// stateOffer announces a state stream to the joining rank.
+type stateOffer struct {
+	total      int64  // total state bytes
+	chunkBytes int    // chunk size the sender will use
+	crc        uint32 // IEEE CRC32 of the full state
+	step       int64  // training step the state is valid at (epoch boundary)
 }
 
-// StateAck closes the handshake from the receiver.
-type StateAck struct {
-	OK  bool
-	CRC uint32
+func (o stateOffer) words() []int64 {
+	return []int64{o.total, int64(o.chunkBytes), int64(o.crc), o.step}
 }
 
-func init() {
-	transport.RegisterWireType(StateOffer{})
-	transport.RegisterWireType(StateAck{})
+// decodeOffer validates an offer off the wire. Both counts fit 31 bits,
+// so a forged total cannot make the receiver reserve more than 2 GiB.
+func decodeOffer(w []int64) (stateOffer, error) {
+	switch {
+	case len(w) != 4:
+		return stateOffer{}, fmt.Errorf("autopilot: state offer of %d words", len(w))
+	case w[0] < 0 || w[0] > math.MaxInt32 || w[3] < 0:
+		return stateOffer{}, fmt.Errorf("autopilot: state offer of %d bytes at step %d", w[0], w[3])
+	case w[1] <= 0 || w[1] > math.MaxInt32:
+		return stateOffer{}, fmt.Errorf("autopilot: state offer in chunks of %d bytes", w[1])
+	case w[2] < 0 || w[2] > math.MaxUint32:
+		return stateOffer{}, fmt.Errorf("autopilot: state offer crc %#x", w[2])
+	}
+	return stateOffer{total: w[0], chunkBytes: int(w[1]), crc: uint32(w[2]), step: w[3]}, nil
+}
+
+// stateAck closes the handshake from the receiver.
+type stateAck struct {
+	ok  bool
+	crc uint32
+}
+
+func (a stateAck) words() []int64 {
+	w := []int64{0, int64(a.crc)}
+	if a.ok {
+		w[0] = 1
+	}
+	return w
+}
+
+func decodeAck(w []int64) (stateAck, error) {
+	if len(w) != 2 || (w[0] != 0 && w[0] != 1) || w[1] < 0 || w[1] > math.MaxUint32 {
+		return stateAck{}, fmt.Errorf("autopilot: malformed state ack of %d words", len(w))
+	}
+	return stateAck{ok: w[0] == 1, crc: uint32(w[1])}, nil
 }
 
 // XferOptions configures one state transfer.
@@ -91,13 +124,13 @@ func SendState(ep transport.Endpoint, dst transport.ProcID, state []byte, opts X
 	self := ep.ID()
 	start := ep.VClock().Now()
 
-	offer := StateOffer{
-		Total:      int64(len(state)),
-		ChunkBytes: chunk,
-		CRC:        crc32.ChecksumIEEE(state),
-		Step:       opts.Step,
+	offer := stateOffer{
+		total:      int64(len(state)),
+		chunkBytes: chunk,
+		crc:        crc32.ChecksumIEEE(state),
+		step:       opts.Step,
 	}
-	if err := ep.Send(dst, tagStateOffer, offer, 32); err != nil {
+	if err := ep.Send(dst, tagStateOffer, offer.words(), 32); err != nil {
 		return fmt.Errorf("autopilot: state offer to %d: %w", dst, err)
 	}
 	transport.Hit(self, transport.PointStateOffer)
@@ -122,10 +155,10 @@ func SendState(ep transport.Endpoint, dst transport.ProcID, state []byte, opts X
 		obsSwapFailures.Inc()
 		return fmt.Errorf("autopilot: state ack from %d: %w", dst, err)
 	}
-	ack, ok := m.Data.(StateAck)
-	if !ok || !ack.OK || ack.CRC != offer.CRC {
+	ack, err := transport.DecodeWords(m.Data, decodeAck)
+	if err != nil || !ack.ok || ack.crc != offer.crc {
 		obsSwapFailures.Inc()
-		return fmt.Errorf("autopilot: state stream to %d rejected (ack %+v)", dst, m.Data)
+		return fmt.Errorf("autopilot: state stream to %d rejected (ack %+v, %v)", dst, ack, err)
 	}
 	obsXferBytes.Add(uint64(len(state)))
 	obsXferSeconds.Observe(ep.VClock().Now() - start)
@@ -141,18 +174,18 @@ func RecvState(ep transport.Endpoint) (state []byte, step int64, err error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("autopilot: state offer: %w", err)
 	}
-	offer, ok := m.Data.(StateOffer)
-	if !ok {
-		return nil, 0, fmt.Errorf("autopilot: unexpected offer payload %T", m.Data)
+	offer, err := transport.DecodeWords(m.Data, decodeOffer)
+	if err != nil {
+		return nil, 0, fmt.Errorf("autopilot: state offer from %d: %w", m.From, err)
 	}
 	src := m.From
 	self := ep.ID()
 
-	state = make([]byte, 0, offer.Total)
-	for int64(len(state)) < offer.Total {
+	state = make([]byte, 0, offer.total)
+	for int64(len(state)) < offer.total {
 		cm, err := ep.Recv(src, tagStateChunk)
 		if err != nil {
-			return nil, 0, fmt.Errorf("autopilot: state chunk at %d/%d: %w", len(state), offer.Total, err)
+			return nil, 0, fmt.Errorf("autopilot: state chunk at %d/%d: %w", len(state), offer.total, err)
 		}
 		switch d := cm.Data.(type) {
 		case []uint8:
@@ -175,14 +208,14 @@ func RecvState(ep transport.Endpoint) (state []byte, step int64, err error) {
 	}
 
 	crc := crc32.ChecksumIEEE(state)
-	ack := StateAck{OK: int64(len(state)) == offer.Total && crc == offer.CRC, CRC: crc}
+	ack := stateAck{ok: int64(len(state)) == offer.total && crc == offer.crc, crc: crc}
 	transport.Hit(self, transport.PointStateAck)
-	if err := ep.Send(src, tagStateAck, ack, 16); err != nil {
+	if err := ep.Send(src, tagStateAck, ack.words(), 16); err != nil {
 		return nil, 0, fmt.Errorf("autopilot: state ack to %d: %w", src, err)
 	}
-	if !ack.OK {
+	if !ack.ok {
 		return nil, 0, fmt.Errorf("autopilot: state stream corrupt: got %d bytes crc %08x, offered %d crc %08x",
-			len(state), crc, offer.Total, offer.CRC)
+			len(state), crc, offer.total, offer.crc)
 	}
-	return state, offer.Step, nil
+	return state, offer.step, nil
 }

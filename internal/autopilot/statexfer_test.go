@@ -2,12 +2,16 @@ package autopilot
 
 import (
 	"bytes"
+	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/simnet"
 	"repro/internal/transport"
+	"repro/internal/transport/tcpnet"
 	"repro/internal/vtime"
 )
 
@@ -147,8 +151,8 @@ func TestStateStreamCorruptionRejected(t *testing.T) {
 		defer wg.Done()
 		// Hand-roll a sender that lies: offer advertises state's CRC but
 		// the chunk carries different bytes.
-		offer := StateOffer{Total: int64(len(state)), ChunkBytes: len(state), CRC: 0xdeadbeef, Step: 1}
-		if err := sender.Send(receiver.ID(), tagStateOffer, offer, 32); err != nil {
+		offer := stateOffer{total: int64(len(state)), chunkBytes: len(state), crc: 0xdeadbeef, step: 1}
+		if err := sender.Send(receiver.ID(), tagStateOffer, offer.words(), 32); err != nil {
 			sendErr = err
 			return
 		}
@@ -161,8 +165,8 @@ func TestStateStreamCorruptionRejected(t *testing.T) {
 			sendErr = err
 			return
 		}
-		if ack := m.Data.(StateAck); ack.OK {
-			t.Error("receiver acked a corrupt stream")
+		if ack, err := transport.DecodeWords(m.Data, decodeAck); err != nil || ack.ok {
+			t.Errorf("receiver acked a corrupt stream (%+v, %v)", ack, err)
 		}
 	}()
 	_, _, err := RecvState(receiver)
@@ -172,5 +176,56 @@ func TestStateStreamCorruptionRejected(t *testing.T) {
 	}
 	if err == nil {
 		t.Fatal("RecvState accepted a checksum mismatch")
+	}
+}
+
+// TestStateTransferTCP streams 1 MiB over loopback tcpnet: at the default
+// zero-copy threshold the offer and ack arrive as decoded words and the
+// chunks as lazy frame views; at threshold 1 every frame is a lazy view.
+// Either way the state, its CRC and its step arrive intact, and every
+// pooled frame buffer comes back.
+func TestStateTransferTCP(t *testing.T) {
+	for _, zc := range []int{0, 1} {
+		t.Run(fmt.Sprintf("ZeroCopyMin=%d", zc), func(t *testing.T) {
+			bufs0 := tcpnet.OutstandingFrameBufs()
+			eps := make([]*tcpnet.Endpoint, 2)
+			peers := make(map[transport.ProcID]string, len(eps))
+			for i := range eps {
+				ep, err := tcpnet.Listen("127.0.0.1:0", tcpnet.Config{ZeroCopyMin: zc})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer ep.Close()
+				eps[i] = ep
+				peers[transport.ProcID(i)] = ep.Addr()
+			}
+			for i, ep := range eps {
+				ep.Start(transport.ProcID(i), peers)
+			}
+
+			state := make([]byte, 1<<20)
+			rand.New(rand.NewSource(5)).Read(state)
+			done := make(chan error, 1)
+			go func() { done <- SendState(eps[0], 1, state, XferOptions{Step: 42}) }()
+			got, step, err := RecvState(eps[1])
+			if err != nil {
+				eps[0].Close() // the sender would wait for an ack for ever
+			}
+			if sendErr := <-done; err != nil || sendErr != nil {
+				t.Fatalf("recv err=%v send err=%v", err, sendErr)
+			}
+			if crc32.ChecksumIEEE(got) != crc32.ChecksumIEEE(state) || !bytes.Equal(got, state) {
+				t.Fatalf("received %d bytes differ from the %d sent", len(got), len(state))
+			}
+			if step != 42 {
+				t.Fatalf("step 42 arrived as %d", step)
+			}
+			for _, ep := range eps {
+				ep.Close()
+			}
+			if !vtime.WaitUntil(5*time.Second, func() bool { return tcpnet.OutstandingFrameBufs() == bufs0 }) {
+				t.Errorf("%d pooled frame buffers outstanding, %d before the run", tcpnet.OutstandingFrameBufs(), bufs0)
+			}
+		})
 	}
 }

@@ -79,8 +79,8 @@ const (
 
 // agreeMsg is one agreement message. On the wire it is a flat []int64 —
 // kind, comm, seq, round, flags, unacked, elem, count, then the payload
-// words, then the failed processes — so it takes the raw codec, not the
-// gob envelope.
+// words, then the failed processes — on the raw codec, like every
+// control message.
 type agreeMsg struct {
 	kind  int
 	comm  uint64

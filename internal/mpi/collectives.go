@@ -13,7 +13,6 @@ const (
 	phAllgather     = 1
 	phTree          = 2
 	phBarrier       = 3
-	phLinear        = 4
 )
 
 // --- generic public API -------------------------------------------------
@@ -42,13 +41,6 @@ func BcastVirtual(c *Comm, bytes int64, root int) error {
 	return c.bcast(virtBuf{bytes: bytes}, root)
 }
 
-// Reduce reduces data elementwise onto root (binomial tree). Non-root
-// buffers are left with partial results, as in MPI when reusing the send
-// buffer.
-func Reduce[T Number](c *Comm, data []T, op Op, root int) error {
-	return c.reduce(numBuf[T]{v: data}, op, root)
-}
-
 // Allgather concatenates each rank's send block into recv at every rank.
 // len(recv) must equal Size() * len(send), with uniform block sizes.
 func Allgather[T any](c *Comm, send, recv []T) error {
@@ -62,48 +54,6 @@ func Allgather[T any](c *Comm, send, recv []T) error {
 	}
 	copy(recv[c.rank*n:(c.rank+1)*n], send)
 	return c.allgatherRing(rawBuf[T]{v: recv}, bounds)
-}
-
-// Allgatherv concatenates variable-length blocks; counts[i] is rank i's
-// block length and len(recv) must equal the sum of counts.
-func Allgatherv[T any](c *Comm, send []T, counts []int, recv []T) error {
-	if len(counts) != c.Size() {
-		return fmt.Errorf("mpi: allgatherv: got %d counts for %d ranks", len(counts), c.Size())
-	}
-	bounds := make([]int, c.Size()+1)
-	for i, n := range counts {
-		bounds[i+1] = bounds[i] + n
-	}
-	if len(send) != counts[c.rank] {
-		return fmt.Errorf("mpi: allgatherv: send length %d != counts[%d]=%d", len(send), c.rank, counts[c.rank])
-	}
-	if len(recv) != bounds[c.Size()] {
-		return fmt.Errorf("mpi: allgatherv: recv length %d != total %d", len(recv), bounds[c.Size()])
-	}
-	copy(recv[bounds[c.rank]:bounds[c.rank+1]], send)
-	return c.allgatherRing(rawBuf[T]{v: recv}, bounds)
-}
-
-// AllgatherVirtual runs the allgather schedule for uniform virtual blocks
-// of blockBytes each.
-func AllgatherVirtual(c *Comm, blockBytes int64) error {
-	bounds := make([]int, c.Size()+1)
-	for i := range bounds {
-		bounds[i] = i * int(blockBytes)
-	}
-	return c.allgatherRing(virtBuf{bytes: blockBytes * int64(c.Size())}, bounds)
-}
-
-// Gather collects each rank's send block at root (linear). recv is only
-// written at root and must hold Size()*len(send) elements there.
-func Gather[T any](c *Comm, send, recv []T, root int) error {
-	return c.gather(rawBuf[T]{v: send}, rawBuf[T]{v: recv}, root)
-}
-
-// Scatter distributes root's send buffer in rank-order blocks of
-// len(recv) elements (linear).
-func Scatter[T any](c *Comm, send, recv []T, root int) error {
-	return c.scatter(rawBuf[T]{v: send}, rawBuf[T]{v: recv}, root)
 }
 
 // Barrier blocks until all ranks arrive (dissemination algorithm).
@@ -201,23 +151,6 @@ func (c *Comm) bcast(b buf, root int) error {
 	return c.bcastTree(b, root, seq)
 }
 
-func (c *Comm) reduce(b buf, op Op, root int) error {
-	seq := c.nextSeq()
-	if err := c.checkCollective(); err != nil {
-		return err
-	}
-	if root < 0 || root >= c.Size() {
-		return fmt.Errorf("mpi: reduce: invalid root %d", root)
-	}
-	if c.Size() == 1 {
-		return nil
-	}
-	scope := &opScope{comm: c, members: c.memberSet(), abortOnRevoke: true}
-	c.p.begin(scope)
-	defer c.p.end()
-	return c.reduceTree(b, op, root, seq)
-}
-
 func (c *Comm) allgatherRing(b buf, bounds []int) error {
 	seq := c.nextSeq()
 	if err := c.checkCollective(); err != nil {
@@ -230,71 +163,6 @@ func (c *Comm) allgatherRing(b buf, bounds []int) error {
 	c.p.begin(scope)
 	defer c.p.end()
 	return c.ringAllgather(b, bounds, seq, false)
-}
-
-func (c *Comm) gather(send, recv buf, root int) error {
-	seq := c.nextSeq()
-	if err := c.checkCollective(); err != nil {
-		return err
-	}
-	scope := &opScope{comm: c, members: c.memberSet(), abortOnRevoke: true}
-	c.p.begin(scope)
-	defer c.p.end()
-
-	n := send.length()
-	tag := c.collTag(seq, phLinear)
-	if c.rank != root {
-		return c.sendRaw(root, tag, send.payload(0, n), send.bytesFor(n))
-	}
-	if recv.length() != n*c.Size() {
-		return fmt.Errorf("mpi: gather: recv length %d != %d*%d", recv.length(), c.Size(), n)
-	}
-	recv.setIn(root*n, (root+1)*n, send.payload(0, n))
-	for r := 0; r < c.Size(); r++ {
-		if r == root {
-			continue
-		}
-		m, err := c.recvRaw(r, tag)
-		if err != nil {
-			return err
-		}
-		recv.setIn(r*n, (r+1)*n, m.Data)
-	}
-	return nil
-}
-
-func (c *Comm) scatter(send, recv buf, root int) error {
-	seq := c.nextSeq()
-	if err := c.checkCollective(); err != nil {
-		return err
-	}
-	scope := &opScope{comm: c, members: c.memberSet(), abortOnRevoke: true}
-	c.p.begin(scope)
-	defer c.p.end()
-
-	n := recv.length()
-	tag := c.collTag(seq, phLinear)
-	if c.rank == root {
-		if send.length() != n*c.Size() {
-			return fmt.Errorf("mpi: scatter: send length %d != %d*%d", send.length(), c.Size(), n)
-		}
-		for r := 0; r < c.Size(); r++ {
-			if r == root {
-				recv.setIn(0, n, send.payload(root*n, (root+1)*n))
-				continue
-			}
-			if err := c.sendRaw(r, tag, send.payload(r*n, (r+1)*n), send.bytesFor(n)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	m, err := c.recvRaw(root, tag)
-	if err != nil {
-		return err
-	}
-	recv.setIn(0, n, m.Data)
-	return nil
 }
 
 // reduceTree: commutative binomial-tree reduction onto root.

@@ -6,186 +6,17 @@ import (
 	"repro/internal/transport"
 )
 
-// Additional collectives and algorithm variants: reduce-scatter, alltoall,
-// scan/exscan, and two alternative allreduce algorithms (recursive
-// doubling, hierarchical) used by the algorithm-ablation benchmarks.
+// Two alternative allreduce algorithms (recursive doubling,
+// hierarchical) used by the algorithm-ablation benchmarks.
 
-// phases for the extended collectives.
+// phases for the allreduce variants, clear of those in collectives.go.
 const (
-	phScan       = 5
-	phAlltoall   = 6
 	phIntraRed   = 7
 	phLeaderRing = 8 // and 9 for its allgather half
 	phRecDouble  = 10
 	phPairFix    = 11
 	phIntraBcast = 12
 )
-
-// ReduceScatterBlock reduces data elementwise across ranks and leaves
-// rank r with block r of the result in recv (len(data) must be
-// Size()*len(recv)).
-func ReduceScatterBlock[T Number](c *Comm, data []T, recv []T, op Op) error {
-	n := len(recv)
-	if len(data) != n*c.Size() {
-		return fmt.Errorf("mpi: reduce-scatter: data length %d != %d*%d", len(data), c.Size(), n)
-	}
-	// Reuse the ring reduce-scatter over a scratch copy with uniform
-	// bounds of n each. The ring leaves chunk (r+1)%p complete at r, so
-	// a final exchange rotates every block to its owner.
-	seq := c.nextSeq()
-	if err := c.checkCollective(); err != nil {
-		return err
-	}
-	if c.Size() == 1 {
-		copy(recv, data)
-		return nil
-	}
-	scope := &opScope{comm: c, members: c.memberSet(), abortOnRevoke: true}
-	c.p.begin(scope)
-	defer c.p.end()
-
-	work := make([]T, len(data))
-	copy(work, data)
-	b := numBuf[T]{v: work}
-	bounds := make([]int, c.Size()+1)
-	for i := range bounds {
-		bounds[i] = i * n
-	}
-	if err := c.reduceScatterRing(b, op, bounds, seq); err != nil {
-		return err
-	}
-	// Rank r now holds chunk (r+1)%p; forward it to its owner.
-	p, r := c.Size(), c.rank
-	owner := (r + 1) % p
-	tag := c.collTag(seq, phPairFix)
-	if err := c.sendRaw(owner, tag, b.payload(bounds[owner], bounds[owner+1]), b.bytesFor(n)); err != nil {
-		return err
-	}
-	m, err := c.recvRaw((r-1+p)%p, tag)
-	if err != nil {
-		return err
-	}
-	copy(recv, payloadAs[T](m.Data))
-	return nil
-}
-
-// Alltoall exchanges fixed-size blocks: send holds Size() blocks of
-// blockLen = len(send)/Size(); recv[i] ends up with rank i's block for us.
-func Alltoall[T any](c *Comm, send, recv []T) error {
-	p := c.Size()
-	if len(send)%p != 0 || len(recv) != len(send) {
-		return fmt.Errorf("mpi: alltoall: bad lengths send=%d recv=%d ranks=%d", len(send), len(recv), p)
-	}
-	seq := c.nextSeq()
-	if err := c.checkCollective(); err != nil {
-		return err
-	}
-	n := len(send) / p
-	b := rawBuf[T]{v: send}
-	copy(recv[c.rank*n:(c.rank+1)*n], send[c.rank*n:(c.rank+1)*n])
-	if p == 1 {
-		return nil
-	}
-	scope := &opScope{comm: c, members: c.memberSet(), abortOnRevoke: true}
-	c.p.begin(scope)
-	defer c.p.end()
-	tag := c.collTag(seq, phAlltoall)
-	// Pairwise rotation: at step s, send block for (rank+s)%p and receive
-	// from (rank-s+p)%p.
-	for s := 1; s < p; s++ {
-		dst := (c.rank + s) % p
-		src := (c.rank - s + p) % p
-		out := b.payload(dst*n, (dst+1)*n)
-		if err := c.sendRaw(dst, tag, out, b.bytesFor(n)); err != nil {
-			return err
-		}
-		m, err := c.recvRaw(src, tag)
-		if err != nil {
-			return err
-		}
-		copy(recv[src*n:(src+1)*n], payloadAs[T](m.Data))
-	}
-	return nil
-}
-
-// Scan computes inclusive prefix reductions: rank r ends with
-// op(data_0..data_r), using a latency-tolerant linear chain.
-func Scan[T Number](c *Comm, data []T, op Op) error {
-	seq := c.nextSeq()
-	if err := c.checkCollective(); err != nil {
-		return err
-	}
-	if c.Size() == 1 {
-		return nil
-	}
-	scope := &opScope{comm: c, members: c.memberSet(), abortOnRevoke: true}
-	c.p.begin(scope)
-	defer c.p.end()
-	b := numBuf[T]{v: data}
-	tag := c.collTag(seq, phScan)
-	if c.rank > 0 {
-		m, err := c.recvRaw(c.rank-1, tag)
-		if err != nil {
-			return err
-		}
-		b.reduceIn(0, len(data), m.Data, op)
-	}
-	if c.rank < c.Size()-1 {
-		if err := c.sendRaw(c.rank+1, tag, b.payload(0, len(data)), b.bytesFor(len(data))); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Exscan computes exclusive prefix reductions: rank 0's buffer is left
-// untouched (undefined in MPI; zeroed here), rank r>0 ends with
-// op(data_0..data_{r-1}).
-func Exscan[T Number](c *Comm, data []T, op Op) error {
-	seq := c.nextSeq()
-	if err := c.checkCollective(); err != nil {
-		return err
-	}
-	if c.Size() == 1 {
-		for i := range data {
-			data[i] = 0
-		}
-		return nil
-	}
-	scope := &opScope{comm: c, members: c.memberSet(), abortOnRevoke: true}
-	c.p.begin(scope)
-	defer c.p.end()
-	b := numBuf[T]{v: data}
-	tag := c.collTag(seq, phScan)
-	// Forward my inclusive prefix, then overwrite my buffer with the
-	// received exclusive prefix.
-	var inclusive any
-	if c.rank == 0 {
-		inclusive = b.payload(0, len(data))
-	} else {
-		m, err := c.recvRaw(c.rank-1, tag)
-		if err != nil {
-			return err
-		}
-		prev := payloadAs[T](m.Data)
-		incl := make([]T, len(data))
-		copy(incl, prev)
-		reduceSlice(incl, data, op)
-		inclusive = incl
-		copy(data, prev)
-	}
-	if c.rank < c.Size()-1 {
-		if err := c.sendRaw(c.rank+1, tag, inclusive, b.bytesFor(len(data))); err != nil {
-			return err
-		}
-	}
-	if c.rank == 0 {
-		for i := range data {
-			data[i] = 0
-		}
-	}
-	return nil
-}
 
 // AllreduceRecursiveDoubling is the latency-optimal allreduce variant
 // (log2 p rounds of pairwise exchange), with the standard pre/post phase

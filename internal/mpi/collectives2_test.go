@@ -11,135 +11,6 @@ import (
 	"repro/internal/simnet"
 )
 
-func TestReduceScatterBlock(t *testing.T) {
-	const p = 4
-	const n = 3 // block length
-	var mu sync.Mutex
-	got := map[int][]float64{}
-	world(t, 1, p, func(c *Comm) error {
-		data := make([]float64, p*n)
-		for i := range data {
-			data[i] = float64(c.Rank()*100 + i)
-		}
-		recv := make([]float64, n)
-		if err := ReduceScatterBlock(c, data, recv, OpSum); err != nil {
-			return err
-		}
-		mu.Lock()
-		got[c.Rank()] = recv
-		mu.Unlock()
-		return nil
-	})
-	// Expected block r element j: sum over ranks of (rank*100 + r*n + j).
-	for r := 0; r < p; r++ {
-		for j := 0; j < n; j++ {
-			var want float64
-			for rk := 0; rk < p; rk++ {
-				want += float64(rk*100 + r*n + j)
-			}
-			if got[r][j] != want {
-				t.Fatalf("rank %d block[%d] = %v, want %v", r, j, got[r][j], want)
-			}
-		}
-	}
-}
-
-func TestReduceScatterBlockSingle(t *testing.T) {
-	world(t, 1, 1, func(c *Comm) error {
-		data := []float64{1, 2}
-		recv := make([]float64, 2)
-		if err := ReduceScatterBlock(c, data, recv, OpSum); err != nil {
-			return err
-		}
-		if recv[0] != 1 || recv[1] != 2 {
-			return fmt.Errorf("recv = %v", recv)
-		}
-		return nil
-	})
-}
-
-func TestAlltoall(t *testing.T) {
-	const p = 5
-	var mu sync.Mutex
-	got := map[int][]int32{}
-	world(t, 1, p, func(c *Comm) error {
-		send := make([]int32, p*2)
-		for dst := 0; dst < p; dst++ {
-			send[2*dst] = int32(c.Rank()*10 + dst)
-			send[2*dst+1] = int32(-(c.Rank()*10 + dst))
-		}
-		recv := make([]int32, p*2)
-		if err := Alltoall(c, send, recv); err != nil {
-			return err
-		}
-		mu.Lock()
-		got[c.Rank()] = recv
-		mu.Unlock()
-		return nil
-	})
-	for r := 0; r < p; r++ {
-		for src := 0; src < p; src++ {
-			want := int32(src*10 + r)
-			if got[r][2*src] != want || got[r][2*src+1] != -want {
-				t.Fatalf("rank %d block from %d = %v, want ±%d", r, src, got[r][2*src:2*src+2], want)
-			}
-		}
-	}
-}
-
-func TestAlltoallBadLengths(t *testing.T) {
-	world(t, 1, 2, func(c *Comm) error {
-		if err := Alltoall(c, []int{1, 2, 3}, make([]int, 3)); err == nil {
-			return fmt.Errorf("odd lengths should fail for 2 ranks")
-		}
-		return nil
-	})
-}
-
-func TestScanInclusive(t *testing.T) {
-	const p = 6
-	var mu sync.Mutex
-	got := map[int]float64{}
-	world(t, 2, 3, func(c *Comm) error {
-		data := []float64{float64(c.Rank() + 1)}
-		if err := Scan(c, data, OpSum); err != nil {
-			return err
-		}
-		mu.Lock()
-		got[c.Rank()] = data[0]
-		mu.Unlock()
-		return nil
-	})
-	for r := 0; r < p; r++ {
-		want := float64((r + 1) * (r + 2) / 2)
-		if got[r] != want {
-			t.Fatalf("rank %d scan = %v, want %v", r, got[r], want)
-		}
-	}
-}
-
-func TestExscanExclusive(t *testing.T) {
-	const p = 5
-	var mu sync.Mutex
-	got := map[int]float64{}
-	world(t, 1, p, func(c *Comm) error {
-		data := []float64{float64(c.Rank() + 1)}
-		if err := Exscan(c, data, OpSum); err != nil {
-			return err
-		}
-		mu.Lock()
-		got[c.Rank()] = data[0]
-		mu.Unlock()
-		return nil
-	})
-	for r := 0; r < p; r++ {
-		want := float64(r * (r + 1) / 2) // sum of 1..r
-		if got[r] != want {
-			t.Fatalf("rank %d exscan = %v, want %v", r, got[r], want)
-		}
-	}
-}
-
 func TestAllreduceRecursiveDoubling(t *testing.T) {
 	for _, p := range []int{2, 3, 4, 5, 6, 7, 8} {
 		t.Run(fmt.Sprintf("p%d", p), func(t *testing.T) {

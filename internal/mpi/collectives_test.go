@@ -277,28 +277,6 @@ func TestBcastInvalidRoot(t *testing.T) {
 	})
 }
 
-func TestReduce(t *testing.T) {
-	const n = 6
-	var mu sync.Mutex
-	var rootResult []float32
-	world(t, 2, 3, func(c *Comm) error {
-		data := []float32{float32(c.Rank() + 1), 2}
-		if err := Reduce(c, data, OpSum, 2); err != nil {
-			return err
-		}
-		if c.Rank() == 2 {
-			mu.Lock()
-			rootResult = data
-			mu.Unlock()
-		}
-		return nil
-	})
-	if rootResult[0] != 21 || rootResult[1] != 12 {
-		t.Fatalf("root result = %v, want [21 12]", rootResult)
-	}
-	_ = n
-}
-
 func TestAllgather(t *testing.T) {
 	const n = 6
 	var mu sync.Mutex
@@ -330,84 +308,6 @@ func TestAllgatherLengthMismatch(t *testing.T) {
 		}
 		return nil
 	})
-}
-
-func TestAllgatherv(t *testing.T) {
-	const n = 4
-	counts := []int{1, 3, 0, 2}
-	var mu sync.Mutex
-	got := map[int][]float64{}
-	world(t, 1, n, func(c *Comm) error {
-		send := make([]float64, counts[c.Rank()])
-		for i := range send {
-			send[i] = float64(c.Rank())*100 + float64(i)
-		}
-		total := 0
-		for _, ct := range counts {
-			total += ct
-		}
-		recv := make([]float64, total)
-		if err := Allgatherv(c, send, counts, recv); err != nil {
-			return err
-		}
-		mu.Lock()
-		got[c.Rank()] = recv
-		mu.Unlock()
-		return nil
-	})
-	want := []float64{0, 100, 101, 102, 300, 301}
-	for r := 0; r < n; r++ {
-		for i, v := range want {
-			if got[r][i] != v {
-				t.Fatalf("rank %d recv = %v, want %v", r, got[r], want)
-			}
-		}
-	}
-}
-
-func TestGatherScatter(t *testing.T) {
-	const n = 4
-	var mu sync.Mutex
-	var gathered []int
-	scattered := map[int][]int{}
-	world(t, 1, n, func(c *Comm) error {
-		send := []int{c.Rank() * 2, c.Rank()*2 + 1}
-		var recv []int
-		if c.Rank() == 1 {
-			recv = make([]int, 2*n)
-		}
-		if err := Gather(c, send, recv, 1); err != nil {
-			return err
-		}
-		if c.Rank() == 1 {
-			mu.Lock()
-			gathered = recv
-			mu.Unlock()
-		}
-		// Scatter back from rank 1.
-		out := make([]int, 2)
-		var src []int
-		if c.Rank() == 1 {
-			src = recv
-		}
-		if err := Scatter(c, src, out, 1); err != nil {
-			return err
-		}
-		mu.Lock()
-		scattered[c.Rank()] = out
-		mu.Unlock()
-		return nil
-	})
-	for i := 0; i < 2*n; i++ {
-		if gathered[i] != i {
-			t.Fatalf("gathered = %v", gathered)
-		}
-	}
-	for r := 0; r < n; r++ {
-		if scattered[r][0] != r*2 || scattered[r][1] != r*2+1 {
-			t.Fatalf("scattered[%d] = %v", r, scattered[r])
-		}
-	}
 }
 
 func TestBarrierSynchronizesClocks(t *testing.T) {
@@ -496,42 +396,6 @@ func TestSendCopiesData(t *testing.T) {
 	})
 }
 
-func TestSendRecvVal(t *testing.T) {
-	type cfgMsg struct {
-		Epoch int
-		LR    float64
-	}
-	world(t, 1, 2, func(c *Comm) error {
-		if c.Rank() == 0 {
-			return SendVal(c, 1, 4, cfgMsg{Epoch: 7, LR: 0.1})
-		}
-		v, err := RecvVal[cfgMsg](c, 0, 4)
-		if err != nil {
-			return err
-		}
-		if v.Epoch != 7 || v.LR != 0.1 {
-			return fmt.Errorf("RecvVal = %+v", v)
-		}
-		return nil
-	})
-}
-
-func TestSendrecvRing(t *testing.T) {
-	const n = 4
-	world(t, 1, n, func(c *Comm) error {
-		right := (c.Rank() + 1) % n
-		left := (c.Rank() + n - 1) % n
-		got, err := Sendrecv(c, right, 3, []int{c.Rank()}, left, 3)
-		if err != nil {
-			return err
-		}
-		if got[0] != left {
-			return fmt.Errorf("rank %d got %v, want %d", c.Rank(), got, left)
-		}
-		return nil
-	})
-}
-
 func TestCommBasics(t *testing.T) {
 	world(t, 2, 3, func(c *Comm) error {
 		if c.Size() != 6 {
@@ -549,8 +413,8 @@ func TestCommBasics(t *testing.T) {
 		if c.Revoked() {
 			return fmt.Errorf("fresh comm revoked")
 		}
-		if got := c.FailedRanks(); len(got) != 0 {
-			return fmt.Errorf("fresh comm failed ranks = %v", got)
+		if got := c.Proc().KnownFailed(); len(got) != 0 {
+			return fmt.Errorf("fresh comm known failed = %v", got)
 		}
 		return nil
 	})

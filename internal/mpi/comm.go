@@ -88,18 +88,6 @@ func (c *Comm) rankOfProc(id ProcID) int {
 // known; revocation knowledge propagates via the flood).
 func (c *Comm) Revoked() bool { return c.p.revoked[c.id] }
 
-// FailedRanks returns the ranks whose processes this rank currently knows
-// to have failed.
-func (c *Comm) FailedRanks() []int {
-	var out []int
-	for r, pr := range c.procs {
-		if c.p.failed[pr] {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // Endpoint clock helpers for cost accounting by higher layers.
 func (c *Comm) Now() float64      { return c.p.ep.VClock().Now() }
 func (c *Comm) Compute(d float64) { c.p.ep.Compute(d) }
@@ -165,79 +153,6 @@ func (c *Comm) deriveID() uint64 {
 	id := c.id*1_000_003 + uint64(c.derivedSeq)
 	id = (id % 0x7fffffff) + 2 // stay in 31 bits, clear of WorldID
 	return id
-}
-
-// Dup derives a communicator with identical membership but a fresh
-// context (tag namespace), the standard way to isolate a library's
-// traffic from the application's. Collective in the SPMD sense: every
-// member must call it at the same point.
-func (c *Comm) Dup() (*Comm, error) {
-	return newComm(c.p, c.deriveID(), c.procs)
-}
-
-// Split partitions the communicator: members with the same color form a
-// new communicator, ranked by key (ties broken by parent rank). Like
-// MPI_Comm_split, it is collective; this implementation exchanges the
-// (color, key) pairs with an allgather so every member derives the same
-// sub-communicators. color < 0 (MPI_UNDEFINED) yields (nil, nil).
-func (c *Comm) Split(color, key int) (*Comm, error) {
-	pairs := make([]int64, 2)
-	pairs[0], pairs[1] = int64(color), int64(key)
-	all := make([]int64, 2*c.Size())
-	if err := Allgather(c, pairs, all); err != nil {
-		return nil, err
-	}
-	// Deterministic sub-id: derive once per distinct color, in ascending
-	// color order, so every member's derivation counter stays aligned.
-	colors := map[int]bool{}
-	var order []int
-	for r := 0; r < c.Size(); r++ {
-		col := int(all[2*r])
-		if col >= 0 && !colors[col] {
-			colors[col] = true
-			order = append(order, col)
-		}
-	}
-	sortInts(order)
-	var mine *Comm
-	for _, col := range order {
-		id := c.deriveID() // every member derives for every color, keeping counters aligned
-		if col != color {
-			continue
-		}
-		type member struct {
-			rank, key int
-		}
-		var ms []member
-		for r := 0; r < c.Size(); r++ {
-			if int(all[2*r]) == col {
-				ms = append(ms, member{rank: r, key: int(all[2*r+1])})
-			}
-		}
-		for i := 1; i < len(ms); i++ {
-			for j := i; j > 0 && (ms[j].key < ms[j-1].key || (ms[j].key == ms[j-1].key && ms[j].rank < ms[j-1].rank)); j-- {
-				ms[j], ms[j-1] = ms[j-1], ms[j]
-			}
-		}
-		procs := make([]ProcID, len(ms))
-		for i, m := range ms {
-			procs[i] = c.procs[m.rank]
-		}
-		sub, err := newComm(c.p, id, procs)
-		if err != nil {
-			return nil, err
-		}
-		mine = sub
-	}
-	return mine, nil
-}
-
-func sortInts(v []int) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
 }
 
 // Subset derives a communicator over a subset of this one's members,

@@ -7,22 +7,32 @@ package mpi_test
 // collective: three gathered workers Grow two registered spares in,
 // the spares Join, and all five allreduce together bit-identically.
 // Teardown's leak assertions cover the pooled-frame and goroutine
-// hygiene of the newcomer path.
+// hygiene of the newcomer path. The ZeroCopyMin=1 case plays the same
+// handshake on bare loopback endpoints that deliver every frame as a
+// lazy view, the join message included, as a large world's join is.
 
 import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/clustertest"
 	"repro/internal/mpi"
 	"repro/internal/transport"
+	"repro/internal/transport/tcpnet"
+	"repro/internal/vtime"
 )
 
 func TestGrowAdmitsNewWorkersTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
+	t.Run("harness", growOnHarness)
+	t.Run("ZeroCopyMin=1", growOnLazyLoopback)
+}
+
+func growOnHarness(t *testing.T) {
 	c := clustertest.New(t, clustertest.Config{World: 3, Seed: 1, Spares: 2})
 	newProcs := []transport.ProcID{c.Spares[0].Proc, c.Spares[1].Proc}
 	const grownSize = 5
@@ -106,5 +116,75 @@ func TestGrowAdmitsNewWorkersTCP(t *testing.T) {
 		if s != grownSize {
 			t.Errorf("proc %d sum = %v, want %d", p, s, grownSize)
 		}
+	}
+}
+
+func growOnLazyLoopback(t *testing.T) {
+	const world, grownSize = 3, 5
+	bufs0 := tcpnet.OutstandingFrameBufs()
+	eps := make([]*tcpnet.Endpoint, grownSize)
+	peers := make(map[transport.ProcID]string, grownSize)
+	procs := make([]transport.ProcID, grownSize)
+	for i := range eps {
+		ep, err := tcpnet.Listen("127.0.0.1:0", tcpnet.Config{ZeroCopyMin: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ep.Close()
+		eps[i] = ep
+		peers[transport.ProcID(i)] = ep.Addr()
+		procs[i] = transport.ProcID(i)
+	}
+	for i, ep := range eps {
+		ep.Start(transport.ProcID(i), peers)
+	}
+
+	sums := make([]float64, grownSize)
+	errs := make([]error, grownSize)
+	var wg sync.WaitGroup
+	for i, ep := range eps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p := mpi.Attach(ep)
+			var comm *mpi.Comm
+			var err error
+			if i < world {
+				if comm, err = mpi.World(p, procs[:world]); err == nil {
+					comm, err = comm.Grow(procs[world:])
+				}
+			} else {
+				comm, err = mpi.Join(p)
+			}
+			if err == nil && (comm.Size() != grownSize || comm.Rank() != i) {
+				err = fmt.Errorf("proc %d in a comm of %d at rank %d", i, comm.Size(), comm.Rank())
+			}
+			data := []float64{1}
+			if err == nil {
+				err = mpi.Allreduce(comm, data, mpi.OpSum)
+			}
+			sums[i], errs[i] = data[0], err
+		}()
+	}
+	finished := make(chan struct{})
+	go func() { wg.Wait(); close(finished) }()
+	select {
+	case <-finished:
+	case <-time.After(30 * time.Second):
+		for _, ep := range eps {
+			ep.Close() // a failed Join strands the rest in the allreduce
+		}
+		<-finished
+	}
+	for i := range eps {
+		if errs[i] != nil || sums[i] != grownSize {
+			t.Errorf("proc %d: sum %v, err %v", i, sums[i], errs[i])
+		}
+	}
+	for _, ep := range eps {
+		ep.Close()
+	}
+	if !vtime.WaitUntil(5*time.Second, func() bool { return tcpnet.OutstandingFrameBufs() == bufs0 }) {
+		t.Errorf("%d pooled frame buffers outstanding, %d before the run", tcpnet.OutstandingFrameBufs(), bufs0)
 	}
 }

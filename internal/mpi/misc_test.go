@@ -16,8 +16,14 @@ func TestVirtualBcastAndAllgather(t *testing.T) {
 		if err := BcastVirtual(comm, 8<<20, 1); err != nil {
 			return err
 		}
-		if err := AllgatherVirtual(comm, 1<<20); err != nil {
+		all := make([]int64, comm.Size())
+		if err := Allgather(comm, []int64{int64(comm.Rank()) * 3}, all); err != nil {
 			return err
+		}
+		for r, v := range all {
+			if v != int64(r)*3 {
+				return fmt.Errorf("rank %d gathered %v", comm.Rank(), all)
+			}
 		}
 		return nil
 	})

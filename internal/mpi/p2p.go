@@ -27,36 +27,3 @@ func Recv[T any](c *Comm, src int, tag int) ([]T, error) {
 	}
 	return payloadAs[T](m.Data), nil
 }
-
-// SendVal transmits a single value of any type (copied by value).
-func SendVal[T any](c *Comm, dst int, tag int, v T) error {
-	b := rawBuf[T]{}
-	return c.sendRaw(dst, c.p2pTag(tag), v, b.bytesFor(1))
-}
-
-// RecvVal receives a single value sent with SendVal.
-func RecvVal[T any](c *Comm, src int, tag int) (T, error) {
-	scope := &opScope{
-		comm:          c,
-		members:       map[ProcID]bool{c.procs[src]: true},
-		abortOnRevoke: true,
-	}
-	c.p.begin(scope)
-	defer c.p.end()
-	var zero T
-	m, err := c.recvRaw(src, c.p2pTag(tag))
-	if err != nil {
-		return zero, err
-	}
-	return m.Data.(T), nil
-}
-
-// Sendrecv performs a combined exchange with potentially different
-// partners, posting the send before the receive (safe with the
-// transports' unbounded mailboxes).
-func Sendrecv[T any](c *Comm, dst, sendTag int, data []T, src, recvTag int) ([]T, error) {
-	if err := Send(c, dst, sendTag, data); err != nil {
-		return nil, err
-	}
-	return Recv[T](c, src, recvTag)
-}

@@ -20,9 +20,10 @@
 // future non-recovery operations; agreement and shrink operate on revoked
 // communicators. Failure detection is the transport's job: the simulator
 // notifies every live process when a process dies, and the TCP backend
-// injects the same notice when the rendezvous heartbeat detector declares
-// a peer dead — matching ULFM implementations that run an out-of-band
-// heartbeat detector.
+// injects the same notice when the rendezvous hub declares a peer dead —
+// at once when the peer's hub connection closes uncleanly, after missed
+// heartbeats when it falls silent — matching ULFM implementations that
+// run an out-of-band detector.
 package mpi
 
 import (
@@ -38,19 +39,16 @@ type ProcID = transport.ProcID
 
 // Control tags used by the MPI layer on the transport control plane.
 const (
-	ctlRevoke = transport.CtlTagBase - 2 // payload: revokeNotice
+	ctlRevoke = transport.CtlTagBase - 2 // payload: the word vector {commID}
 )
 
-func init() {
-	// The MPI layer's own control and recovery messages must survive a
-	// real wire, not just in-process delivery.
-	transport.RegisterWireType(revokeNotice{})
-	transport.RegisterWireType(joinInfo{})
-}
-
-// revokeNotice is flooded to all communicator members on revocation.
-type revokeNotice struct {
-	CommID uint64
+// decodeRevoke validates a revoke notice off the wire: the one word
+// {commID}, flooded to all communicator members on revocation.
+func decodeRevoke(w []int64) (uint64, error) {
+	if len(w) != 1 || w[0] <= 0 {
+		return 0, fmt.Errorf("mpi: revoke notice of %d words", len(w))
+	}
+	return uint64(w[0]), nil
 }
 
 // opScope describes the operation currently in flight on a rank, so the
@@ -137,13 +135,13 @@ func (p *Proc) dispatchCtl(m *transport.Message) error {
 			return &ProcFailedError{Comm: c.id, Rank: c.rankOfProc(dead), Proc: dead}
 		}
 	case ctlRevoke:
-		n, ok := m.Data.(revokeNotice)
-		if !ok {
-			return fmt.Errorf("mpi: malformed revoke notice from proc %d", m.From)
+		id, err := transport.DecodeWords(m.Data, decodeRevoke)
+		if err != nil {
+			return fmt.Errorf("mpi: malformed revoke notice from proc %d: %w", m.From, err)
 		}
-		p.applyRevoke(n.CommID)
-		if p.cur != nil && p.cur.abortOnRevoke && p.cur.comm.id == n.CommID {
-			return &RevokedError{Comm: n.CommID}
+		p.applyRevoke(id)
+		if p.cur != nil && p.cur.abortOnRevoke && p.cur.comm.id == id {
+			return &RevokedError{Comm: id}
 		}
 	case transport.CtlAgree:
 		return p.onAgree(m)
@@ -160,12 +158,13 @@ func (p *Proc) applyRevoke(commID uint64) {
 		return
 	}
 	p.revoked[commID] = true
+	notice := []int64{int64(commID)}
 	for _, proc := range p.comms[commID] {
 		if proc == p.ep.ID() {
 			continue
 		}
 		// Ignore errors: dead members don't need the notice.
-		_ = p.ep.Send(proc, ctlRevoke, revokeNotice{CommID: commID}, 16)
+		_ = p.ep.Send(proc, ctlRevoke, notice, 16)
 	}
 }
 

@@ -3,17 +3,18 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/transport"
 )
 
 // This file implements the ULFM fault-tolerance primitives:
 //
-//   FailureAck / FailureGetAcked  <->  MPIX_Comm_failure_ack / _get_acked
-//   Revoke                        <->  MPIX_Comm_revoke
-//   Agree                        <->  MPIX_Comm_agree
-//   Shrink                        <->  MPIX_Comm_shrink
-//   Grow / Join                   <->  MPI_Comm_spawn + intercomm merge
+//   FailureAck   <->  MPIX_Comm_failure_ack
+//   Revoke       <->  MPIX_Comm_revoke
+//   Agree        <->  MPIX_Comm_agree
+//   Shrink       <->  MPIX_Comm_shrink
+//   Grow / Join  <->  MPI_Comm_spawn + intercomm merge
 //
 // Agree and Shrink operate on revoked communicators, as the specification
 // requires — they are the recovery path. The agreement protocol itself is
@@ -24,32 +25,55 @@ import (
 // any communicator tag (which all carry a context id in the high bits).
 const tagJoin = 7
 
+// joinInfo hands a newcomer its communicator and the failures the
+// members know of. On the wire it is the word vector
+// {commID, nProcs, procs..., failed...}.
 type joinInfo struct {
-	CommID uint64
-	Procs  []ProcID
-	Failed []ProcID
+	commID uint64
+	procs  []ProcID
+	failed []ProcID
+}
+
+func (ji joinInfo) words() []int64 {
+	w := make([]int64, 0, 2+len(ji.procs)+len(ji.failed))
+	w = append(w, int64(ji.commID), int64(len(ji.procs)))
+	for _, pr := range ji.procs {
+		w = append(w, int64(pr))
+	}
+	for _, pr := range ji.failed {
+		w = append(w, int64(pr))
+	}
+	return w
+}
+
+// decodeJoin validates a join message off the wire. The decoded lists
+// are copies, so the words may be a view of a transport buffer.
+func decodeJoin(w []int64) (joinInfo, error) {
+	if len(w) < 2 || w[0] <= 0 || w[1] < 1 || w[1] > int64(len(w)-2) {
+		return joinInfo{}, fmt.Errorf("mpi: join message of %d words", len(w))
+	}
+	ids := make([]ProcID, len(w)-2)
+	for i, x := range w[2:] {
+		if x < 0 || x > math.MaxInt32 {
+			return joinInfo{}, fmt.Errorf("mpi: join message names process %d", x)
+		}
+		ids[i] = ProcID(x)
+	}
+	n := int(w[1])
+	ji := joinInfo{commID: uint64(w[0]), procs: ids[:n:n]}
+	if n < len(ids) {
+		ji.failed = ids[n:]
+	}
+	return ji, nil
 }
 
 // FailureAck acknowledges all currently known process failures, so that
-// subsequent Agree calls do not raise errors for them and
-// FailureGetAcked reports them.
+// subsequent Agree calls do not raise errors for them.
 func (c *Comm) FailureAck() {
 	_ = c.p.Poll()
 	for id := range c.p.failed {
 		c.p.acked[id] = true
 	}
-}
-
-// FailureGetAcked returns the ranks of this communicator whose failure has
-// been acknowledged.
-func (c *Comm) FailureGetAcked() []int {
-	var out []int
-	for r, pr := range c.procs {
-		if c.p.acked[pr] {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // Revoke marks the communicator revoked everywhere: locally at once, and
@@ -135,9 +159,9 @@ func (c *Comm) Grow(newProcs []ProcID) (*Comm, error) {
 	newID := c.deriveID()
 	all := append(c.Procs(), newProcs...)
 	if c.rank == 0 {
-		ji := joinInfo{CommID: newID, Procs: all, Failed: c.p.KnownFailed()}
+		join := joinInfo{commID: newID, procs: all, failed: c.p.KnownFailed()}.words()
 		for _, np := range newProcs {
-			if err := c.p.ep.Send(np, tagJoin, ji, int64(32+8*len(all))); err != nil {
+			if err := c.p.ep.Send(np, tagJoin, join, int64(32+8*len(all))); err != nil {
 				if proc, ok := failedProcOf(err); ok {
 					// The newcomer died before its join completed. Every
 					// member still admits it (the membership list is already
@@ -164,14 +188,14 @@ func Join(p *Proc) (*Comm, error) {
 	if err != nil {
 		return nil, err
 	}
-	ji, ok := m.Data.(joinInfo)
-	if !ok {
-		return nil, fmt.Errorf("mpi: malformed join message from proc %d", m.From)
+	ji, err := transport.DecodeWords(m.Data, decodeJoin)
+	if err != nil {
+		return nil, fmt.Errorf("mpi: malformed join message from proc %d: %w", m.From, err)
 	}
-	for _, pr := range ji.Failed {
+	for _, pr := range ji.failed {
 		p.noteFailure(pr)
 	}
-	return newComm(p, ji.CommID, ji.Procs)
+	return newComm(p, ji.commID, ji.procs)
 }
 
 // failedMembers lists this comm's member processes locally known failed.

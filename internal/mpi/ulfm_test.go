@@ -305,9 +305,8 @@ func TestAgreeAfterAckNoError(t *testing.T) {
 			return fmt.Errorf("barrier should fail")
 		}
 		comm.FailureAck()
-		acked := comm.FailureGetAcked()
-		if len(acked) != 1 || acked[0] != 2 {
-			return fmt.Errorf("acked = %v, want [2]", acked)
+		if dead := comm.ProcOf(2); len(p.acked) != 1 || !p.acked[dead] {
+			return fmt.Errorf("acked = %v, want proc %d", p.acked, dead)
 		}
 		if _, err := comm.Agree(1); err != nil {
 			return fmt.Errorf("agree after ack: %v", err)

@@ -198,7 +198,7 @@ func Start(cfg Config) (*Node, error) {
 		OnPeerLeft: gone("proc %d left"),
 		OnPeerUp:   teach,
 		OnSpareUp:  teach,
-		// Nothing recovers from this yet (ROADMAP item 3): the run goes
+		// Nothing recovers from this yet (ROADMAP item 1): the run goes
 		// on, undetected failures will hang it, and this line is why.
 		OnHubLost: func(err error) {
 			n.logf("lost the rendezvous hub: %v; failures can no longer be detected", err)

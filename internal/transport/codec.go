@@ -1,9 +1,7 @@
 package transport
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"unsafe"
@@ -13,29 +11,21 @@ import (
 // in-process backends pass by reference. Backends that never cross a
 // process boundary (simnet) skip the codec entirely.
 //
-// Two formats share the wire, distinguished by a one-byte prefix:
+// A payload is a numeric slice: the gradient chunks the collectives move,
+// and the fixed-layout []int64 word vectors every control message travels
+// as (agreement, revoke, join, state-transfer offer and ack). Its encoding
+// is a fixed header plus the bulk bytes:
 //
-//	offset 0 : format byte (fmtRaw or fmtGob)
-//
-// fmtRaw — the hot path. Numeric slice payloads (the gradient chunks the
-// collectives move) are encoded as a fixed header plus their bulk bytes:
-//
+//	offset 0    : format byte, fmtRaw
 //	offset 1    : element type tag (rawF32, rawF64, ...)
 //	offset 2    : uint64 little-endian element count
 //	offset 10   : count * elemSize bytes, little-endian fixed width
 //
 // No reflection, no per-element framing, one allocation per encode and one
-// per decode. A zero count decodes to a typed nil slice, matching what the
-// gob envelope produces for nil and empty slices.
-//
-// fmtGob — the fallback. Any other registered concrete type travels as a
-// gob-encoded single-field envelope, exactly as before the raw codec
-// existed, so packages registering their own message structs keep working.
+// per decode. A zero count decodes to a typed nil slice. Any other format
+// byte is rejected, including 0x01, which once carried gob-encoded structs.
 
-const (
-	fmtGob = 0x01
-	fmtRaw = 0x02
-)
+const fmtRaw = 0x02
 
 // Raw element type tags. The tag fixes the element width; the decoder
 // rejects payloads whose byte length disagrees with the declared count.
@@ -64,33 +54,6 @@ var hostLittleEndian = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// envelope wraps the payload so gob records its concrete type.
-type envelope struct{ V any }
-
-// RegisterWireType registers a concrete payload type for wire transport.
-// Packages that send their own message structs over a real transport call
-// this from an init function; duplicate registrations of the same type
-// are a programmer error and panic, as in encoding/gob.
-func RegisterWireType(v any) { gob.Register(v) }
-
-func init() {
-	// Slice payloads produced by the MPI layer's typed buffers. The
-	// numeric ones always take the raw fast path; they stay gob-registered
-	// so the raw-vs-gob property test can use the envelope as its
-	// reference encoding.
-	RegisterWireType([]int{})
-	RegisterWireType([]int32{})
-	RegisterWireType([]int64{})
-	RegisterWireType([]uint8{})
-	RegisterWireType([]uint32{})
-	RegisterWireType([]uint64{})
-	RegisterWireType([]float32{})
-	RegisterWireType([]float64{})
-	RegisterWireType([]bool{})
-	RegisterWireType([]string{})
-	RegisterWireType([]ProcID{})
-}
-
 // EncodePayload serializes a payload for the wire. A nil payload encodes
 // to nil bytes (virtual buffers and barrier tokens carry no data).
 func EncodePayload(v any) ([]byte, error) {
@@ -107,7 +70,10 @@ func AppendPayload(dst []byte, v any) ([]byte, error) {
 	if out, ok := appendRaw(dst, v); ok {
 		return out, nil
 	}
-	return appendGob(dst, v)
+	// Return dst, not nil: callers that encode into pooled buffers must get
+	// their buffer back on the error path, or the pool would be poisoned
+	// with nil slices (and the original allocation lost).
+	return dst, fmt.Errorf("transport: encode payload: unsupported type %T", v)
 }
 
 // DecodePayload reverses EncodePayload/AppendPayload.
@@ -115,39 +81,10 @@ func DecodePayload(b []byte) (any, error) {
 	if len(b) == 0 {
 		return nil, nil
 	}
-	switch b[0] {
-	case fmtRaw:
-		return decodeRaw(b)
-	case fmtGob:
-		return decodeGob(b)
-	default:
+	if b[0] != fmtRaw {
 		return nil, fmt.Errorf("transport: decode payload: unknown format byte %#02x", b[0])
 	}
-}
-
-// --- gob fallback -------------------------------------------------------
-
-func appendGob(dst []byte, v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&envelope{V: v}); err != nil {
-		// Return dst, not nil: callers that encode into pooled buffers
-		// must get their buffer back on the error path, or the pool would
-		// be poisoned with nil slices (and the original allocation lost).
-		return dst, fmt.Errorf("transport: encode payload %T: %w", v, err)
-	}
-	dst = append(dst, fmtGob)
-	return append(dst, buf.Bytes()...), nil
-}
-
-func decodeGob(b []byte) (any, error) {
-	if len(b) == 0 || b[0] != fmtGob {
-		return nil, fmt.Errorf("transport: decode payload: not a gob payload")
-	}
-	var env envelope
-	if err := gob.NewDecoder(bytes.NewReader(b[1:])).Decode(&env); err != nil {
-		return nil, fmt.Errorf("transport: decode payload: %w", err)
-	}
-	return env.V, nil
+	return decodeRaw(b)
 }
 
 // --- raw fast path ------------------------------------------------------
@@ -223,7 +160,7 @@ func toRawBits[T uint16 | uint32 | uint64 | int32 | int64 | float32 | float64](x
 // decodeFixed reverses appendFixed; b must hold exactly count elements.
 func decodeFixed[T uint16 | uint32 | uint64 | int32 | int64 | float32 | float64](b []byte, count int) []T {
 	if count == 0 {
-		return nil // gob decodes empty slices to nil; stay byte-identical
+		return nil // nil and empty slices both decode to a typed nil
 	}
 	out := make([]T, count)
 	size := int(unsafe.Sizeof(out[0]))
@@ -267,7 +204,7 @@ func fromRawBits[T uint16 | uint32 | uint64 | int32 | int64 | float32 | float64]
 }
 
 // appendRaw encodes the supported numeric slice payloads; ok is false for
-// any other type, sending the caller to the gob fallback.
+// any other type.
 func appendRaw(dst []byte, v any) (out []byte, ok bool) {
 	switch s := v.(type) {
 	case []float32:

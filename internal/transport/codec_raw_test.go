@@ -2,14 +2,15 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
 )
 
-// wireSliceValues builds the test corpus for every slice type registered
-// by the package's own init: nil, empty, and a few randomly sized values.
+// wireSliceValues builds the test corpus for every raw element type:
+// nil, empty, and a few randomly sized values.
 func wireSliceValues(rng *rand.Rand) []any {
 	sized := func(n int) []any {
 		f32 := make([]float32, n)
@@ -21,8 +22,8 @@ func wireSliceValues(rng *rand.Rand) []any {
 		u32 := make([]uint32, n)
 		u64 := make([]uint64, n)
 		bo := make([]bool, n)
-		st := make([]string, n)
 		pid := make([]ProcID, n)
+		f16 := make(F16, n)
 		for i := 0; i < n; i++ {
 			f32[i] = float32(rng.NormFloat64())
 			f64[i] = rng.NormFloat64()
@@ -33,14 +34,14 @@ func wireSliceValues(rng *rand.Rand) []any {
 			u32[i] = uint32(rng.Uint64())
 			u64[i] = rng.Uint64()
 			bo[i] = rng.Intn(2) == 1
-			st[i] = string(rune('a' + rng.Intn(26)))
 			pid[i] = ProcID(rng.Intn(100))
+			f16[i] = uint16(rng.Uint64())
 		}
-		return []any{f32, f64, i32, i64, ints, u8, u32, u64, bo, st, pid}
+		return []any{f32, f64, i32, i64, ints, u8, u32, u64, bo, pid, f16}
 	}
 	out := []any{
 		[]float32(nil), []float64(nil), []int32(nil), []int64(nil), []int(nil),
-		[]uint8(nil), []uint32(nil), []uint64(nil), []bool(nil), []string(nil), []ProcID(nil),
+		[]uint8(nil), []uint32(nil), []uint64(nil), []bool(nil), []ProcID(nil), F16(nil),
 	}
 	out = append(out, sized(0)...)
 	out = append(out, sized(1)...)
@@ -48,39 +49,85 @@ func wireSliceValues(rng *rand.Rand) []any {
 	return out
 }
 
-// Property: for every type the package registers in RegisterWireType, the
-// raw codec round-trips to exactly the value the gob envelope produces —
-// including nil and empty slices, which gob decodes to typed nil.
-func TestRawMatchesGobProperty(t *testing.T) {
+// referenceEncode writes the raw format with encoding/binary, one value
+// at a time, from the wire tags as numbers: an encoder that shares no
+// code with the codec, so the property below pins the format itself.
+func referenceEncode(t *testing.T, v any) []byte {
+	var tag byte
+	var elems any
+	switch s := v.(type) {
+	case []float32:
+		tag, elems = 1, s
+	case []float64:
+		tag, elems = 2, s
+	case []int32:
+		tag, elems = 3, s
+	case []int64:
+		tag, elems = 4, s
+	case []uint8:
+		tag, elems = 5, s
+	case []uint32:
+		tag, elems = 6, s
+	case []uint64:
+		tag, elems = 7, s
+	case []int:
+		w := make([]int64, len(s))
+		for i, x := range s {
+			w[i] = int64(x)
+		}
+		tag, elems = 8, w
+	case []bool:
+		tag, elems = 9, s
+	case []ProcID:
+		w := make([]int64, len(s))
+		for i, x := range s {
+			w[i] = int64(x)
+		}
+		tag, elems = 10, w
+	case F16:
+		tag, elems = 11, []uint16(s)
+	default:
+		t.Fatalf("no reference encoding for %T", v)
+	}
+	var buf bytes.Buffer
+	buf.Write([]byte{0x02, tag})
+	if err := binary.Write(&buf, binary.LittleEndian, uint64(reflect.ValueOf(v).Len())); err != nil {
+		t.Fatal(err)
+	}
+	if err := binary.Write(&buf, binary.LittleEndian, elems); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// Property: for every raw element type, the codec encodes exactly the
+// reference bytes, and decodes them back to the value it was given —
+// nil and empty slices both to a typed nil.
+func TestRawMatchesBinaryReferenceProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		for _, v := range wireSliceValues(rng) {
-			rawBytes, err := EncodePayload(v)
+			got, err := EncodePayload(v)
 			if err != nil {
-				t.Logf("%T: raw-path encode: %v", v, err)
+				t.Logf("%T: encode: %v", v, err)
 				return false
 			}
-			gobBytes, err := appendGob(nil, v)
+			ref := referenceEncode(t, v)
+			if !bytes.Equal(got, ref) {
+				t.Logf("%T: encoded % x, reference % x", v, got, ref)
+				return false
+			}
+			back, err := DecodePayload(ref)
 			if err != nil {
-				t.Logf("%T: gob encode: %v", v, err)
+				t.Logf("%T: decode: %v", v, err)
 				return false
 			}
-			fromRaw, err := DecodePayload(rawBytes)
-			if err != nil {
-				t.Logf("%T: raw-path decode: %v", v, err)
-				return false
+			want := v
+			if reflect.ValueOf(v).Len() == 0 {
+				want = reflect.Zero(reflect.TypeOf(v)).Interface()
 			}
-			fromGob, err := DecodePayload(gobBytes)
-			if err != nil {
-				t.Logf("%T: gob decode: %v", v, err)
-				return false
-			}
-			if !reflect.DeepEqual(fromRaw, fromGob) {
-				t.Logf("%T: raw %#v != gob %#v", v, fromRaw, fromGob)
-				return false
-			}
-			if reflect.TypeOf(fromRaw) != reflect.TypeOf(v) {
-				t.Logf("%T: decoded as %T", v, fromRaw)
+			if !reflect.DeepEqual(back, want) {
+				t.Logf("%T: decoded %#v, want %#v", v, back, want)
 				return false
 			}
 		}
@@ -105,32 +152,37 @@ func TestRawFastPathIsUsed(t *testing.T) {
 			t.Errorf("%T: encoded with format %#02x, want raw", v, b[0])
 		}
 	}
-	// Strings (and any registered struct) fall back to the gob envelope.
-	b, err := EncodePayload([]string{"x"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b[0] != fmtGob {
-		t.Errorf("[]string encoded with format %#02x, want gob", b[0])
+	// Anything else is refused, and the caller's buffer comes back intact.
+	dst := make([]byte, 3, 64)
+	for _, v := range []any{[]string{"x"}, struct{ A int }{4}, 7} {
+		out, err := AppendPayload(dst, v)
+		if err == nil {
+			t.Errorf("%T: encoded without error", v)
+		}
+		if len(out) != len(dst) || &out[0] != &dst[0] {
+			t.Errorf("%T: error path returned %d bytes, not the caller's buffer", v, len(out))
+		}
 	}
 }
 
-// Cross-decoding: raw bytes handed to the gob path and gob bytes handed to
-// the raw path must be rejected cleanly, never misparsed.
+// Format 0x01 once carried gob-encoded structs. A raw payload re-tagged
+// with it, and a real gob payload, must both be rejected, never misparsed.
 func TestRawGobCrossDecodeRejected(t *testing.T) {
 	rawBytes, err := EncodePayload([]float32{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gobBytes, err := appendGob(nil, []float32{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := decodeGob(rawBytes); err == nil {
-		t.Error("gob path accepted raw-encoded bytes")
-	}
-	if _, err := decodeRaw(gobBytes); err == nil {
-		t.Error("raw path accepted gob-encoded bytes")
+	retagged := append([]byte{0x01}, rawBytes[1:]...)
+	// A gob envelope of []float32{1, 2}, as the codec once wrote it.
+	gobBytes := []byte("\x01\x1b\x7f\x03\x01\x01\benvelope\x01\xff\x80\x00\x01\x01\x01\x01V\x01\x10\x00\x00\x00" +
+		"\x19\xff\x80\x01\t[]float32\xff\x83\x02\x01\x02\xff\x84\x00\x01\b\x00\x00\n\xff\x84\x06\x00\x02\xfe\xf0?@\x00")
+	for name, b := range map[string][]byte{"re-tagged raw": retagged, "gob": gobBytes} {
+		if v, err := DecodePayload(b); err == nil {
+			t.Errorf("%s payload decoded to %#v", name, v)
+		}
+		if p, ok, _ := ParseRawPayload(b, nil); ok {
+			t.Errorf("%s payload parsed as raw (%d elements)", name, p.Elems())
+		}
 	}
 }
 
@@ -166,15 +218,20 @@ func TestRawDecodeCorrupt(t *testing.T) {
 // accepts; a wrapped payload's views match its element count, its Decode
 // equals DecodePayload, and its release callback runs exactly once. The
 // seeds in testdata/fuzz/FuzzDecodePayload cover every raw tag, the
-// retired tag 0x0c, gob envelopes and the malformed shapes.
+// retired tag 0x0c, the retired gob format 0x01 and the malformed shapes;
+// only the raw format ever decodes.
 func FuzzDecodePayload(f *testing.F) {
 	seed, err := EncodePayload([]float32{1, 2})
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(seed)
+	f.Add(append([]byte{0x01}, seed[1:]...))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		want, decErr := DecodePayload(b)
+		if len(b) > 0 && b[0] != fmtRaw && decErr == nil {
+			t.Fatalf("format %#02x decoded to %#v", b[0], want)
+		}
 		released := 0
 		p, ok, parseErr := ParseRawPayload(b, func() { released++ })
 		raw := len(b) > 0 && b[0] == fmtRaw

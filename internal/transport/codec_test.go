@@ -13,7 +13,6 @@ func TestPayloadRoundTrip(t *testing.T) {
 		[]int64{1 << 40},
 		[]uint8{0xde, 0xad},
 		[]bool{true, false},
-		[]string{"a", "b"},
 		[]ProcID{0, 3, 9},
 	}
 	for i, in := range cases {
@@ -46,28 +45,6 @@ func TestPayloadNil(t *testing.T) {
 	out, err = DecodePayload([]byte{})
 	if err != nil || out != nil {
 		t.Fatalf("decode empty = (%v, %v), want (nil, nil)", out, err)
-	}
-}
-
-type testWireStruct struct {
-	A int
-	B []float64
-}
-
-func TestPayloadRegisteredStruct(t *testing.T) {
-	RegisterWireType(testWireStruct{})
-	in := testWireStruct{A: 4, B: []float64{1, 2}}
-	b, err := EncodePayload(in)
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	out, err := DecodePayload(b)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	got, ok := out.(testWireStruct)
-	if !ok || !reflect.DeepEqual(got, in) {
-		t.Fatalf("round-trip %#v -> %#v", in, out)
 	}
 }
 

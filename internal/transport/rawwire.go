@@ -168,9 +168,9 @@ func AppendRawPayloadHeader(dst []byte, tag byte, count int) []byte {
 // zero-copy view of the payload's bulk little-endian bytes, for
 // transports that scatter-gather the frame header and body straight to
 // the kernel (writev) without assembling a contiguous frame. ok is
-// false when the payload needs the element-converting or gob paths: an
-// unsupported or named type, or a big-endian host. The view aliases the caller's slice and is only valid until
-// the payload is mutated.
+// false when the payload needs the element-converting path: an
+// unsupported or named type, or a big-endian host. The view aliases the
+// caller's slice and is only valid until the payload is mutated.
 func RawSendView(v any) (tag byte, count int, body []byte, ok bool) {
 	if !hostLittleEndian {
 		return 0, 0, nil, false
@@ -299,6 +299,30 @@ func RawPayloadView[T uint8 | uint16 | uint32 | uint64 | int32 | int64 | float32
 		return nil, false
 	}
 	return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), p.count), true
+}
+
+// DecodeWords hands decode the []int64 word vector a message carries:
+// decoded, from an in-process transport or a small wire frame, or as a
+// lazy frame view, which a wire transport delivers on a data tag from
+// its zero-copy threshold up. A lazy payload is released once decode
+// returns, so decode must copy whatever it keeps.
+func DecodeWords[T any](data any, decode func([]int64) (T, error)) (T, error) {
+	switch d := data.(type) {
+	case []int64:
+		return decode(d)
+	case *RawPayload:
+		if w, ok := RawPayloadView[int64](d); ok {
+			v, err := decode(w)
+			d.Release()
+			return v, err
+		}
+		v, err := d.Decode() // an unaligned view: Decode copies and releases
+		if w, ok := v.([]int64); ok && err == nil {
+			return decode(w)
+		}
+	}
+	var zero T
+	return zero, fmt.Errorf("transport: payload %T is not a word vector", data)
 }
 
 func viewTag(z any) byte {

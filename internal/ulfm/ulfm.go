@@ -208,11 +208,9 @@ func Barrier(r *ResilientComm) error {
 	})
 }
 
-// Allgatherv resiliently gathers variable-length blocks. On a repair the
-// caller's counts no longer match the membership, so the operation
-// reports the repaired communicator through ErrReconfigured-style error
-// (callers recompute counts); use Allgather on fixed-size blocks for
-// transparent retries.
+// Allgather resiliently gathers one fixed-size block per member. recvOf
+// sizes the receive buffer for the current membership, so a retry after a
+// repair gathers over the survivors.
 func Allgather[T any](r *ResilientComm, send []T, recvOf func(size int) []T) ([]T, error) {
 	var out []T
 	err := r.retry(func() error {
