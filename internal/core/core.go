@@ -2,12 +2,12 @@
 // through resilient collective operations over ULFM MPI.
 //
 // Failures are handled at the granularity of a single collective
-// operation (forward recovery): when a gradient allreduce reports
-// MPI_ERR_PROC_FAILED, the survivors revoke the communicator, acknowledge
-// and agree on the failure set, shrink to a sane communicator, reconcile
-// the (at most one step of) progress skew the interrupted collective may
-// have left, and retry the failed exchange with the contributions they
-// still hold — no minibatch is re-executed and no checkpoint rollback
+// operation (forward recovery): each step's whole gradient exchange is
+// one sealed resilient operation on a ulfm.ResilientComm, so when it
+// reports MPI_ERR_PROC_FAILED anywhere, every survivor revokes the
+// communicator, acknowledges and agrees on the failure set, shrinks to a
+// sane communicator and retries the exchange with the contributions it
+// still holds — no minibatch is re-executed and no checkpoint rollback
 // happens. A runtime policy chooses between dropping only the failed
 // process or its entire node (the paper's command-line flag), and the
 // three elasticity scenarios are supported:
@@ -91,7 +91,6 @@ type EventReport struct {
 	Trigger  string
 	Critical *metrics.Breakdown // per-phase max across survivors
 	Newcomer *metrics.Breakdown // per-phase max across newcomers
-	Ranks    int
 }
 
 // Result summarizes a run.
@@ -208,7 +207,6 @@ func (j *Job) reportRecovery(seq int, bd *metrics.Breakdown, newcomer bool) {
 		j.reports[seq] = rep
 	}
 	j.cfg.Trace.Recovery(0, -1, seq, rep.Trigger, bd, newcomer)
-	rep.Ranks++
 	if newcomer {
 		rep.Newcomer = metrics.MaxOver(rep.Newcomer, bd)
 	} else {

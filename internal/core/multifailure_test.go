@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/failure"
-	"repro/internal/metrics"
 )
 
 // TestTwoFailuresAcrossEpochs injects two process failures in different
@@ -25,13 +24,8 @@ func TestTwoFailuresAcrossEpochs(t *testing.T) {
 	if len(res.Events) != 2 {
 		t.Fatalf("events = %d, want 2", len(res.Events))
 	}
-	for i, ev := range res.Events {
-		if ev.Critical.Get(metrics.PhaseShrink) < 0 || ev.Critical.Get(metrics.PhaseRetry) < 0 {
-			t.Fatalf("event %d missing recovery phases: %v", i, ev.Critical)
-		}
-		if ev.Critical.Get(metrics.PhaseRecompute) != 0 {
-			t.Fatalf("event %d recomputed work", i)
-		}
+	for _, ev := range res.Events {
+		assertForwardRecoveryPhases(t, ev.Critical)
 	}
 }
 

@@ -109,7 +109,6 @@ type EventReport struct {
 	Trigger  string
 	Critical *metrics.Breakdown // per-phase max across ranks (wall-clock view)
 	Newcomer *metrics.Breakdown // per-phase max across newcomers only
-	Ranks    int                // ranks that contributed
 }
 
 // Result summarizes a run.
@@ -318,7 +317,6 @@ func (j *Job) reportRecovery(round int, bd *metrics.Breakdown, newcomer bool, tr
 		rep = &EventReport{Round: round, Trigger: trigger}
 		j.reports[round] = rep
 	}
-	rep.Ranks++
 	if newcomer {
 		rep.Newcomer = metrics.MaxOver(rep.Newcomer, bd)
 	} else {

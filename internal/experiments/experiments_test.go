@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -148,6 +150,44 @@ func TestFigure4Breakdown(t *testing.T) {
 	// process (23) or the node (18).
 	if !strings.Contains(out, "18") || !strings.Contains(out, "23") {
 		t.Fatalf("Figure 4 final sizes wrong:\n%s", out)
+	}
+	// The ULFM columns are deterministic virtual time: pin them. The EH
+	// columns are not (their rendezvous phases jitter with scheduling),
+	// so they are only bounded from below by the ULFM totals.
+	row := func(name string) []string {
+		for _, r := range tab.Rows {
+			if r[0] == name {
+				return r[1:]
+			}
+		}
+		t.Fatalf("Figure 4 has no %q row:\n%s", name, out)
+		return nil
+	}
+	total := map[string]float64{}
+	for i, cell := range row("TOTAL") {
+		v, err := strconv.ParseFloat(cell, 64)
+		if err != nil {
+			t.Fatalf("TOTAL cell %q: %v", cell, err)
+		}
+		total[tab.Headers[i+1]] = v
+	}
+	final := row("final GPUs")
+	for i, want := range []struct {
+		total float64
+		gpus  string
+	}{{0.5758, "23"}, {0.5171, "18"}} {
+		col := tab.Headers[3+i]
+		if got := total[col]; math.Abs(got-want.total) > 0.002 {
+			t.Errorf("%s TOTAL = %.4f, want %.4f ± 0.002", col, got, want.total)
+		}
+		if final[2+i] != want.gpus {
+			t.Errorf("%s final GPUs = %s, want %s", col, final[2+i], want.gpus)
+		}
+		for _, eh := range tab.Headers[1:3] {
+			if !(total[col] < total[eh]) {
+				t.Errorf("%s TOTAL %.4f is not below %s TOTAL %.4f", col, total[col], eh, total[eh])
+			}
+		}
 	}
 }
 

@@ -35,7 +35,7 @@ func (r *ResilientComm) Grow(newProcs []transport.ProcID) ([]transport.ProcID, e
 	if r.comm.Rank() == 0 {
 		count[0] = int64(len(newProcs))
 	}
-	if err := r.retry(func() error { return mpi.Bcast(r.comm, count, 0) }); err != nil {
+	if err := r.Do(func() error { return mpi.Bcast(r.comm, count, 0) }); err != nil {
 		return nil, fmt.Errorf("ulfm: grow decision bcast: %w", err)
 	}
 	if r.comm != before || count[0] == 0 {
@@ -48,7 +48,7 @@ func (r *ResilientComm) Grow(newProcs []transport.ProcID) ([]transport.ProcID, e
 			list[i] = int64(p)
 		}
 	}
-	if err := r.retry(func() error { return mpi.Bcast(r.comm, list, 0) }); err != nil {
+	if err := r.Do(func() error { return mpi.Bcast(r.comm, list, 0) }); err != nil {
 		return nil, fmt.Errorf("ulfm: grow list bcast: %w", err)
 	}
 	if r.comm != before {

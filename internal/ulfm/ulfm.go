@@ -7,11 +7,10 @@
 // This is the abstraction Section 3.1 describes ("resilient collective
 // operations serve as the primary method to handle any changes in worker
 // size during training"): callers keep issuing collectives; membership
-// changes surface only through the OnReconfigure callback. The training
-// integration in internal/core inlines the same pipeline because it also
-// coordinates replacement spawning and epoch-boundary merges; this package
-// is the standalone form for other applications (iterative solvers,
-// analytics) that just want collectives that survive failures.
+// changes surface only through the OnReconfigure callback. It is the one
+// recovery pipeline: the shipped daemon (internal/node) and the simulated
+// trainer (internal/core) both repair through it, the trainer sealing each
+// step's whole gradient exchange as one Do.
 package ulfm
 
 import (
@@ -65,7 +64,8 @@ type Policy struct {
 	// may attempt (each retry handles one additional failure event).
 	MaxRetries int
 	// OnReconfigure, if set, is called after every successful repair with
-	// the new communicator and the cost breakdown of the recovery.
+	// the new communicator and the cost breakdown of the recovery. It runs
+	// after the new communicator is installed: Comm() already returns it.
 	OnReconfigure func(newComm *mpi.Comm, bd *metrics.Breakdown)
 	// Advisor, if set, selects the recovery strategy per failure inside
 	// the repair pipeline (overriding the static Drop for that repair).
@@ -171,7 +171,7 @@ func AllreduceOpts[T mpi.Number](r *ResilientComm, data []T, op mpi.Op, o mpi.Al
 	orig = orig[:len(data)]
 	copy(orig, data)
 	first := true
-	return r.retry(func() error {
+	return r.Do(func() error {
 		if !first {
 			copy(data, orig) // the aborted attempt left partial sums behind
 		}
@@ -182,7 +182,7 @@ func AllreduceOpts[T mpi.Number](r *ResilientComm, data []T, op mpi.Op, o mpi.Al
 
 // AllreduceVirtual is the cost-model variant of Allreduce.
 func AllreduceVirtual(r *ResilientComm, bytes int64) error {
-	return r.retry(func() error {
+	return r.Do(func() error {
 		return mpi.AllreduceVirtual(r.comm, bytes)
 	})
 }
@@ -192,7 +192,7 @@ func AllreduceVirtual(r *ResilientComm, bytes int64) error {
 // is reported to the caller after the repair (callers pick a new root).
 func Bcast[T any](r *ResilientComm, data []T, root int) error {
 	rootProc := r.comm.ProcOf(root)
-	return r.retry(func() error {
+	return r.Do(func() error {
 		nr := r.rankOfProc(rootProc)
 		if nr < 0 {
 			return fmt.Errorf("ulfm: bcast root (proc %d) failed and was removed", rootProc)
@@ -203,7 +203,7 @@ func Bcast[T any](r *ResilientComm, data []T, root int) error {
 
 // Barrier is a resilient barrier over the surviving members.
 func Barrier(r *ResilientComm) error {
-	return r.retry(func() error {
+	return r.Do(func() error {
 		return mpi.Barrier(r.comm)
 	})
 }
@@ -213,15 +213,18 @@ func Barrier(r *ResilientComm) error {
 // repair gathers over the survivors.
 func Allgather[T any](r *ResilientComm, send []T, recvOf func(size int) []T) ([]T, error) {
 	var out []T
-	err := r.retry(func() error {
+	err := r.Do(func() error {
 		out = recvOf(r.comm.Size())
 		return mpi.Allgather(r.comm, send, out)
 	})
 	return out, err
 }
 
-// retry makes op a *uniform* resilient collective: after the raw
+// Do makes op a *uniform* resilient collective: after the raw
 // operation, the members run a fault-tolerant agreement on its success.
+// op may issue any sequence of collectives on Comm(), which it must read
+// afresh on each call; a repair re-runs the whole of op, so op restores
+// any input an aborted attempt left changed.
 // A failed collective can complete at some ranks while aborting at others
 // (e.g. a broadcast root finishes its sends before the fault surfaces
 // downstream); without the agreement, the completed ranks would move on
@@ -230,7 +233,7 @@ func Allgather[T any](r *ResilientComm, send []T, recvOf func(size int) []T) ([]
 // the trade-off (one agreement per operation) is the documented cost of
 // ULFM's uniform collectives. The small allreduce avoids it by being the
 // agreement (AllreduceOpts).
-func (r *ResilientComm) retry(op func() error) error {
+func (r *ResilientComm) Do(op func() error) error {
 	return r.attempts(func() (bool, error) {
 		err := op()
 		return err == nil, err
