@@ -9,7 +9,7 @@
 #   make fuzz-smoke  ten seconds each of FuzzAgreeMessage (agreement decoder + delivery switch), FuzzControlWords (revoke + join decoders), FuzzDecodePayload (wire codec), FuzzReadFrame (tcpnet frame reader), FuzzGossipPacket (SWIM packet decoder + handler), FuzzParseSchedule (-scale-policy parser) and FuzzStateWords (state-transfer offer + ack decoders)
 #   make fp16-exhaustive  the binary16 encoders against the reference on all 2^32 float32 inputs
 #   make chaos   chaos conformance at the pinned seeds
-#   make cluster clustertest conformance (gossip control plane) at world 32
+#   make cluster clustertest conformance (hub heartbeat detector) at world 32
 #   make grow    grow-path conformance (autopilot + warm spares) at world 32
 #   make policy  recovery-policy conformance (cost-model strategy picks) at world 32
 #   make cover   per-package coverage summary + gates (floors, baseline)
@@ -129,7 +129,8 @@ chaos:
 	done
 
 # cluster: the same nine recovery scenarios, driven through the
-# clustertest harness with SWIM gossip as the only failure detector.
+# clustertest harness against the hub detector elasticd ships: heartbeat
+# sweep plus conviction on the unclean close of a control connection.
 cluster:
 	@for seed in $(SEEDS); do \
 		echo "=== cluster world $(CLUSTER_WORLD) seed $$seed ==="; \

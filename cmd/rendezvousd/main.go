@@ -31,7 +31,6 @@ func main() {
 	hb := flag.Duration("hb", 500*time.Millisecond, "heartbeat interval workers are told to use")
 	suspect := flag.Duration("suspect", 0, "silence before suspicion (default 3x hb)")
 	dead := flag.Duration("dead", 0, "silence before declaration (default 6x hb)")
-	gossipMode := flag.Bool("gossip", false, "SWIM gossip mode: no heartbeats, failure verdicts arrive from workers, membership changes publish as versioned deltas")
 	tracePath := flag.String("trace", "", "write a JSON-lines membership journal to this file")
 	obsListen := flag.String("obs.listen", "", "serve /metrics, /healthz, /varz on this address (empty = no metrics endpoint)")
 	flag.Parse()
@@ -70,7 +69,6 @@ func main() {
 		HeartbeatInterval: *hb,
 		SuspectAfter:      *suspect,
 		DeadAfter:         *dead,
-		Gossip:            *gossipMode,
 		Trace:             rec,
 		Logf:              log.Printf,
 	})

@@ -27,14 +27,14 @@ func hits(p transport.ProcID, dyn string) {
 	transport.Hit(p, "ulfm."+"repair.revoked")    // want `raw string "ulfm.repair.revoked": use the named constant transport.PointUlfmRevoked`
 }
 
-// gossipHits exercises the SWIM membership vocabulary: canonical
+// policyHits exercises the recovery-policy vocabulary: canonical
 // constants pass, raw strings and near-miss values are rejected.
-func gossipHits(p transport.ProcID) {
-	transport.Hit(p, transport.PointGossipProbe)   // canonical: ok
-	transport.Hit(p, transport.PointGossipSuspect) // canonical: ok
-	transport.Hit(p, transport.PointGossipRefute)  // canonical: ok
-	transport.Hit(p, "gossip.dead")                // want `raw string "gossip.dead": use the named constant transport.PointGossipDead`
-	transport.Hit(p, "gossip.ping-req")            // want `raw string "gossip.ping-req", which matches no transport.Point\* hook point`
+func policyHits(p transport.ProcID) {
+	transport.Hit(p, transport.PointPolicyDecide)   // canonical: ok
+	transport.Hit(p, transport.PointPolicyRealized) // canonical: ok
+	transport.Hit(p, transport.PointCascadeStage)   // canonical: ok
+	transport.Hit(p, "policy.decide")               // want `raw string "policy.decide": use the named constant transport.PointPolicyDecide`
+	transport.Hit(p, "policy.decided")              // want `raw string "policy.decided", which matches no transport.Point\* hook point`
 }
 
 // stateHits exercises the state-transfer handshake vocabulary: the
@@ -55,8 +55,8 @@ func rules() []chaos.Rule {
 		{Name: "raw", Point: "elastic.round.start"},             // want `raw string "elastic.round.start": use the named constant transport.PointElasticRound`
 		{Name: "stale", Point: localStale},                      // want `constant localStale with value "ulfm.repair.revokd", which matches no transport.Point\* hook point`
 		{"pos", 3, "mpi.grow.send", 1, chaos.OpKill},            // want `raw string "mpi.grow.send": use the named constant transport.PointGrowSend`
-		{Name: "gossipok", Point: transport.PointGossipDead, Op: chaos.OpKill}, // canonical gossip point: ok
-		{Name: "gossipraw", Point: "gossip.probe"},              // want `raw string "gossip.probe": use the named constant transport.PointGossipProbe`
+		{Name: "policyok", Point: transport.PointPolicyDecide, Op: chaos.OpKill}, // canonical policy point: ok
+		{Name: "policyraw", Point: "chaos.cascade.stage"},       // want `raw string "chaos.cascade.stage": use the named constant transport.PointCascadeStage`
 		{Name: "xferok", Point: transport.PointStateRecv, Op: chaos.OpKill},    // canonical state-transfer point: ok
 		{Name: "xferraw", Point: "autopilot.state.chunk"},       // want `raw string "autopilot.state.chunk": use the named constant transport.PointStateChunk`
 	}

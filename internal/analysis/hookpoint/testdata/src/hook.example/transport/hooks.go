@@ -27,13 +27,6 @@ const (
 	PointElasticRound  = "elastic.round.start"
 	PointElasticCommit = "elastic.commit"
 
-	// The gossip membership points, mirroring hooks.go.
-	PointGossipProbe   = "gossip.probe"
-	PointGossipPingReq = "gossip.pingreq"
-	PointGossipSuspect = "gossip.suspect"
-	PointGossipDead    = "gossip.dead"
-	PointGossipRefute  = "gossip.refute"
-
 	// The state-transfer handshake points, mirroring hooks.go.
 	PointStateOffer = "autopilot.state.offer"
 	PointStateChunk = "autopilot.state.chunk"

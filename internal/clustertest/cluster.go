@@ -1,11 +1,11 @@
-// Package clustertest boots a complete in-process elastic cluster — a
-// gossip-mode rendezvous service plus N workers, each a node.Node built
-// exactly as elasticd builds one (real TCP endpoint, SWIM gossip member,
-// resilient ULFM communicator, and with Config.Scale the autopilot seat),
-// all wired through one chaos engine — in a single call. Tests get typed
-// handles to every worker, inject faults through the shared engine, and
-// inherit ordered teardown plus the zero-goroutine/zero-frame-buffer
-// leak assertions automatically.
+// Package clustertest boots a complete in-process elastic cluster — the
+// rendezvous hub elasticd -serve hosts plus N workers, each a node.Node
+// built exactly as elasticd builds one (real TCP endpoint, resilient ULFM
+// communicator, and with Config.Scale the autopilot seat), all wired
+// through one chaos engine — in a single call. Tests get typed handles to
+// every worker, inject faults through the shared engine, and inherit
+// ordered teardown plus the zero-goroutine/zero-frame-buffer leak
+// assertions automatically.
 //
 // The shape every test takes:
 //
@@ -13,16 +13,17 @@
 //	c.Workers[31].Die()
 //	c.VerifyRecovery(31)
 //
-// Liveness is pure SWIM: the node sees the hub's gossip-mode welcome and
-// sends it no heartbeats (teardown asserts the hub saw exactly zero), the
-// first member to declare a death reports a verdict, and the hub
-// republishes it as a versioned peer-map delta. The chaos engine's
-// partition view is wired into every member's gossip drop filter, so an
-// isolated worker loses its UDP side channel exactly like its collective
-// traffic.
+// Liveness is the hub's one failure detector: a worker that dies (Die)
+// closes its control connection and is convicted on the close; a worker
+// that hangs (Mute) stops heartbeating and is convicted by the sweep at
+// DeadAfter. The hub's heartbeat tuning scales with the world (hubTiming),
+// and teardown asserts that it convicted no live member: by timeout only
+// the workers a scenario muted, by connection only the ones it killed.
 package clustertest
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -33,6 +34,7 @@ import (
 	"repro/internal/node"
 	"repro/internal/policy"
 	"repro/internal/rendezvous"
+	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/transport/chaos"
 	"repro/internal/transport/tcpnet"
@@ -48,8 +50,7 @@ const elems = 1<<10 + 7
 type Config struct {
 	// World is the number of workers to gather. Required.
 	World int
-	// Seed determines both the chaos fault schedule and every gossip
-	// member's probe rotation (default 1).
+	// Seed determines the chaos fault schedule (default 1).
 	Seed int64
 	// Name labels the chaos scenario journal (defaults to the test name).
 	Name string
@@ -80,6 +81,9 @@ type Worker struct {
 	// Killed marks an expected death: the worker's own collectives may
 	// fail without failing the test. Die, Leave, and Mute set it.
 	Killed atomic.Bool
+	// died and muted record how: the only convictions the hub may make
+	// are by connection of a died worker and by timeout of a muted one.
+	died, muted atomic.Bool
 
 	// admitted is set once a spare has entered (RunGrow).
 	admitted atomic.Bool
@@ -97,12 +101,30 @@ type Cluster struct {
 	Spares []*Worker
 
 	cfg Config
+	hub rendezvous.Config
+	// journal is the hub's membership journal, read once the hub has
+	// closed.
+	journal bytes.Buffer
+}
+
+// hubTiming is the hub's heartbeat tuning at a world size: a 100 ms
+// heartbeat up to world 32, stretched in proportion beyond it (every
+// worker, and the hub, time-share the test's cores, and a heartbeat
+// sender must be scheduled to be heard), with conviction after ten
+// silent intervals. DetectWait is then 2.1 s at world 32, 3.2 s at 64
+// and 5.4 s at 128.
+func hubTiming(world int) (hb, dead time.Duration) {
+	hb = 100 * time.Millisecond
+	if world > 32 {
+		hb = hb * time.Duration(world) / 32
+	}
+	return hb, 10 * hb
 }
 
 // New boots the cluster and registers ordered teardown on t: workers
 // leave cleanly, the service and engine shut down, and the test fails
-// if any transport/chaos/rendezvous/gossip goroutine or pooled frame
-// buffer survives — or if the hub saw even one heartbeat.
+// if any transport/chaos/rendezvous goroutine or pooled frame buffer
+// survives — or if the hub convicted a member the scenario left alive.
 func New(t testing.TB, cfg Config) *Cluster {
 	t.Helper()
 	if cfg.World <= 0 {
@@ -119,15 +141,16 @@ func New(t testing.TB, cfg Config) *Cluster {
 	c.Eng = chaos.New(chaos.Scenario{Name: cfg.Name, Seed: cfg.Seed, Rules: cfg.Rules})
 	c.Eng.Install()
 
-	srv, err := rendezvous.ListenAndServe("127.0.0.1:0", rendezvous.Config{
-		World:  cfg.World,
-		Gossip: true,
-		Logf:   t.Logf,
-		// Answering a doubt takes one scheduling of the accused's reader
-		// goroutine, so the grace scales with the runnable backlog. Real
-		// deaths never wait on it (a dropped conn convicts instantly).
-		DoubtGrace: time.Duration(cfg.World) * 100 * time.Millisecond,
-	})
+	hb, dead := hubTiming(cfg.World)
+	c.hub = rendezvous.Config{
+		World:             cfg.World,
+		HeartbeatInterval: hb,
+		SuspectAfter:      dead / 2,
+		DeadAfter:         dead,
+		Trace:             trace.New(&c.journal),
+		Logf:              t.Logf,
+	}
+	srv, err := rendezvous.ListenAndServe("127.0.0.1:0", c.hub)
 	if err != nil {
 		c.Eng.Uninstall()
 		t.Fatalf("clustertest: rendezvous: %v", err)
@@ -215,6 +238,7 @@ func (c *Cluster) start(spare bool) (*Worker, error) {
 // goroutine, including a chaos OpKill hook.
 func (w *Worker) Die() {
 	w.Killed.Store(true)
+	w.died.Store(true)
 	w.Node.Die()
 }
 
@@ -230,15 +254,17 @@ func (w *Worker) Leave() {
 // ever seeing a connection-level death.
 func (w *Worker) Mute() {
 	w.Killed.Store(true)
+	w.muted.Store(true)
 	w.Node.Mute()
 }
 
-// DetectWait is a conservative bound on kill-to-declaration latency:
-// a few protocol periods for some survivor to rotate onto the victim,
-// the probe round, the suspicion window, plus scheduling slack.
+// DetectWait is a conservative bound on hang-to-declaration latency:
+// DeadAfter of silence, one sweep tick (the hub sweeps every
+// min(SuspectAfter/2, HeartbeatInterval)) for the sweep to read it, plus
+// scheduling slack. A killed worker is declared far sooner, on the close.
 func (c *Cluster) DetectWait() time.Duration {
-	g := node.DetectorDefaults(c.cfg.World)
-	return 5*g.Period + g.ProbeTimeout + g.SuspicionTimeout + time.Second
+	tick := min(c.hub.SuspectAfter/2, c.hub.HeartbeatInterval)
+	return c.hub.DeadAfter + tick + time.Second
 }
 
 // Procs returns the gathered ProcIDs indexed by rank.
@@ -276,10 +302,8 @@ func (c *Cluster) ProcsExcept(deadRanks ...int) []transport.ProcID {
 
 // teardown closes every worker (clean leaves), the service, and the
 // engine, then asserts the cluster invariants: zero leaked goroutines,
-// zero outstanding pooled frame buffers, and zero heartbeats ever seen
-// by the hub (liveness must have been SWIM's job alone).
+// zero outstanding pooled frame buffers, and no live member convicted.
 func (c *Cluster) teardown() {
-	hbs := c.Srv.HBSeen()
 	for _, w := range c.all() {
 		w.Close()
 	}
@@ -293,11 +317,35 @@ func (c *Cluster) teardown() {
 	if n := tcpnet.OutstandingFrameBufs(); n != 0 {
 		c.T.Errorf("clustertest: %d pooled frame buffers still outstanding", n)
 	}
-	if hbs != 0 {
-		c.T.Errorf("clustertest: hub saw %d heartbeats; gossip-mode steady state must see none", hbs)
-	}
+	c.checkConvictions()
 	if c.T.Failed() {
 		c.T.Logf("%s", c.Eng)
+	}
+}
+
+// checkConvictions reads the closed hub's journal and asserts that it
+// convicted no member the scenario left alive: by timeout (hb_dead) only
+// muted workers, by connection (conn_dead) only killed ones. A heartbeat
+// tuning too tight for the machine shows here as a timeout conviction of
+// a live worker, even when the repair absorbs it.
+func (c *Cluster) checkConvictions() {
+	byProc := make(map[int]*Worker)
+	for _, w := range c.all() {
+		byProc[int(w.Proc)] = w
+	}
+	dec := json.NewDecoder(&c.journal)
+	for {
+		var ev trace.Event
+		if err := dec.Decode(&ev); err != nil {
+			return
+		}
+		w := byProc[ev.Proc]
+		switch {
+		case ev.Kind == "hb_dead" && (w == nil || !w.muted.Load()):
+			c.T.Errorf("clustertest: hub convicted proc %d by timeout, but the scenario never muted it", ev.Proc)
+		case ev.Kind == "conn_dead" && (w == nil || !w.died.Load()):
+			c.T.Errorf("clustertest: hub convicted proc %d by connection, but the scenario never killed it", ev.Proc)
+		}
 	}
 }
 

@@ -1,12 +1,12 @@
 package clustertest_test
 
 // The ULFM recovery conformance suite, re-run through the clustertest
-// harness with SWIM gossip as the only failure detector. The scenarios
-// are the same nine the chaos package pins at world 4 with hub
-// heartbeats; here the world size is a flag (32 by default, 64/128 in
-// nightly CI) and liveness flows gossip -> verdict -> versioned delta:
-// the hub must see zero heartbeats in every scenario (asserted by the
-// harness teardown).
+// harness against the hub detector elasticd ships. The scenarios are the
+// same nine the chaos package pins at world 4; here the world size is a
+// flag (32 by default, 64/128 in nightly CI). A killed worker is
+// convicted on the close of its control connection, a hung one by the
+// heartbeat sweep, and the harness teardown asserts the hub convicted
+// nobody else.
 //
 // Reproduce a failing scenario with:
 //
@@ -150,10 +150,9 @@ func TestClusterConformance(t *testing.T) {
 		c.CheckOutcomes(outs, c.ProcsExcept(world-1, world-2))
 	})
 
-	// Scenario 3: network partition — the victim is isolated by the
-	// engine, which also severs its gossip (the Drop filter), so
-	// survivors must suspect and declare it over SWIM while its own
-	// minority view is quorum-gated out of reporting verdicts.
+	// Scenario 3: network partition — the victim's data plane is
+	// isolated by the engine and its heartbeats stop with its hub
+	// connection still open, so only the hub's sweep can declare it.
 	t.Run("partition", func(t *testing.T) {
 		c := boot(t)
 		c.Eng.AddRule(chaos.Rule{
@@ -168,8 +167,7 @@ func TestClusterConformance(t *testing.T) {
 				//lint:ignore sleepytest chaos choreography: stagger so the partition cuts mid-round, not between rounds
 				time.Sleep(50 * time.Millisecond)
 				c.Eng.Enable("split")
-				w.Killed.Store(true)
-				w.CL.Abandon() // silence, not a leave: only the detectors reveal the isolation
+				w.Mute() // silence, not a close: only the sweep reveals the isolation
 				//lint:ignore sleepytest the victim must stay isolated for a full detection window; the absence of its acks IS the scenario
 				time.Sleep(c.DetectWait())
 				return false
@@ -206,7 +204,7 @@ func TestClusterConformance(t *testing.T) {
 
 	// Scenario 5: delay-induced timeout — the victim's data plane goes
 	// silent (frames dropped, endpoint alive, TCP connections healthy)
-	// and its gossip member hangs, so survivors block until SWIM
+	// and its heartbeats stop, so survivors block until the hub's sweep
 	// declares it and MarkDead aborts their receives.
 	t.Run("stall_timeout", func(t *testing.T) {
 		c := boot(t)
@@ -219,7 +217,7 @@ func TestClusterConformance(t *testing.T) {
 				//lint:ignore sleepytest chaos choreography: stagger so the blackhole opens mid-round
 				time.Sleep(50 * time.Millisecond)
 				c.Eng.Enable("blackhole")
-				w.Mute() // hung process: no gossip acks, endpoint still open
+				w.Mute() // hung process: no heartbeats, endpoint still open
 				// Attempt the round anyway: every frame this worker sends
 				// vanishes, so survivors experience pure silence. Unblock
 				// it by closing the endpoint once recovery has surely run.

@@ -2,7 +2,7 @@ package clustertest_test
 
 // The grow-path conformance suite: four elasticity scenarios run
 // through the clustertest harness at the flag-selected world, driving
-// the full stack — SWIM death verdicts, each node's own autopilot
+// the full stack — the hub's death declarations, each node's own autopilot
 // controller (the seat is rank 0 of the current communicator), spare
 // activation through the rendezvous hub, resilient Grow broadcasts, and
 // the bandwidth-capped newcomer state stream.

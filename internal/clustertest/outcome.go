@@ -44,15 +44,11 @@ func (c *Cluster) Run(body func(w *Worker) *Outcome) []*Outcome {
 		}(w)
 	}
 	// A single shared core is the worst supported case: every survivor's
-	// repair round and the whole gossip fabric time-share it, so the
-	// budget grows with world size — quadratically, because a repair
-	// cannot start before the detector's verdict and DetectorDefaults
-	// stretches the protocol period as world² beyond 32 (the suspicion
-	// window is 2·log n + 6 of those periods). The agreement inside the
-	// repair no longer contributes: it is 2(n−1) messages, not the
-	// n(n−1) this deadline was first derived for (world 128 then needed
-	// ~6 minutes for one repair on one core). The term stays for the
-	// detector; shrinking it is a measurement at world 128, not a guess.
+	// repair round and every worker's heartbeats time-share it, so the
+	// budget grows with world size. The quadratic term is generous now
+	// that the hub's DeadAfter grows linearly and an agreement is 2(n−1)
+	// messages, but shrinking it is a measurement at world 128, not a
+	// guess.
 	n := len(c.Workers)
 	deadline := time.After(45*time.Second +
 		time.Duration(n)*1500*time.Millisecond +

@@ -5,10 +5,10 @@ package clustertest
 import "syscall"
 
 // RaiseFDLimit lifts the soft file-descriptor limit to the hard limit.
-// World-128 clusters hold ~1200 descriptors (one TCP mesh conn per
-// recursive-doubling peer pair, one rendezvous conn and one UDP gossip
-// socket per worker), which overflows the common 1024 default; test
-// mains for large worlds call this first.
+// World-128 clusters hold over a thousand descriptors (one TCP mesh conn
+// per recursive-doubling peer pair, and both ends of one rendezvous conn
+// per worker), which overflows the common 1024 default; test mains for
+// large worlds call this first.
 func RaiseFDLimit() error {
 	var lim syscall.Rlimit
 	if err := syscall.Getrlimit(syscall.RLIMIT_NOFILE, &lim); err != nil {

@@ -342,10 +342,8 @@ func (j *Job) recordFinal(p simnet.ProcID, hash uint64, rank, size int, loss []f
 // when cancel closes (a participant died before arriving).
 func (j *Job) barrierCancel(ep *simnet.Endpoint, key string, n int64, cancel <-chan struct{}) error {
 	j.kv.Add(&ep.Clock, key, 1)
-	merged := cancel
-	if done := ep.Done(); done != nil {
-		merged = mergeDone(cancel, done)
-	}
+	merged, stop := mergeDone(cancel, ep.Done())
+	defer stop()
 	_, ok := j.kv.WaitAtLeast(&ep.Clock, key, n, merged)
 	if !ok {
 		if ep.Closed() {
@@ -356,18 +354,24 @@ func (j *Job) barrierCancel(ep *simnet.Endpoint, key string, n int64, cancel <-c
 	return nil
 }
 
-// mergeDone merges two cancellation channels.
-func mergeDone(a, b <-chan struct{}) <-chan struct{} {
+// mergeDone merges two cancellation channels (a nil input is ignored).
+// The caller defers stop: it ends the merging goroutine when neither
+// input ever closes, as on every barrier that completes.
+func mergeDone(a, b <-chan struct{}) (merged <-chan struct{}, stop func()) {
 	if a == nil {
-		return b
+		return b, func() {}
 	}
-	out := make(chan struct{})
+	if b == nil {
+		return a, func() {}
+	}
+	out, quit := make(chan struct{}), make(chan struct{})
 	go func() {
 		select {
 		case <-a:
 		case <-b:
+		case <-quit:
 		}
 		close(out)
 	}()
-	return out
+	return out, func() { close(quit) }
 }

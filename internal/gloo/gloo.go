@@ -114,7 +114,8 @@ func ConnectCancel(ep *simnet.Endpoint, kv *kvstore.Store, cfg Config, round, ra
 
 	prefix := fmt.Sprintf("gloo/%d/", round)
 	kv.Put(&ep.Clock, prefix+key(rank), []byte(strconv.Itoa(int(ep.ID()))))
-	wait := mergeCancels(ep.Done(), cancel)
+	wait, stop := mergeCancels(ep.Done(), cancel)
+	defer stop()
 	keys, ok := kv.WaitN(&ep.Clock, prefix, size, wait)
 	if !ok {
 		ep.SetCtlHandler(c.prevCtl)
@@ -390,21 +391,24 @@ func (c *Context) allreduce(b chunkBuf, elemBytes int64) error {
 }
 
 // mergeCancels returns a channel closed when either input closes (nil
-// inputs are ignored; both nil yields nil).
-func mergeCancels(a, b <-chan struct{}) <-chan struct{} {
+// inputs are ignored; both nil yields nil). The caller calls stop once it
+// no longer waits: it ends the merging goroutine when neither input ever
+// closes, as on every rendezvous that completes.
+func mergeCancels(a, b <-chan struct{}) (merged <-chan struct{}, stop func()) {
 	if a == nil {
-		return b
+		return b, func() {}
 	}
 	if b == nil {
-		return a
+		return a, func() {}
 	}
-	out := make(chan struct{})
+	out, quit := make(chan struct{}), make(chan struct{})
 	go func() {
 		select {
 		case <-a:
 		case <-b:
+		case <-quit:
 		}
 		close(out)
 	}()
-	return out
+	return out, func() { close(quit) }
 }

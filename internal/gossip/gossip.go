@@ -6,16 +6,16 @@
 // let a falsely suspected member refute the accusation before the
 // declaration becomes irreversible.
 //
-// The package replaces the rendezvous hub's O(n) per-peer wall-clock
-// heartbeats: liveness load is spread uniformly across the membership
-// (each member sends and answers O(1) probes per period regardless of
-// world size), and declarations reach every member in O(log n)
-// dissemination rounds without the hub on the path. The rendezvous
-// service keeps only rank-assignment and welcome authority; it consumes
-// gossip verdicts instead of running its own detector.
+// Liveness load is spread uniformly across the membership (each member
+// sends and answers O(1) probes per period regardless of world size), and
+// declarations reach every member in O(log n) dissemination rounds
+// without a hub on the path. No shipped worker runs it yet: the
+// rendezvous hub's heartbeat sweep is the one failure detector, and this
+// package is the protocol a hubless control plane would drive over the
+// data mesh.
 //
-// Layering — the detector is built sans-IO so one protocol
-// implementation serves three very different hosts:
+// The detector is built sans-IO, so the protocol is one implementation
+// whatever carries its packets:
 //
 //   - Node is the pure state machine: feed it packets and ticks with an
 //     explicit clock, collect outbound envelopes and state-transition
@@ -25,9 +25,6 @@
 //     milliseconds of real time and is bit-reproducible, which is what
 //     the control-plane benchmarks (BENCH_controlplane.json) and the
 //     churn/flapping tests run on.
-//   - Runtime drives one Node on wall time over a PacketConn (UDP in
-//     production), dispatching verdicts to the transport's MarkDead and
-//     the rendezvous client's verdict report.
 //
 // Determinism note: a Node's probe-target order and indirect-probe
 // choices are a pure function of its Config.Seed and its observed
@@ -86,8 +83,7 @@ type Update struct {
 	// State is the claimed lifecycle state.
 	State State `json:"s"`
 	// Hops counts dissemination rounds: 0 at the originator, +1 each
-	// time a member re-gossips news it learned from a peer. Feeds the
-	// gossip_update_hops histogram.
+	// time a member re-gossips news it learned from a peer.
 	Hops uint8 `json:"h,omitempty"`
 }
 
@@ -153,7 +149,8 @@ func Decode(b []byte) (*Packet, error) {
 }
 
 // Envelope is an outbound packet with its destination, as produced by
-// the pure Node for its driver (Runtime or Sim) to put on the wire.
+// the pure Node for its driver (Sim, or a real network loop) to put on
+// the wire.
 type Envelope struct {
 	To     transport.ProcID
 	ToAddr string

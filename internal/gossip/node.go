@@ -8,7 +8,7 @@ import (
 )
 
 // Config tunes one gossip member. Durations are converted to seconds on
-// the node's driver-supplied clock (virtual in Sim, wall in Runtime).
+// the node's driver-supplied clock (virtual in Sim).
 type Config struct {
 	// Period is the protocol period: one direct probe of one random
 	// member is started every Period. Default 200ms.

@@ -1,11 +1,12 @@
 // Package node assembles one elastic worker — the unit the paper calls a
 // process: a TCP transport endpoint (optionally behind a chaos engine), a
-// rendezvous membership, a SWIM failure detector when the hub runs in
-// gossip mode, a resilient world communicator with an optional
-// recovery-policy advisor, and the autopilot's grow boundary with the
-// warm-spare life cycle. cmd/elasticd is a flag parser over it and
-// internal/clustertest a test driver; both build the same Node, so the
-// conformance suites run the worker that ships.
+// rendezvous membership whose hub is the failure detector (heartbeats,
+// and the unclean close of the control connection), a resilient world
+// communicator with an optional recovery-policy advisor, and the
+// autopilot's grow boundary with the warm-spare life cycle. cmd/elasticd
+// is a flag parser over it and internal/clustertest a test driver; both
+// build the same Node against the same hub, so the conformance suites run
+// the worker and the detector that ship.
 //
 // One Node is driven from one goroutine, like the mpi.Proc inside it:
 // AwaitAdmission, Boundary, the collectives on R and Leave. Die, Mute and
@@ -14,14 +15,12 @@ package node
 
 import (
 	"fmt"
-	"math/bits"
 	"net"
 	"slices"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/autopilot"
-	"repro/internal/gossip"
 	"repro/internal/metrics"
 	"repro/internal/mpi"
 	"repro/internal/policy"
@@ -41,15 +40,13 @@ const joinTimeout = 5 * time.Minute
 type Config struct {
 	// Rendezvous is the hub address. Required.
 	Rendezvous string
-	// Listen is the transport listen address (port 0 = ephemeral). The
-	// gossip socket binds on the same host.
+	// Listen is the transport listen address (port 0 = ephemeral).
 	Listen string
 	// Spare joins as a warm standby: no communicator until a Boundary
 	// admits it (see AwaitAdmission).
 	Spare bool
 	// Chaos, if set, wraps the endpoint and every connection it makes in
-	// the fault-injecting middleware, and cuts the gossip side channel
-	// along the engine's partitions.
+	// the fault-injecting middleware.
 	Chaos *chaos.Engine
 	// Policy, if set, runs a recovery-policy engine in the ULFM advisor
 	// seat (Proc is filled in) and gates the autopilot's swaps with it.
@@ -71,9 +68,7 @@ type Node struct {
 	Proc transport.ProcID
 	EP   *tcpnet.Endpoint
 	CL   *rendezvous.Client
-	// G is the SWIM member; nil when the hub runs in heartbeat mode.
-	G *gossip.Runtime
-	P *mpi.Proc
+	P    *mpi.Proc
 	// R is the resilient communicator: the world's for a gathered member,
 	// the grown one for a spare once AwaitAdmission returns (nil before).
 	R *ulfm.ResilientComm
@@ -96,29 +91,7 @@ type Node struct {
 	spent map[transport.ProcID]bool
 }
 
-// DetectorDefaults is the world-scaled gossip tuning a node runs in
-// gossip mode. The protocol period grows as world² beyond 32 — a probe
-// ack needs prober and target both scheduled, and when a whole cluster
-// time-shares one core each scheduling latency grows with the runnable
-// goroutines — and the suspicion window must outlive two one-way
-// epidemic latencies (accusation out, refutation back) of O(log n)
-// periods each. Together these keep false deaths rare even at world 128
-// on a one-core CI box (the hub's doubt probe catches the stragglers).
-func DetectorDefaults(world int) gossip.Config {
-	period := 50 * time.Millisecond
-	if world > 32 {
-		period = time.Duration(world*world) * 50 / (32 * 32) * time.Millisecond
-	}
-	logn := bits.Len(uint(world))
-	return gossip.Config{
-		Period:           period,
-		ProbeTimeout:     period / 2,
-		SuspicionTimeout: time.Duration(2*logn+6) * period,
-		IndirectK:        3,
-	}
-}
-
-// Start brings one worker up: endpoint, join, detector, notifications and
+// Start brings one worker up: endpoint, join, notifications and
 // communicator. It returns once the hub's welcome has arrived — for a
 // gathered member, once the whole world has.
 func Start(cfg Config) (*Node, error) {
@@ -138,22 +111,12 @@ func Start(cfg Config) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The gossip socket binds before the join, since its address travels
-	// in it; only the welcome says whether the hub wants gossip at all.
-	host, _, _ := net.SplitHostPort(ep.Addr())
-	uconn, err := net.ListenPacket("udp", net.JoinHostPort(host, "0"))
-	if err != nil {
-		ep.Close()
-		return nil, err
-	}
 	cl, err := rendezvous.JoinWith(cfg.Rendezvous, rendezvous.JoinOptions{
-		SelfAddr:   ep.Addr(),
-		GossipAddr: uconn.LocalAddr().String(),
-		Timeout:    joinTimeout,
-		Spare:      cfg.Spare,
+		SelfAddr: ep.Addr(),
+		Timeout:  joinTimeout,
+		Spare:    cfg.Spare,
 	})
 	if err != nil {
-		uconn.Close()
 		ep.Close()
 		return nil, err
 	}
@@ -161,35 +124,17 @@ func Start(cfg Config) (*Node, error) {
 	self.Store(int64(n.Proc))
 	ep.Start(n.Proc, cl.Peers())
 
-	if cl.NoHeartbeat() {
-		rc := gossip.RuntimeConfig{Node: DetectorDefaults(cl.World()), OnEvent: n.onGossip}
-		if cfg.Chaos != nil {
-			rc.Node.Seed = cfg.Chaos.Scenario().Seed
-			// An isolated member must not stay "alive" through the UDP
-			// side channel: the partition severs gossip exactly like data.
-			rc.Drop = func(peer transport.ProcID) bool { return cfg.Chaos.Partitioned(n.Proc, peer) }
-		}
-		n.G = gossip.NewRuntimeOn(uconn, n.Proc, rc)
-	} else {
-		uconn.Close()
-	}
-	// Late joiners and warm spares announced after the welcome must be
-	// dialable (and probeable) before anyone streams state to them or
-	// grows them into a collective; Start is idempotent.
-	teach := func(p transport.ProcID, addr, gaddr string) {
+	// Spares announced or activated after the welcome must be dialable
+	// before anyone streams state to them or grows them into a
+	// collective; Start is idempotent.
+	teach := func(p transport.ProcID, addr string) {
 		ep.Start(n.Proc, map[transport.ProcID]string{p: addr})
-		if n.G != nil && gaddr != "" {
-			n.G.AddPeer(p, gaddr)
-		}
 	}
 	// A clean exit is not a death, but the member is just as gone: the
 	// same MarkDead releases anything still addressed to it.
 	gone := func(line string) func(transport.ProcID) {
 		return func(d transport.ProcID) {
 			n.logf(line, d)
-			if n.G != nil {
-				n.G.Remove(d)
-			}
 			ep.MarkDead(d)
 		}
 	}
@@ -204,9 +149,6 @@ func Start(cfg Config) (*Node, error) {
 			n.logf("lost the rendezvous hub: %v; failures can no longer be detected", err)
 		},
 	})
-	if n.G != nil {
-		n.G.Bootstrap(cl.GossipPeers())
-	}
 	n.logf("joined as proc %d (rank %d of %d), transport %s", n.Proc, cl.Rank(), cl.World(), ep.Addr())
 
 	var tep transport.Endpoint = ep
@@ -256,19 +198,6 @@ func (n *Node) logf(format string, args ...any) {
 
 // Now is the node's clock: wall seconds since its endpoint opened.
 func (n *Node) Now() float64 { return n.EP.VClock().Now() }
-
-// onGossip reports a local SWIM death declaration to the hub — if this
-// member still sees a majority of the known world — and applies nothing
-// itself: the death lands when the hub republishes it as a peerdown.
-// Serializing MarkDead through the hub gives every member the same death
-// order, so ULFM repairs never run against diverging membership views;
-// the quorum gate keeps a partitioned minority from declaring the
-// majority dead through its still-open hub connection.
-func (n *Node) onGossip(ev gossip.Event) {
-	if ev.Kind == gossip.EvDead && 2*(len(n.G.Alive())+1) > len(n.CL.Peers()) {
-		n.CL.ReportDead(ev.Proc)
-	}
-}
 
 // Boundary is the epoch boundary after round step, called by every
 // member of the current communicator with the state a newcomer starts
@@ -401,18 +330,16 @@ func (n *Node) Close() {
 }
 
 // Die is the kill -9 equivalent: the rendezvous connection drops without
-// a leave, the gossip member goes silent, the transport shuts down. Only
-// the survivors' detectors reveal the death.
+// a leave and the transport shuts down. The hub reads the unclean close
+// as the death and convicts at once.
 func (n *Node) Die() {
-	n.Mute()
+	n.CL.Abandon()
 	n.EP.Close()
 }
 
-// Mute models a hung process: control-plane silence (no rendezvous, no
-// gossip acks) while the transport endpoint stays open.
+// Mute models a hung process (SIGSTOP, a partitioned host): no more
+// heartbeats, while the hub connection and the transport endpoint stay
+// open. Only the hub's heartbeat sweep can reveal it, at DeadAfter.
 func (n *Node) Mute() {
-	n.CL.Abandon()
-	if n.G != nil {
-		n.G.Close()
-	}
+	n.CL.Freeze()
 }

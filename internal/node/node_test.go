@@ -1,8 +1,9 @@
 package node_test
 
 // The node is the worker elasticd ships and clustertest drives; these
-// tests pin its assembly in each detector mode and the grow boundary's
-// whole cycle — admit, stream, enter, evict — at the smallest worlds.
+// tests pin its assembly against the hub's detector and the grow
+// boundary's whole cycle — admit, stream, enter, evict — at the smallest
+// worlds.
 
 import (
 	"bytes"
@@ -10,6 +11,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -18,6 +21,7 @@ import (
 	"repro/internal/node"
 	"repro/internal/policy"
 	"repro/internal/rendezvous"
+	"repro/internal/trace"
 	"repro/internal/transport/chaos"
 	"repro/internal/ulfm"
 	"repro/internal/vtime"
@@ -110,30 +114,36 @@ func sumIs(n *node.Node, want float64, size int) error {
 	return nil
 }
 
-// In heartbeat mode the node runs no SWIM member, and a hung peer — its
-// hub connection dropped, its endpoint still open — is repaired around.
+// A hung peer — heartbeats stopped, hub connection and endpoint still
+// open — is convicted by the hub's sweep and repaired around; the hub
+// journals the silence (hb_dead), not a closed connection.
 func TestHeartbeatModeRepairsAroundMute(t *testing.T) {
-	nodes := startAll(t, rendezvous.Config{HeartbeatInterval: time.Second}, node.Config{}, 3, 0)
-	for _, n := range nodes {
-		if n.G != nil {
-			t.Fatalf("proc %d runs gossip under a heartbeat hub", n.Proc)
-		}
-	}
+	var journal syncBuf
+	hub := rendezvous.Config{HeartbeatInterval: 100 * time.Millisecond, Trace: trace.New(&journal)}
+	nodes := startAll(t, hub, node.Config{}, 3, 0)
 	nodes[2].Mute()
 	each(t, nodes[:2], func(n *node.Node) error { return sumIs(n, 3, 2) })
+	if s := journal.String(); !strings.Contains(s, `"hb_dead"`) || strings.Contains(s, `"conn_dead"`) {
+		t.Errorf("a muted node must be convicted by the sweep, not by its connection:\n%s", s)
+	}
 }
 
-// In gossip mode the welcome turns SWIM on, and a death is found by it:
-// nobody accuses a member at a gossip hub but the survivors' detectors.
-func TestGossipModeDetectsDeath(t *testing.T) {
-	nodes := startAll(t, rendezvous.Config{Gossip: true}, node.Config{}, 3, 0)
-	for _, n := range nodes {
-		if n.G == nil {
-			t.Fatalf("proc %d runs no gossip under a gossip hub", n.Proc)
-		}
-	}
-	nodes[2].Die()
-	each(t, nodes[:2], func(n *node.Node) error { return sumIs(n, 3, 2) })
+// syncBuf is a journal sink the hub writes while the test reads.
+type syncBuf struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuf) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuf) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
 }
 
 // TestBoundaryAdmitsThenEvicts runs the grow boundary's cycle on two
@@ -151,7 +161,7 @@ func TestBoundaryAdmitsThenEvicts(t *testing.T) {
 			Load:     func() float64 { return math.NaN() },
 		},
 	}
-	nodes := startAll(t, rendezvous.Config{Gossip: true}, cfg, 2, 1)
+	nodes := startAll(t, rendezvous.Config{}, cfg, 2, 1)
 	workers, spare := nodes[:2], nodes[2]
 	state := []byte("model state at step 0")
 
@@ -199,7 +209,7 @@ func TestBoundaryAdmitsThenEvicts(t *testing.T) {
 
 // A node without a scale policy has no boundary.
 func TestBoundaryWithoutScaleIsANoop(t *testing.T) {
-	nodes := startAll(t, rendezvous.Config{Gossip: true}, node.Config{}, 1, 0)
+	nodes := startAll(t, rendezvous.Config{}, node.Config{}, 1, 0)
 	if evict, err := nodes[0].Boundary(0, nil); evict || err != nil || nodes[0].Ctl != nil {
 		t.Fatalf("Boundary without Scale: evict=%v err=%v ctl=%v", evict, err, nodes[0].Ctl)
 	}

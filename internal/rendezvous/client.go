@@ -21,19 +21,16 @@ import (
 //	cl.Start(func(dead transport.ProcID) { ep.MarkDead(dead) })
 //	defer cl.Close()
 type Client struct {
-	conn    net.Conn
-	enc     *json.Encoder
-	dec     *json.Decoder
-	proc    transport.ProcID
-	rank    int
-	world   int
-	hbInt   time.Duration
-	noHB    bool // gossip mode: server asked for no heartbeats
-	peers   map[transport.ProcID]string
-	gossips map[transport.ProcID]string
-	spares  map[transport.ProcID]string // warm spares: ProcID -> transport address
-	spareGs map[transport.ProcID]string // warm spares: ProcID -> gossip address
-	mapVer  uint64
+	conn   net.Conn
+	enc    *json.Encoder
+	dec    *json.Decoder
+	proc   transport.ProcID
+	rank   int
+	world  int
+	hbInt  time.Duration
+	peers  map[transport.ProcID]string
+	spares map[transport.ProcID]string // warm spares: ProcID -> transport address
+	mapVer uint64
 	// early holds notifications that overtook the welcome; the reader
 	// StartNotify launches delivers them before anything newer.
 	early []wireMsg
@@ -50,9 +47,6 @@ type Client struct {
 type JoinOptions struct {
 	// SelfAddr is this worker's transport listen address. Required.
 	SelfAddr string
-	// GossipAddr is this worker's gossip UDP address, announced so peers
-	// can probe it (gossip-mode servers include it in welcomes/deltas).
-	GossipAddr string
 	// Timeout bounds the whole join: dial retries (the server may not be
 	// listening yet when workers launch in arbitrary order) plus the
 	// welcome wait. 0 means a single dial attempt and no welcome limit.
@@ -73,7 +67,7 @@ func Join(serverAddr, selfAddr string, timeout time.Duration) (*Client, error) {
 	return JoinWith(serverAddr, JoinOptions{SelfAddr: selfAddr, Timeout: timeout})
 }
 
-// JoinWith is Join with the full option set (gossip address).
+// JoinWith is Join with the full option set (spare registration).
 func JoinWith(serverAddr string, opts JoinOptions) (*Client, error) {
 	var deadline time.Time
 	if opts.Timeout > 0 {
@@ -100,7 +94,7 @@ func JoinWith(serverAddr string, opts JoinOptions) (*Client, error) {
 		dec:  json.NewDecoder(conn),
 		done: make(chan struct{}),
 	}
-	if err := c.enc.Encode(&wireMsg{Op: "join", Addr: opts.SelfAddr, GossipAddr: opts.GossipAddr, Spare: opts.Spare}); err != nil {
+	if err := c.enc.Encode(&wireMsg{Op: "join", Addr: opts.SelfAddr, Spare: opts.Spare}); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("rendezvous: join: %w", err)
 	}
@@ -132,38 +126,20 @@ func JoinWith(serverAddr string, opts JoinOptions) (*Client, error) {
 	c.rank = msg.Rank
 	c.world = msg.World
 	c.mapVer = msg.Ver
-	switch {
-	case msg.HBMillis < 0:
-		// Gossip mode: liveness is the SWIM layer's job; the hub must see
-		// no heartbeats at steady state.
-		c.noHB = true
-	case msg.HBMillis == 0:
-		c.hbInt = 500 * time.Millisecond
-	default:
+	c.hbInt = 500 * time.Millisecond
+	if msg.HBMillis > 0 {
 		c.hbInt = time.Duration(msg.HBMillis) * time.Millisecond
 	}
-	parse := func(in map[string]string, what string) (map[transport.ProcID]string, error) {
-		out := make(map[transport.ProcID]string, len(in))
-		for k, addr := range in {
-			id, err := strconv.Atoi(k)
-			if err != nil {
-				return nil, fmt.Errorf("rendezvous: bad peer id %q in welcome %s", k, what)
-			}
-			out[transport.ProcID(id)] = addr
+	c.peers = make(map[transport.ProcID]string, len(msg.Peers))
+	for k, addr := range msg.Peers {
+		id, err := strconv.Atoi(k)
+		if err != nil {
+			conn.Close()
+			return nil, fmt.Errorf("rendezvous: bad peer id %q in welcome", k)
 		}
-		return out, nil
-	}
-	var err error
-	if c.peers, err = parse(msg.Peers, "peers"); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	if c.gossips, err = parse(msg.Gossips, "gossips"); err != nil {
-		conn.Close()
-		return nil, err
+		c.peers[transport.ProcID(id)] = addr
 	}
 	c.spares = make(map[transport.ProcID]string)
-	c.spareGs = make(map[transport.ProcID]string)
 	return c, nil
 }
 
@@ -183,18 +159,6 @@ func (c *Client) Peers() map[transport.ProcID]string {
 	defer c.mu.Unlock()
 	out := make(map[transport.ProcID]string, len(c.peers))
 	for id, addr := range c.peers {
-		out[id] = addr
-	}
-	return out
-}
-
-// GossipPeers returns a copy of the ProcID -> gossip address map (empty
-// unless the server runs in gossip mode).
-func (c *Client) GossipPeers() map[transport.ProcID]string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[transport.ProcID]string, len(c.gossips))
-	for id, addr := range c.gossips {
 		out[id] = addr
 	}
 	return out
@@ -223,18 +187,6 @@ func (c *Client) SpareProcs() []transport.ProcID {
 		out = append(out, id)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// SpareGossips returns a copy of the warm-spare ProcID -> gossip
-// address map (empty unless the server runs in gossip mode).
-func (c *Client) SpareGossips() map[transport.ProcID]string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[transport.ProcID]string, len(c.spareGs))
-	for id, addr := range c.spareGs {
-		out[id] = addr
-	}
 	return out
 }
 
@@ -273,24 +225,8 @@ func (c *Client) Procs() []transport.ProcID {
 	return out
 }
 
-// HeartbeatInterval returns the cadence the server asked for (0 in
-// gossip mode: no heartbeats are sent at all).
+// HeartbeatInterval returns the cadence the server asked for.
 func (c *Client) HeartbeatInterval() time.Duration { return c.hbInt }
-
-// NoHeartbeat reports whether the server asked for gossip-mode silence.
-func (c *Client) NoHeartbeat() bool { return c.noHB }
-
-// ReportDead submits this worker's SWIM verdict that dead has been
-// declared, moving the authoritative peer map. Duplicate reports from
-// other members are fine; the hub takes the first.
-func (c *Client) ReportDead(dead transport.ProcID) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return net.ErrClosed
-	}
-	return c.enc.Encode(&wireMsg{Op: "verdict", Proc: int(dead)})
-}
 
 // Notifications are the membership callbacks delivered by Start's reader
 // goroutine.
@@ -304,22 +240,21 @@ type Notifications struct {
 	// it needs the same MarkDead; what differs is what to tell the
 	// operator.
 	OnPeerLeft func(transport.ProcID)
-	// OnPeerUp is invoked for every late joiner published as a peerup
-	// delta (gossip mode) and for every activated spare (both modes);
-	// wire it to the transport's Start and the gossip runtime's AddPeer.
-	OnPeerUp func(proc transport.ProcID, addr, gossipAddr string)
+	// OnPeerUp is invoked for every activated spare published as a peerup
+	// delta; wire it to the transport's Start.
+	OnPeerUp func(proc transport.ProcID, addr string)
 	// OnSpareUp is invoked for every warm spare the server announces
-	// (spareup deltas, both modes); the autopilot's pool observations
-	// come from here or from polling Spares.
-	OnSpareUp func(proc transport.ProcID, addr, gossipAddr string)
+	// (spareup deltas); the autopilot's pool observations come from here
+	// or from polling Spares.
+	OnSpareUp func(proc transport.ProcID, addr string)
 	// OnHubLost is invoked once if the connection to the hub ends while
 	// this client still wanted it (never after Close or Abandon): from
 	// then on no failure or departure can be announced to this member.
 	OnHubLost func(err error)
 }
 
-// Start launches the background heartbeat sender (none in gossip mode)
-// and the notification reader. onPeerDown is invoked (on the reader
+// Start launches the background heartbeat sender and the notification
+// reader. onPeerDown is invoked (on the reader
 // goroutine) for every failure or departure the server declares.
 func (c *Client) Start(onPeerDown func(transport.ProcID)) {
 	c.StartNotify(Notifications{OnPeerDown: onPeerDown})
@@ -335,30 +270,28 @@ func (c *Client) StartNotify(n Notifications) {
 	c.started = true
 	c.mu.Unlock()
 
-	if !c.noHB {
-		c.wg.Add(1)
-		go func() { // heartbeat sender
-			defer c.wg.Done()
-			ticker := time.NewTicker(c.hbInt)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-c.done:
+	c.wg.Add(1)
+	go func() { // heartbeat sender
+		defer c.wg.Done()
+		ticker := time.NewTicker(c.hbInt)
+		defer ticker.Stop()
+		for {
+			select {
+			case <-c.done:
+				return
+			case <-ticker.C:
+				c.mu.Lock()
+				closed := c.closed
+				if !closed && !c.frozen {
+					c.enc.Encode(&wireMsg{Op: "hb"})
+				}
+				c.mu.Unlock()
+				if closed {
 					return
-				case <-ticker.C:
-					c.mu.Lock()
-					closed := c.closed
-					if !closed && !c.frozen {
-						c.enc.Encode(&wireMsg{Op: "hb"})
-					}
-					c.mu.Unlock()
-					if closed {
-						return
-					}
 				}
 			}
-		}()
-	}
+		}
+	}()
 	obsHubConnected.Inc()
 	c.wg.Add(1)
 	go func() { // notification reader
@@ -391,9 +324,7 @@ func (c *Client) handle(msg *wireMsg, n Notifications) {
 	case "peerdown":
 		c.mu.Lock()
 		delete(c.peers, transport.ProcID(msg.Proc))
-		delete(c.gossips, transport.ProcID(msg.Proc))
 		delete(c.spares, transport.ProcID(msg.Proc))
-		delete(c.spareGs, transport.ProcID(msg.Proc))
 		if msg.Ver > c.mapVer {
 			c.mapVer = msg.Ver
 		}
@@ -405,45 +336,27 @@ func (c *Client) handle(msg *wireMsg, n Notifications) {
 		if down != nil {
 			down(transport.ProcID(msg.Proc))
 		}
-	case "doubt":
-		// The hub is arbitrating a death verdict against this
-		// member: answer immediately to be acquitted. Responding
-		// here, on the reader goroutine over the hub TCP
-		// connection, is deliberately independent of the gossip
-		// runtime the accusation came from.
-		c.mu.Lock()
-		if !c.closed {
-			c.enc.Encode(&wireMsg{Op: "pong"})
-		}
-		c.mu.Unlock()
 	case "peerup":
 		c.mu.Lock()
 		c.peers[transport.ProcID(msg.Proc)] = msg.Addr
-		if msg.GossipAddr != "" {
-			c.gossips[transport.ProcID(msg.Proc)] = msg.GossipAddr
-		}
 		// An activated spare moves pool -> world.
 		delete(c.spares, transport.ProcID(msg.Proc))
-		delete(c.spareGs, transport.ProcID(msg.Proc))
 		if msg.Ver > c.mapVer {
 			c.mapVer = msg.Ver
 		}
 		c.mu.Unlock()
 		if n.OnPeerUp != nil {
-			n.OnPeerUp(transport.ProcID(msg.Proc), msg.Addr, msg.GossipAddr)
+			n.OnPeerUp(transport.ProcID(msg.Proc), msg.Addr)
 		}
 	case "spareup":
 		c.mu.Lock()
 		c.spares[transport.ProcID(msg.Proc)] = msg.Addr
-		if msg.GossipAddr != "" {
-			c.spareGs[transport.ProcID(msg.Proc)] = msg.GossipAddr
-		}
 		if msg.Ver > c.mapVer {
 			c.mapVer = msg.Ver
 		}
 		c.mu.Unlock()
 		if n.OnSpareUp != nil {
-			n.OnSpareUp(transport.ProcID(msg.Proc), msg.Addr, msg.GossipAddr)
+			n.OnSpareUp(transport.ProcID(msg.Proc), msg.Addr)
 		}
 	}
 }
@@ -457,14 +370,14 @@ func (c *Client) Close() error {
 
 // Abandon drops the connection without a leave — the programmatic
 // equivalent of kill -9, used by failure-injection tests. The hub sees
-// what it sees when a process dies: the socket closes, and in heartbeat
-// mode that is a conviction on the spot.
+// what it sees when a process dies: the socket closes, and that is a
+// conviction on the spot.
 func (c *Client) Abandon() error {
 	return c.shutdown(false)
 }
 
 // Freeze makes the client go silent and keep its socket: no more
-// heartbeats, no answer to a doubt. That is what SIGSTOP, a partition or
+// heartbeats. That is what SIGSTOP, a partition or
 // a lost host looks like to the hub, whose only evidence is then the
 // silence — suspicion at SuspectAfter, conviction at DeadAfter. The reader
 // keeps running; Close or Abandon still end the client.

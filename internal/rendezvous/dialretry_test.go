@@ -123,7 +123,7 @@ func TestDeltaOvertakingWelcome(t *testing.T) {
 	}
 
 	spareUp := make(chan transport.ProcID, 1)
-	cl.StartNotify(Notifications{OnSpareUp: func(p transport.ProcID, addr, _ string) {
+	cl.StartNotify(Notifications{OnSpareUp: func(p transport.ProcID, addr string) {
 		if addr == "127.0.0.1:4004" {
 			spareUp <- p
 		}

@@ -1,9 +1,9 @@
 package rendezvous
 
-// In-band conviction: in heartbeat mode the unclean close of a member's
-// control connection is the death, acted on when the hub reads it. These
-// tests run the hub at HeartbeatInterval: time.Hour wherever a verdict is
-// expected, so no timer can have produced it.
+// In-band conviction: the unclean close of a member's control connection
+// is the death, acted on when the hub reads it. These tests run the hub
+// at HeartbeatInterval: time.Hour wherever a verdict is expected, so no
+// timer can have produced it.
 
 import (
 	"bufio"
@@ -268,42 +268,6 @@ func TestTimeoutAndCloseRaceBroadcastOnce(t *testing.T) {
 			cl.Abandon()
 		}
 		srv.Close()
-	}
-}
-
-// TestGossipModeUncleanCloseUnchanged: in gossip mode the hub link is not
-// a liveness channel. An unaccused member's dropped connection convicts
-// nobody; the death is declared when a member's verdict names it, and
-// journaled as that.
-func TestGossipModeUncleanCloseUnchanged(t *testing.T) {
-	var journal syncBuf
-	srv, cls := gather(t, 3, Config{Gossip: true, Trace: trace.New(&journal)})
-	observer, victim := cls[0], cls[1]
-	ch, _ := collectDown(observer)
-	ver0 := srv.MapVersion()
-
-	victim.Abandon()
-	if !vtime.WaitUntil(3*time.Second, func() bool {
-		srv.mu.Lock()
-		defer srv.mu.Unlock()
-		mm := srv.members[victim.Proc()]
-		return mm != nil && mm.gone
-	}) {
-		t.Fatal("the dropped connection was never marked, or its member was removed")
-	}
-	if got := srv.MapVersion(); got != ver0 {
-		t.Fatalf("a hub-link drop moved the gossip-mode map: version %d -> %d", ver0, got)
-	}
-
-	if err := observer.ReportDead(victim.Proc()); err != nil {
-		t.Fatal(err)
-	}
-	waitDown(t, ch, victim.Proc(), 2*time.Second)
-	if got := fmt.Sprint(journalKinds(t, journal.String(), victim.Proc())); got != "[member_join gossip_dead]" {
-		t.Errorf("victim's journal = %s, want [member_join gossip_dead]", got)
-	}
-	if got := srv.MapVersion(); got != ver0+1 {
-		t.Errorf("map version %d -> %d, want one bump", ver0, got)
 	}
 }
 

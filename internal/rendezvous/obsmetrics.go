@@ -20,14 +20,8 @@ var (
 	obsHBGap = obs.Default().Histogram("rendezvous_heartbeat_gap_seconds",
 		"Silence between consecutive heartbeats from one member.",
 		obs.SecondsBuckets())
-	obsVerdicts = obs.Default().Counter("rendezvous_verdicts_total",
-		"SWIM death verdicts accepted from members (gossip mode).")
-	obsAcquittals = obs.Default().Counter("rendezvous_acquittals_total",
-		"Verdicts dismissed because the accused answered the doubt probe (false positives).")
 	obsDeltas = obs.Default().Counter("rendezvous_deltas_total",
 		"Incremental peerup/peerdown messages sent (full map only at join).")
-	obsStrayHBs = obs.Default().Counter("rendezvous_stray_heartbeats_total",
-		"Heartbeats received while in gossip mode (invariant: zero).")
 	obsSpares = obs.Default().Gauge("rendezvous_spares",
 		"Warm spares currently registered and idle (not yet activated).")
 	obsActivations = obs.Default().Counter("rendezvous_spare_activations_total",
@@ -36,7 +30,7 @@ var (
 		"Client side: 1 while this process's notification reader holds its connection to the hub, 0 once it is lost or closed — at 0 no failure can be announced here.")
 	obsPeers       [StateDead + 1]*obs.Gauge
 	obsTransitions [StateDead + 1]*obs.Counter
-	obsConvictions [causeVerdict + 1]*obs.Counter // indexed by cause; causeLeft is not a conviction
+	obsConvictions [causeConnection + 1]*obs.Counter // indexed by cause; causeLeft is not a conviction
 )
 
 func init() {
@@ -48,9 +42,9 @@ func init() {
 			"Detector transitions into each state (alive counts suspect recoveries).",
 			obs.L("to", st.String()))
 	}
-	for why := causeTimeout; why <= causeVerdict; why++ {
+	for why := causeTimeout; why <= causeConnection; why++ {
 		obsConvictions[why] = obs.Default().Counter("rendezvous_convictions_total",
-			"Members declared dead (stripped, peerdown broadcast), by evidence: heartbeat timeout, unclean close of the control connection, or an upheld SWIM verdict.",
+			"Members declared dead (stripped, peerdown broadcast), by evidence: heartbeat timeout or unclean close of the control connection.",
 			obs.L("cause", why.String()))
 	}
 }

@@ -287,19 +287,17 @@ func TestLeftIsNotDied(t *testing.T) {
 	}
 }
 
-// TestNoDeltaToGoneConnection: in gossip mode a member whose connection
-// dropped without a leave stays a member until a verdict names it (a
-// hub-link drop is not terminal there), but deltas are no longer written
-// to it — they cannot arrive, and the failed writes were the broken-pipe
-// lines at the end of every run.
+// TestNoDeltaToGoneConnection: a member whose connection dropped without
+// a leave is convicted on the close, and no later delta is written to it
+// — it cannot arrive, and the failed writes were the broken-pipe lines at
+// the end of every run.
 func TestNoDeltaToGoneConnection(t *testing.T) {
 	var logs syncBuf
-	srv, cls := gather(t, 4, Config{
-		Gossip: true,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(&logs, format+"\n", args...)
-		},
-	})
+	cfg := noTimers(nil)
+	cfg.Logf = func(format string, args ...any) {
+		fmt.Fprintf(&logs, format+"\n", args...)
+	}
+	_, cls := gather(t, 4, cfg)
 	dropped, leaver, rest := cls[0], cls[1], cls[2:]
 	chans := make([]<-chan transport.ProcID, len(rest))
 	for i, cl := range rest {
@@ -307,12 +305,8 @@ func TestNoDeltaToGoneConnection(t *testing.T) {
 	}
 
 	dropped.Abandon()
-	if !vtime.WaitUntil(3*time.Second, func() bool {
-		srv.mu.Lock()
-		defer srv.mu.Unlock()
-		return srv.members[dropped.Proc()].gone
-	}) {
-		t.Fatal("server never noticed the dropped connection")
+	for _, ch := range chans {
+		waitDown(t, ch, dropped.Proc(), 3*time.Second)
 	}
 	deltas0 := obsDeltas.Value()
 	leaver.Close()

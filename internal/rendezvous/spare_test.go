@@ -9,13 +9,54 @@ import (
 	"repro/internal/vtime"
 )
 
+// quietServer hosts a hub whose sweep cannot convict anyone within a
+// test, so members that never start heartbeating stay members.
+func quietServer(t *testing.T, world int) *Server {
+	t.Helper()
+	cfg := noTimers(nil)
+	cfg.World = world
+	s, err := ListenAndServe("127.0.0.1:0", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
+// joinWorld joins world members concurrently (Join blocks until the
+// world gathers) and returns them once all welcomes have arrived.
+func joinWorld(t *testing.T, s *Server, world int) []*Client {
+	t.Helper()
+	type res struct {
+		cl  *Client
+		err error
+	}
+	done := make(chan res, world)
+	for i := 0; i < world; i++ {
+		go func(i int) {
+			cl, err := Join(s.Addr(), fmt.Sprintf("127.0.0.1:%d", 20000+i), 10*time.Second)
+			done <- res{cl, err}
+		}(i)
+	}
+	out := make([]*Client, 0, world)
+	for i := 0; i < world; i++ {
+		r := <-done
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		cl := r.cl
+		t.Cleanup(func() { cl.Abandon() })
+		out = append(out, cl)
+	}
+	return out
+}
+
 func spareJoin(t *testing.T, s *Server, i int) *Client {
 	t.Helper()
 	cl, err := JoinWith(s.Addr(), JoinOptions{
-		SelfAddr:   fmt.Sprintf("127.0.0.1:%d", 40000+i),
-		GossipAddr: fmt.Sprintf("127.0.0.1:%d", 41000+i),
-		Timeout:    10 * time.Second,
-		Spare:      true,
+		SelfAddr: fmt.Sprintf("127.0.0.1:%d", 40000+i),
+		Timeout:  10 * time.Second,
+		Spare:    true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -30,8 +71,8 @@ func spareJoin(t *testing.T, s *Server, i int) *Client {
 // the world peer maps), then activation by a member (peerup to
 // everyone, pool entry removed on all clients).
 func TestSpareLifecycle(t *testing.T) {
-	s := gossipServer(t, 2)
-	members := gossipGather(t, s, 2)
+	s := quietServer(t, 2)
+	members := joinWorld(t, s, 2)
 	for _, cl := range members {
 		cl.StartNotify(Notifications{})
 	}
@@ -58,9 +99,6 @@ func TestSpareLifecycle(t *testing.T) {
 		if got := len(cl.Procs()); got != 2 {
 			t.Fatalf("member %d world grew to %d on spare registration", i, got)
 		}
-		if gaddr := cl.SpareGossips()[sp.Proc()]; gaddr == "" {
-			t.Fatalf("member %d missing spare gossip addr", i)
-		}
 	}
 	if got := s.MapVersion(); got == 0 {
 		t.Fatal("spare registration did not bump the map version")
@@ -85,7 +123,7 @@ func TestSpareLifecycle(t *testing.T) {
 // not consume a world slot — the world still waits for two full
 // members — and is announced to them at world-send time.
 func TestSpareRegisteredBeforeWorldGathers(t *testing.T) {
-	s := gossipServer(t, 2)
+	s := quietServer(t, 2)
 
 	spare := make(chan *Client, 1)
 	go func() {
@@ -102,7 +140,7 @@ func TestSpareRegisteredBeforeWorldGathers(t *testing.T) {
 		spare <- cl
 	}()
 
-	members := gossipGather(t, s, 2)
+	members := joinWorld(t, s, 2)
 	sp := <-spare
 	if sp == nil {
 		t.Fatal("spare join failed")
@@ -126,8 +164,8 @@ func TestSpareRegisteredBeforeWorldGathers(t *testing.T) {
 // spareup deltas that follow its welcome — so two spares admitted at
 // one boundary can dial each other.
 func TestLateSpareHearsEarlierSpares(t *testing.T) {
-	s := gossipServer(t, 1)
-	gossipGather(t, s, 1)
+	s := quietServer(t, 1)
+	joinWorld(t, s, 1)
 	first := spareJoin(t, s, 0)
 	first.StartNotify(Notifications{})
 	second := spareJoin(t, s, 1)
@@ -139,11 +177,11 @@ func TestLateSpareHearsEarlierSpares(t *testing.T) {
 	}
 }
 
-// TestSpareDeathDrainsPool: a spare's death verdict removes it from
-// every member's pool via the normal peerdown path.
+// TestSpareDeathDrainsPool: a spare's death removes it from every
+// member's pool via the normal peerdown path.
 func TestSpareDeathDrainsPool(t *testing.T) {
-	s := gossipServer(t, 2)
-	members := gossipGather(t, s, 2)
+	s := quietServer(t, 2)
+	members := joinWorld(t, s, 2)
 
 	down := make(chan transport.ProcID, 4)
 	for _, cl := range members {
@@ -157,12 +195,9 @@ func TestSpareDeathDrainsPool(t *testing.T) {
 		}
 	}
 
-	// kill -9 the spare: the connection drops, a member's verdict names
-	// it, and the hub convicts (gone conn = instant conviction).
+	// kill -9 the spare: the connection drops and the hub convicts on
+	// the close alone.
 	sp.Abandon()
-	if err := members[0].ReportDead(sp.Proc()); err != nil {
-		t.Fatal(err)
-	}
 	for i, cl := range members {
 		if !vtime.WaitUntil(5*time.Second, func() bool { return len(cl.Spares()) == 0 }) {
 			t.Fatalf("member %d pool never drained", i)

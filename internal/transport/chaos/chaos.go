@@ -517,17 +517,6 @@ func (e *Engine) takeHeldLocked(st *procState) []heldMsg {
 	return out
 }
 
-// Partitioned reports whether traffic (from -> to) currently crosses an
-// active partition boundary. Side-channel transports (the gossip UDP
-// runtime) wire this into their drop filter so a partitioned member's
-// probe traffic is severed exactly like its collective traffic —
-// otherwise gossip would keep an "isolated" member alive forever.
-func (e *Engine) Partitioned(from, to transport.ProcID) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.crossesPartitionLocked(from, to)
-}
-
 // crossesPartitionLocked reports whether (from -> to) crosses any active
 // partition boundary.
 func (e *Engine) crossesPartitionLocked(from, to transport.ProcID) bool {

@@ -13,7 +13,6 @@ var leakPackages = []string{
 	"repro/internal/transport/tcpnet.",
 	"repro/internal/transport/chaos.",
 	"repro/internal/rendezvous.",
-	"repro/internal/gossip.",
 	"repro/internal/clustertest.",
 	"repro/internal/node.",
 }

@@ -41,20 +41,6 @@ const (
 	PointElasticRound = "elastic.round.start"
 	// PointElasticCommit: an elastic worker has committed a checkpoint.
 	PointElasticCommit = "elastic.commit"
-	// PointGossipProbe: a gossip member is sending a direct ping probe.
-	PointGossipProbe = "gossip.probe"
-	// PointGossipPingReq: a gossip member is fanning out indirect ping-req
-	// probes after a direct probe timed out.
-	PointGossipPingReq = "gossip.pingreq"
-	// PointGossipSuspect: a gossip member has locally originated a
-	// suspicion (probe + indirect probes all timed out).
-	PointGossipSuspect = "gossip.suspect"
-	// PointGossipDead: a gossip member has locally declared a suspect dead
-	// (suspicion timeout expired without refutation).
-	PointGossipDead = "gossip.dead"
-	// PointGossipRefute: a gossip member saw itself suspected and is
-	// broadcasting a higher-incarnation refutation.
-	PointGossipRefute = "gossip.refute"
 	// PointStateOffer: a state-transfer sender has announced the stream
 	// (total bytes, chunking, checksum) to the joining rank.
 	PointStateOffer = "autopilot.state.offer"
