@@ -28,8 +28,14 @@ func TestMain(m *testing.M) {
 
 // TestServeGatherStop: with -listen 127.0.0.1:0 the daemon prints the
 // address it resolved, two workers gather through it, the welcome carries
-// the -hb interval, and SIGTERM stops it cleanly.
+// the -hb interval, and SIGTERM stops it cleanly. The subtest keeps the
+// name it had when the daemon also had a gossip mode: heartbeats, the
+// mode it names, are the only detector left.
 func TestServeGatherStop(t *testing.T) {
+	t.Run("gossip=false", testServeGatherStop)
+}
+
+func testServeGatherStop(t *testing.T) {
 	cmd := exec.Command(os.Args[0], "-listen", "127.0.0.1:0", "-world", "2", "-hb", "1s")
 	cmd.Env = append(os.Environ(), "RENDEZVOUSD_MAIN=1")
 	var logs bytes.Buffer
