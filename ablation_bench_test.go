@@ -32,14 +32,14 @@ func BenchmarkAblationAllreduceAlgo(b *testing.B) {
 							return err
 						}
 						data := make([]float32, elems)
-						switch algo {
-						case "ring":
-							return mpi.Allreduce(comm, data, mpi.OpSum)
-						case "recdouble":
-							return mpi.AllreduceRecursiveDoubling(comm, data, mpi.OpSum)
-						default:
-							return mpi.AllreduceHierarchical(comm, data, mpi.OpSum)
+						if algo == "ring" {
+							return mpi.Allreduce(comm, data, mpi.OpSum) // the static ring/tree pick
 						}
+						a, err := mpi.ParseAllreduceAlgo(algo)
+						if err != nil {
+							return err
+						}
+						return mpi.AllreduceWith(comm, data, mpi.OpSum, a)
 					})
 					if err := simnet.FirstError(errs); err != nil {
 						b.Fatal(err)

@@ -63,11 +63,8 @@ func main() {
 	n := flag.Int("n", 1024, "elements per allreduce")
 	stepInterval := flag.Duration("step-interval", time.Second, "pause between steps (gives humans time to kill workers)")
 	algoName := flag.String("allreduce", "auto", "allreduce algorithm: auto, ring, recdouble, hier, or pipelined")
-	chunks := flag.Int("chunks", 0, "pipelined-ring chunk count (0 = size-derived)")
 	codecName := flag.String("codec", "raw", "gradient wire codec: raw or fp16")
-	hb := flag.Duration("hb", 500*time.Millisecond, "heartbeat interval (used with -serve)")
-	suspect := flag.Duration("suspect", 0, "suspicion threshold (used with -serve; default 3x hb)")
-	dead := flag.Duration("dead", 0, "declaration threshold (used with -serve; default 6x hb)")
+	hb := flag.Duration("hb", 500*time.Millisecond, "heartbeat interval (used with -serve; silence is suspected at 3x and declared dead at 6x)")
 	spare := flag.Bool("spare", false, "join as a warm spare: register idle, wait for the autopilot to swap this process in, receive state, then train")
 	spares := flag.Int("spares", 0, "wait for this many warm spares to register before training (demo choreography)")
 	scalePolicy := flag.String("scale-policy", "", "enable the autopilot grow boundary: 'swap' (replace deaths from the spare pool) or a schedule like '10:+2,20:-1'; every worker and spare must pass the same value")
@@ -90,7 +87,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("elasticd: %v", err)
 	}
-	opts := mpi.AllreduceOptions{Algo: algo, Chunks: *chunks, Codec: codec}
+	opts := mpi.AllreduceOptions{Algo: algo, Codec: codec}
 
 	if *spare && *scalePolicy == "" {
 		// A spare runs the same boundaries as every member once admitted,
@@ -180,8 +177,6 @@ func main() {
 		srv, err := rendezvous.ListenAndServe(*rdv, rendezvous.Config{
 			World:             *world,
 			HeartbeatInterval: *hb,
-			SuspectAfter:      *suspect,
-			DeadAfter:         *dead,
 			Trace:             rec,
 			Logf:              log.Printf,
 		})

@@ -28,9 +28,7 @@ import (
 func main() {
 	listen := flag.String("listen", "127.0.0.1:7777", "address to listen on")
 	world := flag.Int("world", 4, "workers to gather before publishing the peer map")
-	hb := flag.Duration("hb", 500*time.Millisecond, "heartbeat interval workers are told to use")
-	suspect := flag.Duration("suspect", 0, "silence before suspicion (default 3x hb)")
-	dead := flag.Duration("dead", 0, "silence before declaration (default 6x hb)")
+	hb := flag.Duration("hb", 500*time.Millisecond, "heartbeat interval workers are told to use; silence is suspected at 3x and declared dead at 6x")
 	tracePath := flag.String("trace", "", "write a JSON-lines membership journal to this file")
 	obsListen := flag.String("obs.listen", "", "serve /metrics, /healthz, /varz on this address (empty = no metrics endpoint)")
 	flag.Parse()
@@ -67,8 +65,6 @@ func main() {
 	srv, err := rendezvous.ListenAndServe(*listen, rendezvous.Config{
 		World:             *world,
 		HeartbeatInterval: *hb,
-		SuspectAfter:      *suspect,
-		DeadAfter:         *dead,
 		Trace:             rec,
 		Logf:              log.Printf,
 	})

@@ -18,9 +18,10 @@ import (
 // failures" extension that turns the paper's per-event costs into an
 // end-to-end efficiency number.
 
-// AllreduceAlgoTable compares the three allreduce schedules (the auto
-// ring/tree pick, recursive doubling, hierarchical) at Summit-like scale
-// across payload sizes, in virtual milliseconds.
+// AllreduceAlgoTable compares the allreduce schedules (the static
+// ring/tree pick, recursive doubling, hierarchical, and the pipelined
+// ring at DefaultPipelineChunks) at Summit-like scale across payload
+// sizes, in virtual milliseconds.
 func AllreduceAlgoTable(ranks int, sizes []int) (*metrics.Table, error) {
 	t := &metrics.Table{
 		Title:   fmt.Sprintf("Ablation: allreduce algorithm (virtual ms, %d ranks)", ranks),
@@ -29,7 +30,7 @@ func AllreduceAlgoTable(ranks int, sizes []int) (*metrics.Table, error) {
 	nodes := (ranks + GPUsPerNode - 1) / GPUsPerNode
 	for _, elems := range sizes {
 		row := []string{fmt.Sprintf("%d", elems*4/1024)}
-		for _, algo := range []string{"auto", "recdouble", "hier", "pipelined"} {
+		for _, algo := range []mpi.AllreduceAlgo{mpi.AlgoAuto, mpi.AlgoRecursiveDoubling, mpi.AlgoHierarchical, mpi.AlgoPipelinedRing} {
 			cl := simnet.New(simnet.Summit(nodes))
 			procs := cl.Procs()[:ranks]
 			errs := simnet.RunAll(cl, procs, func(rank int, ep *simnet.Endpoint) error {
@@ -39,16 +40,10 @@ func AllreduceAlgoTable(ranks int, sizes []int) (*metrics.Table, error) {
 					return err
 				}
 				data := make([]float32, elems)
-				switch algo {
-				case "auto":
-					return mpi.Allreduce(comm, data, mpi.OpSum)
-				case "recdouble":
-					return mpi.AllreduceRecursiveDoubling(comm, data, mpi.OpSum)
-				case "hier":
-					return mpi.AllreduceHierarchical(comm, data, mpi.OpSum)
-				default:
-					return mpi.AllreducePipelinedRing(comm, data, mpi.OpSum)
+				if algo == mpi.AlgoAuto {
+					return mpi.Allreduce(comm, data, mpi.OpSum) // the static ring/tree pick
 				}
+				return mpi.AllreduceOpts(comm, data, mpi.OpSum, mpi.AllreduceOptions{Algo: algo, Chunks: mpi.DefaultPipelineChunks})
 			})
 			if err := simnet.FirstError(errs); err != nil {
 				return nil, err

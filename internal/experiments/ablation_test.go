@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -20,29 +21,37 @@ func cell(t *testing.T, tab interface{ String() string }, row, col int) float64 
 	return v
 }
 
+// TestAllreduceAlgoAblation pins every cell of the allreduce ablation:
+// the simulator's virtual time is deterministic, so a cell that moves
+// means a schedule changed (which messages go where, in what order, at
+// what size). The 24-rank table is benchtab's, and its hierarchical
+// column rings four node leaders.
 func TestAllreduceAlgoAblation(t *testing.T) {
-	tab, err := AllreduceAlgoTable(12, []int{1024, 262144})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 2 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-	// Large payloads: bandwidth-optimal schedules (auto=ring,
-	// hierarchical) should beat recursive doubling, which moves the full
-	// buffer log2(p) times.
-	auto := cell(t, tab, 1, 1)
-	rec := cell(t, tab, 1, 2)
-	hier := cell(t, tab, 1, 3)
-	if !(auto < rec) {
-		t.Fatalf("large payload: ring (%v ms) should beat recursive doubling (%v ms)", auto, rec)
-	}
-	if hier <= 0 {
-		t.Fatalf("hierarchical time = %v", hier)
-	}
-	pipe := cell(t, tab, 1, 4)
-	if !(pipe < rec) {
-		t.Fatalf("large payload: pipelined ring (%v ms) should beat recursive doubling (%v ms)", pipe, rec)
+	for _, tc := range []struct {
+		ranks int
+		sizes []int
+		want  [][]string // payload KiB, auto, recursive doubling, hierarchical, pipelined
+	}{
+		{12, []int{1024, 20011, 262144, 4194304}, [][]string{
+			{"4", "0.023", "0.018", "0.019", "0.144"},
+			{"78", "0.071", "0.080", "0.047", "0.153"},
+			{"1024", "0.526", "0.877", "0.416", "0.592"},
+			{"16384", "8.049", "13.815", "6.407", "8.115"},
+		}},
+		{24, []int{1024, 16384, 262144, 4194304}, [][]string{
+			{"4", "0.033", "0.023", "0.035", "0.300"},
+			{"64", "0.118", "0.089", "0.067", "0.307"},
+			{"1024", "0.573", "1.154", "0.569", "0.711"},
+			{"16384", "8.438", "18.196", "8.611", "8.576"},
+		}},
+	} {
+		tab, err := AllreduceAlgoTable(tc.ranks, tc.sizes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.EqualFunc(tab.Rows, tc.want, slices.Equal[[]string]) {
+			t.Errorf("%d ranks: rows\n%v\nwant\n%v", tc.ranks, tab.Rows, tc.want)
+		}
 	}
 }
 

@@ -48,12 +48,8 @@ func Allgather[T any](c *Comm, send, recv []T) error {
 	if len(recv) != n*c.Size() {
 		return fmt.Errorf("mpi: allgather: recv length %d != %d*%d", len(recv), c.Size(), n)
 	}
-	bounds := make([]int, c.Size()+1)
-	for i := range bounds {
-		bounds[i] = i * n
-	}
 	copy(recv[c.rank*n:(c.rank+1)*n], send)
-	return c.allgatherRing(rawBuf[T]{v: recv}, bounds)
+	return c.allgatherRing(rawBuf[T]{v: recv})
 }
 
 // Barrier blocks until all ranks arrive (dissemination algorithm).
@@ -83,7 +79,13 @@ func Barrier(c *Comm) error {
 
 // --- algorithm implementations over buf ---------------------------------
 
+// allreduce is Allreduce's static pick: the binomial tree at or below
+// smallThreshold on the wire or with fewer elements than ranks, the
+// ring above.
 func (c *Comm) allreduce(b buf, op Op) error {
+	if b.bytesFor(b.length()) > smallThreshold && b.length() >= c.Size() {
+		return c.ringAllreduce(b, op, 1)
+	}
 	seq := c.nextSeq()
 	if err := c.checkCollective(); err != nil {
 		return err
@@ -95,43 +97,12 @@ func (c *Comm) allreduce(b buf, op Op) error {
 	c.p.begin(scope)
 	defer c.p.end()
 
-	if b.bytesFor(b.length()) <= smallThreshold || b.length() < c.Size() {
-		// Latency-optimized: binomial reduce to rank 0, binomial bcast.
-		if err := c.reduceTree(b, op, 0, seq); err != nil {
-			return err
-		}
-		markDistribute(b)
-		return c.bcastTree(b, 0, seq)
-	}
-	// Bandwidth-optimal ring: reduce-scatter then ring allgather, with
-	// no markDistribute (see compress.go).
-	bounds := evenBounds(b.length(), c.Size())
-	if err := c.reduceScatterRing(b, op, bounds, seq); err != nil {
+	// Latency-optimized: binomial reduce to rank 0, binomial bcast.
+	if err := c.reduceTree(b, op, 0, seq); err != nil {
 		return err
 	}
-	return c.ringAllgather(b, bounds, seq, true)
-}
-
-// allreduceRing is the explicit plain-ring allreduce (AlgoRing): the
-// bandwidth-optimal reduce-scatter + allgather schedule with no
-// small-payload tree shortcut, so benchmarks can pin the exact
-// algorithm regardless of tensor size.
-func (c *Comm) allreduceRing(b buf, op Op) error {
-	seq := c.nextSeq()
-	if err := c.checkCollective(); err != nil {
-		return err
-	}
-	if c.Size() == 1 {
-		return nil
-	}
-	scope := &opScope{comm: c, members: c.memberSet(), abortOnRevoke: true}
-	c.p.begin(scope)
-	defer c.p.end()
-	bounds := evenBounds(b.length(), c.Size())
-	if err := c.reduceScatterRing(b, op, bounds, seq); err != nil {
-		return err
-	}
-	return c.ringAllgather(b, bounds, seq, true)
+	markDistribute(b)
+	return c.bcastTree(b, 0, seq)
 }
 
 func (c *Comm) bcast(b buf, root int) error {
@@ -151,7 +122,9 @@ func (c *Comm) bcast(b buf, root int) error {
 	return c.bcastTree(b, root, seq)
 }
 
-func (c *Comm) allgatherRing(b buf, bounds []int) error {
+// allgatherRing runs the ring's allgather half over b, each rank
+// starting from its own block.
+func (c *Comm) allgatherRing(b buf) error {
 	seq := c.nextSeq()
 	if err := c.checkCollective(); err != nil {
 		return err
@@ -162,7 +135,8 @@ func (c *Comm) allgatherRing(b buf, bounds []int) error {
 	scope := &opScope{comm: c, members: c.memberSet(), abortOnRevoke: true}
 	c.p.begin(scope)
 	defer c.p.end()
-	return c.ringAllgather(b, bounds, seq, false)
+	rg := c.commRing()
+	return c.allgather(b, rg, rg.idx, seq, 1)
 }
 
 // reduceTree: commutative binomial-tree reduction onto root.
@@ -216,127 +190,4 @@ func (c *Comm) bcastTree(b buf, root, seq int) error {
 		mask >>= 1
 	}
 	return nil
-}
-
-// reduceScatterRing leaves chunk (rank+1)%p fully reduced in b at each
-// rank after p-1 ring steps.
-func (c *Comm) reduceScatterRing(b buf, op Op, bounds []int, seq int) error {
-	p, r := c.Size(), c.rank
-	right, left := (r+1)%p, (r-1+p)%p
-	tag := c.collTag(seq, phReduceScatter)
-	for step := 0; step < p-1; step++ {
-		sc := (r - step + p) % p
-		rc := (r - step - 1 + 2*p) % p
-		lo, hi := bounds[sc], bounds[sc+1]
-		if err := c.sendRaw(right, tag, b.payload(lo, hi), b.bytesFor(hi-lo)); err != nil {
-			return err
-		}
-		m, err := c.recvRaw(left, tag)
-		if err != nil {
-			return err
-		}
-		lo, hi = bounds[rc], bounds[rc+1]
-		b.reduceIn(lo, hi, m.Data, op)
-	}
-	return nil
-}
-
-// ringAllgather circulates complete chunks so every rank ends with all of
-// them. When afterRS is true the starting chunk at rank r is (r+1)%p (the
-// chunk completed by reduceScatterRing); otherwise it is r (plain
-// allgather of own block).
-func (c *Comm) ringAllgather(b buf, bounds []int, seq int, afterRS bool) error {
-	p, r := c.Size(), c.rank
-	right, left := (r+1)%p, (r-1+p)%p
-	start := r
-	if afterRS {
-		start = (r + 1) % p
-	}
-	tag := c.collTag(seq, phAllgather)
-	rl := relayOf(b)
-	defer rl.drop()
-	for step := 0; step < p-1; step++ {
-		sc := (start - step + 2*p) % p
-		rc := (start - step - 1 + 2*p) % p
-		lo, hi := bounds[sc], bounds[sc+1]
-		if err := rl.send(c, right, tag, 0, lo, hi); err != nil {
-			return err
-		}
-		m, err := c.recvRaw(left, tag)
-		if err != nil {
-			return err
-		}
-		lo, hi = bounds[rc], bounds[rc+1]
-		rl.recv(0, lo, hi, m.Data, step < p-2)
-	}
-	return nil
-}
-
-// forwarder is a buffer whose ring-allgather chunks travel on as
-// received (compBuf; see "Forwarding" in compress.go). Chunk slot k is
-// the chunk's index among the K a step moves.
-type forwarder interface {
-	hold(k, lo, hi int, pay any) // setIn, keeping pay for the next step
-	forward(k int) any           // slot k's held payload, or nil
-	release(k int)               // after slot k's forwarding send returns
-	drop()                       // on every exit of the allgather
-}
-
-// relay runs a ring allgather's chunk traffic over b. A forwarder holds
-// each received chunk until its forwarding send returns; any other
-// buffer re-reads the tensor for every send and releases received
-// chunks at once.
-type relay struct {
-	b  buf
-	fw forwarder // nil: b does not forward
-}
-
-func relayOf(b buf) relay {
-	fw, _ := b.(forwarder)
-	return relay{b: b, fw: fw}
-}
-
-// send sends chunk slot k, [lo,hi): the chunk received one step earlier
-// if the buffer holds it, else the range read from the tensor (the
-// rank's own segment at step 0). Re-reading a range the allgather
-// decoded sends the same bits, since quantizing is idempotent.
-func (r relay) send(c *Comm, to, tag, k, lo, hi int) error {
-	var pay any
-	if r.fw != nil {
-		pay = r.fw.forward(k)
-	}
-	if pay == nil {
-		pay = r.b.payload(lo, hi)
-	}
-	err := c.sendRaw(to, tag, pay, r.b.bytesFor(hi-lo))
-	if r.fw != nil {
-		r.fw.release(k)
-	}
-	return err
-}
-
-// recv stores chunk slot k's received payload in [lo,hi); keep holds it
-// for the next step's send (false on the last step).
-func (r relay) recv(k, lo, hi int, pay any, keep bool) {
-	if r.fw != nil && keep {
-		r.fw.hold(k, lo, hi, pay)
-		return
-	}
-	r.b.setIn(lo, hi, pay)
-}
-
-// drop releases whatever the relay still holds.
-func (r relay) drop() {
-	if r.fw != nil {
-		r.fw.drop()
-	}
-}
-
-// evenBounds splits n elements into p nearly equal contiguous chunks.
-func evenBounds(n, p int) []int {
-	bounds := make([]int, p+1)
-	for i := 0; i <= p; i++ {
-		bounds[i] = i * n / p
-	}
-	return bounds
 }

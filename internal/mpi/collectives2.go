@@ -2,31 +2,26 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/transport"
 )
 
 // Two alternative allreduce algorithms (recursive doubling,
-// hierarchical) used by the algorithm-ablation benchmarks.
+// hierarchical) used by the algorithm-ablation benchmarks, selected by
+// AlgoRecursiveDoubling and AlgoHierarchical.
 
 // phases for the allreduce variants, clear of those in collectives.go.
 const (
 	phIntraRed   = 7
-	phLeaderRing = 8 // and 9 for its allgather half
 	phRecDouble  = 10
 	phPairFix    = 11
 	phIntraBcast = 12
 )
 
-// AllreduceRecursiveDoubling is the latency-optimal allreduce variant
-// (log2 p rounds of pairwise exchange), with the standard pre/post phase
-// folding extra ranks into a power-of-two group. Exposed for the
-// algorithm-ablation benchmarks; Allreduce picks ring or tree
-// automatically.
-func AllreduceRecursiveDoubling[T Number](c *Comm, data []T, op Op) error {
-	return c.allreduceRecDouble(numBuf[T]{v: data}, op)
-}
-
+// allreduceRecDouble is the latency-optimal allreduce variant (log2 p
+// rounds of pairwise exchange), with the standard pre/post phase
+// folding extra ranks into a power-of-two group.
 func (c *Comm) allreduceRecDouble(b buf, op Op) error {
 	seq := c.nextSeq()
 	if err := c.checkCollective(); err != nil {
@@ -108,13 +103,9 @@ func (c *Comm) allreduceRecDouble(b buf, op Op) error {
 	return nil
 }
 
-// AllreduceHierarchical reduces within each node to a leader, runs a ring
+// allreduceHier reduces within each node to a leader, runs the ring
 // allreduce among the node leaders, then broadcasts within each node —
 // the topology-aware schedule Horovod/NCCL use across multi-GPU nodes.
-func AllreduceHierarchical[T Number](c *Comm, data []T, op Op) error {
-	return c.allreduceHier(numBuf[T]{v: data}, op)
-}
-
 func (c *Comm) allreduceHier(b buf, op Op) error {
 	seq := c.nextSeq()
 	if err := c.checkCollective(); err != nil {
@@ -177,16 +168,16 @@ func (c *Comm) allreduceHier(b buf, op Op) error {
 			}
 			b.reduceIn(0, n, m.Data, op)
 		}
-		// Phase 2: ring allreduce among leaders.
-		if len(leaders) > 1 {
-			myIdx := -1
-			for i, l := range leaders {
-				if l == c.rank {
-					myIdx = i
-				}
+		// Phase 2: ring allreduce among leaders, in leader order. The
+		// allgather half carries finished segments.
+		if p := len(leaders); p > 1 {
+			rg := ring{p: p, idx: slices.Index(leaders, c.rank)}
+			rg.left, rg.right = leaders[(rg.idx-1+p)%p], leaders[(rg.idx+1)%p]
+			if err := c.reduceScatter(b, op, rg, seq, 1); err != nil {
+				return err
 			}
-			bounds := evenBounds(n, len(leaders))
-			if err := c.ringAmong(b, op, leaders, myIdx, bounds, seq); err != nil {
+			markDistribute(b)
+			if err := c.allgather(b, rg, (rg.idx+1)%p, seq, 1); err != nil {
 				return err
 			}
 		}
@@ -205,47 +196,5 @@ func (c *Comm) allreduceHier(b buf, op Op) error {
 		return err
 	}
 	b.setIn(0, n, m.Data)
-	return nil
-}
-
-// ringAmong runs the ring reduce-scatter + allgather over an arbitrary
-// subset of ranks (the node leaders), indexed by idx within members.
-func (c *Comm) ringAmong(b buf, op Op, members []int, idx int, bounds []int, seq int) error {
-	p := len(members)
-	right := members[(idx+1)%p]
-	left := members[(idx-1+p)%p]
-	tagRS := c.collTag(seq, phLeaderRing)
-	tagAG := c.collTag(seq, phLeaderRing+1)
-	for step := 0; step < p-1; step++ {
-		sc := (idx - step + p) % p
-		rc := (idx - step - 1 + 2*p) % p
-		lo, hi := bounds[sc], bounds[sc+1]
-		if err := c.sendRaw(right, tagRS, b.payload(lo, hi), b.bytesFor(hi-lo)); err != nil {
-			return err
-		}
-		m, err := c.recvRaw(left, tagRS)
-		if err != nil {
-			return err
-		}
-		lo, hi = bounds[rc], bounds[rc+1]
-		b.reduceIn(lo, hi, m.Data, op)
-	}
-	// Allgather half: completed segments circulate unchanged.
-	markDistribute(b)
-	start := (idx + 1) % p
-	for step := 0; step < p-1; step++ {
-		sc := (start - step + 2*p) % p
-		rc := (start - step - 1 + 2*p) % p
-		lo, hi := bounds[sc], bounds[sc+1]
-		if err := c.sendRaw(right, tagAG, b.payload(lo, hi), b.bytesFor(hi-lo)); err != nil {
-			return err
-		}
-		m, err := c.recvRaw(left, tagAG)
-		if err != nil {
-			return err
-		}
-		lo, hi = bounds[rc], bounds[rc+1]
-		b.setIn(lo, hi, m.Data)
-	}
 	return nil
 }

@@ -18,7 +18,7 @@ func TestAllreduceRecursiveDoubling(t *testing.T) {
 			got := map[int][]float64{}
 			world(t, 1, p, func(c *Comm) error {
 				data := []float64{float64(c.Rank() + 1), float64(c.Rank() * 2)}
-				if err := AllreduceRecursiveDoubling(c, data, OpSum); err != nil {
+				if err := AllreduceWith(c, data, OpSum, AlgoRecursiveDoubling); err != nil {
 					return err
 				}
 				mu.Lock()
@@ -48,7 +48,7 @@ func TestAllreduceHierarchical(t *testing.T) {
 				for i := range data {
 					data[i] = float64(c.Rank() + 1)
 				}
-				if err := AllreduceHierarchical(c, data, OpSum); err != nil {
+				if err := AllreduceWith(c, data, OpSum, AlgoHierarchical); err != nil {
 					return err
 				}
 				mu.Lock()
@@ -87,28 +87,22 @@ func TestAllreduceAlgorithmsAgreeProperty(t *testing.T) {
 				want[i] += inputs[r][i]
 			}
 		}
-		for _, algo := range []string{"auto", "recdouble", "hier", "pipelined", "pipelined-k1", "pipelined-k3"} {
+		for _, o := range []AllreduceOptions{
+			{},
+			{Algo: AlgoRing},
+			{Algo: AlgoRecursiveDoubling},
+			{Algo: AlgoHierarchical},
+			{Algo: AlgoPipelinedRing, Chunks: DefaultPipelineChunks},
+			{Algo: AlgoPipelinedRing, Chunks: 1},
+			{Algo: AlgoPipelinedRing, Chunks: 3},
+		} {
 			okAll := true
 			var mu sync.Mutex
 			c2 := newTestCluster(1, p)
 			procs := c2.Procs()
 			errs := runAllWorld(c2, procs, func(c *Comm) error {
 				data := append([]float64(nil), inputs[c.Rank()]...)
-				var err error
-				switch algo {
-				case "auto":
-					err = Allreduce(c, data, OpSum)
-				case "recdouble":
-					err = AllreduceRecursiveDoubling(c, data, OpSum)
-				case "hier":
-					err = AllreduceHierarchical(c, data, OpSum)
-				case "pipelined":
-					err = AllreducePipelinedRing(c, data, OpSum)
-				case "pipelined-k1":
-					err = AllreducePipelinedRingChunks(c, data, OpSum, 1)
-				case "pipelined-k3":
-					err = AllreducePipelinedRingChunks(c, data, OpSum, 3)
-				}
+				err := AllreduceOpts(c, data, OpSum, o)
 				if err != nil {
 					return err
 				}
@@ -123,7 +117,7 @@ func TestAllreduceAlgorithmsAgreeProperty(t *testing.T) {
 				return nil
 			})
 			if err := simnet.FirstError(errs); err != nil || !okAll {
-				t.Logf("algo %s p=%d elems=%d: err=%v okAll=%v", algo, p, elems, simnet.FirstError(errs), okAll)
+				t.Logf("%+v p=%d elems=%d: err=%v okAll=%v", o, p, elems, simnet.FirstError(errs), okAll)
 				return false
 			}
 		}
@@ -158,13 +152,11 @@ func TestAllreducePipelinedBitIdenticalToRing(t *testing.T) {
 		procs := c2.Procs()
 		errs := runAllWorld(c2, procs, func(c *Comm) error {
 			data := append([]float64(nil), inputs[c.Rank()]...)
-			var err error
-			if algo == "ring" {
-				err = Allreduce(c, data, OpSum)
-			} else {
-				err = AllreducePipelinedRing(c, data, OpSum)
+			o := AllreduceOptions{} // Allreduce's pick at this size: the ring
+			if algo == "pipelined" {
+				o = AllreduceOptions{Algo: AlgoPipelinedRing, Chunks: DefaultPipelineChunks}
 			}
-			if err != nil {
+			if err := AllreduceOpts(c, data, OpSum, o); err != nil {
 				return err
 			}
 			mu.Lock()
@@ -194,7 +186,7 @@ func TestAllreducePipelinedRingOps(t *testing.T) {
 		got := map[int][]float64{}
 		world(t, 1, p, func(c *Comm) error {
 			data := []float64{float64(c.Rank() + 1), float64(-c.Rank()), 7}
-			if err := AllreducePipelinedRingChunks(c, data, op, 2); err != nil {
+			if err := AllreduceOpts(c, data, op, AllreduceOptions{Algo: AlgoPipelinedRing, Chunks: 2}); err != nil {
 				return err
 			}
 			mu.Lock()
@@ -219,20 +211,6 @@ func TestAllreducePipelinedRingOps(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestAllreducePipelinedRejectsBadChunks(t *testing.T) {
-	world(t, 1, 2, func(c *Comm) error {
-		err := AllreducePipelinedRingChunks(c, []float64{1}, OpSum, 0)
-		if err == nil {
-			return fmt.Errorf("chunk count 0 accepted")
-		}
-		// The failed call consumed a sequence number at every rank alike
-		// (nextSeq precedes validation), so the communicator remains
-		// usable; prove it with a follow-up collective.
-		data := []float64{float64(c.Rank())}
-		return Allreduce(c, data, OpSum)
-	})
 }
 
 func TestParseAllreduceAlgo(t *testing.T) {

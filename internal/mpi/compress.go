@@ -28,26 +28,31 @@ import (
 // this makes sends self-consistent everywhere.
 //
 // Where the whole buffer is quantized. The tree, recursive doubling and
-// hierarchical schedules (ringAmong included) round-trip every rank's
-// whole local buffer at the reduce→distribute boundary
-// (markDistribute), because quantize-on-send cannot reach ranks that
-// never forward a finished segment; from there on every value is on the
-// grid, so payload() only encodes. The ring family (allreduceRing, the
-// ring branch of allreduce, allreducePipelined) skips that pass: each
-// rank's first allgather send is its own finished segment, which the
-// send quantizes in place, and the allgather overwrites every other
-// segment with decoded binary16. Both roads end with the same bits.
+// hierarchical schedules round-trip every rank's whole local buffer at
+// the reduce→distribute boundary (markDistribute), because
+// quantize-on-send cannot reach ranks that never forward a finished
+// segment; from there on every value is on the grid, so payload() only
+// encodes. The hierarchical schedule marks that boundary between its
+// leader ring's two halves. Every other caller of the one K-chunk ring
+// (pipeline.go: AlgoRing, Allreduce's ring branch, AlgoPipelinedRing)
+// skips that pass: each rank's first allgather send is its own finished
+// segment, which the send quantizes in place, and the allgather
+// overwrites every other segment with decoded binary16. Both roads end
+// with the same bits.
 //
-// Forwarding. In the ring allgather, the chunk a rank receives at step
-// s is, byte for byte, the chunk it sends at step s+1: the same segment
-// and the same evenBounds sub-range. So compBuf decodes a received
+// Forwarding. In the ring's allgather, the chunk a rank receives at
+// step s is, byte for byte, the chunk it sends at step s+1: the same
+// segment and the same chunk sub-range. So compBuf decodes a received
 // chunk into the tensor and holds its binary16 payload (an F16 slice,
 // or a lazy RawPayload viewing a pooled frame) in the communicator's
 // slot for that chunk; the next step sends those bytes as received,
-// with no encode. A held payload is released exactly once: when its
-// forwarding Send returns, or when the collective exits, error and
-// revoke exits included. Chunks of the last step are not forwarded and
-// are released at once, so at most one step's K chunks are held.
+// with no encode. This holds for every ring, the hierarchical leader
+// ring included: there the tensor is on the grid already, so the held
+// bytes are what a re-encode would produce. A held payload is released
+// exactly once: when its forwarding Send returns, or when the collective
+// exits, error and revoke exits included. Chunks of the last step are
+// not forwarded and are released at once, so at most one step's K
+// chunks are held.
 //
 // Error bounds (documented for the property tests): one fp16
 // quantization of x adds at most 2^-11·|x| relative error for |x| in
@@ -101,8 +106,9 @@ func WireBytesPerElem(c WireCodec, elemBytes int) float64 {
 
 // markDistribute flips a compression-aware buffer into distribution
 // mode: the collective's remaining sends carry finished values (see the
-// uniformity notes above). A no-op for plain buffers. The ring family
-// does not call it; see "Where the whole buffer is quantized".
+// uniformity notes above). A no-op for plain buffers. Only the
+// hierarchical schedule calls it around a ring; see "Where the whole
+// buffer is quantized".
 func markDistribute(b buf) {
 	if d, ok := b.(interface{ beginDistribution() }); ok {
 		d.beginDistribution()
@@ -140,9 +146,9 @@ type heldChunk struct {
 // hierarchical non-leaders) hold exactly the bits their peers decode.
 // Without this, quantize-on-send alone leaves non-senders off-grid and
 // the group diverges. Idempotent: the second call finds grid values.
-// The ring family never needs it: every ring rank sends, and its first
-// allgather send quantizes its own segment while the allgather decodes
-// every other one.
+// A ring over every rank never needs it: every ring rank sends, and its
+// first allgather send quantizes its own segment while the allgather
+// decodes every other one.
 func (b *compBuf[T]) beginDistribution() {
 	if !b.dist {
 		b.dist = true

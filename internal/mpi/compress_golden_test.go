@@ -95,6 +95,14 @@ var fp16GoldenCases = []struct {
 	{AlgoHierarchical, 2, 2, 0, 0, OpSum,
 		"534db72fe8e8a6fbe01d8eba36dc87bfbd9d0b90724a73b93f224ff8b16f74bf",
 		"1d8e8311d459bf125986d539c046c5546ca2d164cb7e90f1aaada57e6a46debf"},
+	// Three and four node leaders: the leader ring's allgather forwards
+	// chunks it received, which two leaders never do.
+	{AlgoHierarchical, 3, 2, 0, 0, OpSum,
+		"630474e1432948abcc8a9759c6f43c8111c5de4c30af62e8d425a51d6bdc2522",
+		"0a2d2fd54ce700ce54ddd53922b710188944d987b0f9253ba237f493e6eec9e3"},
+	{AlgoHierarchical, 4, 2, 0, 0, OpSum,
+		"60373357f21cadb213fdbb73d8ad6cee582048553b5f4dda769d67dd747c354f",
+		"2d268b9cda3c8b0926921bdff98391d402cc4d0bf914903d6004761717876a48"},
 	// Multi-chunk pipelines: every allgather step moves K chunks.
 	{AlgoPipelinedRing, 1, 2, 3, 0, OpSum,
 		"a713da04251831d10ef71d2d69ea72aeb5456d1e8639932c3c32531b032443e8",
@@ -198,9 +206,13 @@ func fp16ResultHash[T float32 | float64](v []T) string {
 }
 
 // goldenName names a case's subtest; a non-default chunk count or
-// length shows as a /k or /n element.
-func goldenName(algo AllreduceAlgo, op Op, world, chunks, elems int, typ string) string {
-	name := fmt.Sprintf("%v/%v/world%d", algo, op, world)
+// length shows as a /k or /n element, and a hierarchical ring of more
+// than two node leaders as a /leaders element.
+func goldenName(algo AllreduceAlgo, op Op, nodes, ppn, chunks, elems int, typ string) string {
+	name := fmt.Sprintf("%v/%v/world%d", algo, op, nodes*ppn)
+	if algo == AlgoHierarchical && nodes > 2 {
+		name += fmt.Sprintf("/leaders%d", nodes)
+	}
 	if chunks != 0 {
 		name += fmt.Sprintf("/k%d", chunks)
 	}
@@ -250,7 +262,7 @@ func TestFP16GoldenOutputs(t *testing.T) {
 	for _, tc := range fp16GoldenCases {
 		chunks, elems := goldenShape(tc.chunks, tc.elems)
 		for _, typ := range []string{"f32", "f64"} {
-			t.Run(goldenName(tc.algo, tc.op, tc.nodes*tc.ppn, tc.chunks, tc.elems, typ), func(t *testing.T) {
+			t.Run(goldenName(tc.algo, tc.op, tc.nodes, tc.ppn, tc.chunks, tc.elems, typ), func(t *testing.T) {
 				run := func(body func(c *Comm) error) { world(t, tc.nodes, tc.ppn, body) }
 				var got []string
 				want := tc.f32
@@ -289,7 +301,7 @@ func TestFP16GoldenOutputsTCP(t *testing.T) {
 		chunks, elems := goldenShape(tc.chunks, tc.elems)
 		size := tc.nodes * tc.ppn
 		for _, typ := range []string{"f32", "f64"} {
-			t.Run(goldenName(tc.algo, tc.op, size, tc.chunks, tc.elems, typ), func(t *testing.T) {
+			t.Run(goldenName(tc.algo, tc.op, tc.nodes, tc.ppn, tc.chunks, tc.elems, typ), func(t *testing.T) {
 				bufs0 := tcpnet.OutstandingFrameBufs()
 				run := func(body func(c *Comm) error) { loopbackWorld(t, size, body) }
 				var got []string

@@ -12,7 +12,7 @@ type AllreduceOptions struct {
 	// Algo picks the schedule. AlgoAuto resolves by PlanAllreduce's
 	// size rule.
 	Algo AllreduceAlgo
-	// Chunks is the pipelined-ring split factor K. Zero means
+	// Chunks is the pipelined-ring split factor K. Zero or less means
 	// PipelineChunksFor's size-based pick; ignored by other schedules.
 	Chunks int
 	// Codec is the wire representation of reduction traffic. Lossy
@@ -75,9 +75,9 @@ func (c *Comm) runAllreduce(b buf, op Op, plan AllreducePlan) error {
 	case AlgoHierarchical:
 		return c.allreduceHier(b, op)
 	case AlgoPipelinedRing:
-		return c.allreducePipelined(b, op, plan.Chunks)
+		return c.ringAllreduce(b, op, plan.Chunks)
 	case AlgoRing:
-		return c.allreduceRing(b, op)
+		return c.ringAllreduce(b, op, 1)
 	default:
 		return c.allreduce(b, op)
 	}

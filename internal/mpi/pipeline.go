@@ -7,56 +7,57 @@ import (
 	"repro/internal/transport"
 )
 
-// Chunk-pipelined ring allreduce. The plain ring moves one whole segment
-// per step and fully serializes each step's send against its receive; the
-// pipelined variant splits every segment into K chunks and overlaps the
-// send of chunk k with the receive (and local reduction) of chunk k-1, so
-// both directions of the ring — and the reduction ALU — stay busy within a
-// step. This is the standard bucket pipelining NCCL and Horovod apply on
-// top of the ring schedule; over the TCP backend it also bounds the frame
-// size a single Send must assemble.
+// The ring. Every ring in this package is one schedule over a ring
+// order: a reduce-scatter, then an allgather, each moving one segment
+// per step and splitting it into K chunks. The send of chunk k goes out
+// before the receive (and local reduction) of chunk k-1, so both
+// directions of the ring and the reduction stay busy within a step:
+// the bucket pipelining NCCL and Horovod apply on top of the ring, which
+// over the TCP backend also bounds the frame one Send assembles. K = 1
+// is the classic ring. Its callers:
+//   - AlgoRing and the ring branch of Allreduce, with K = 1;
+//   - AlgoPipelinedRing, with the planned K (PipelineChunksFor);
+//   - the hierarchical schedule, over the node leaders, with K = 1;
+//   - Allgather, which runs the allgather half from its own block.
 //
-// Chunks of one step travel on the step's collective tag in posting order,
-// and both transports deliver same-(source, tag) messages FIFO, so no
-// per-chunk tag plane is needed — the same ordering argument the plain
-// ring already relies on across steps.
+// Segment i of n elements over p members is [i·n/p, (i+1)·n/p), and
+// chunk k of a segment [lo,hi) is [lo+k·(hi-lo)/K, lo+(k+1)·(hi-lo)/K),
+// computed identically at every rank, so any n works, including n not
+// divisible by p·K and n < p (empty chunks travel as empty frames).
+// Chunks of one step travel on the half's collective tag in posting
+// order, and both transports deliver same-(source, tag) messages FIFO,
+// so no per-chunk tag plane is needed.
 
-// phases for the pipelined ring (see collectives.go / collectives2.go for
-// the rest of the phase space).
-const (
-	phPipeRS = 13
-	phPipeAG = 14
-)
-
-// DefaultPipelineChunks is the segment split factor K used by
-// AllreducePipelinedRing. Four chunks is enough to hide the send/recv
-// turnaround without shrinking frames into the latency-dominated regime.
+// DefaultPipelineChunks is the segment split factor K of the
+// allreduce ablation's pipelined column. Four chunks is enough to hide
+// the send/recv turnaround without shrinking frames into the
+// latency-dominated regime.
 const DefaultPipelineChunks = 4
 
-// AllreducePipelinedRing is the chunk-pipelined ring allreduce with the
-// default split factor. It produces bit-identical results to Allreduce's
-// ring path: pipelining reorders the schedule, not the per-element
-// reduction order.
-func AllreducePipelinedRing[T Number](c *Comm, data []T, op Op) error {
-	return AllreducePipelinedRingChunks(c, data, op, DefaultPipelineChunks)
+// ring is one ring order: p members, this rank's index idx among them,
+// and the communicator ranks of its left and right neighbours.
+type ring struct{ p, idx, left, right int }
+
+// commRing is the ring through every rank of c in rank order.
+func (c *Comm) commRing() ring {
+	p, r := c.Size(), c.rank
+	return ring{p: p, idx: r, left: (r - 1 + p) % p, right: (r + 1) % p}
 }
 
-// AllreducePipelinedRingChunks is AllreducePipelinedRing with an explicit
-// chunk count K >= 1 (K = 1 degenerates to the plain ring schedule).
-// Segment and chunk bounds are computed identically at every rank, so the
-// schedule works for any n, including n not divisible by Size()*K and
-// n < Size() (empty chunks travel as empty frames).
-func AllreducePipelinedRingChunks[T Number](c *Comm, data []T, op Op, chunks int) error {
-	return c.allreducePipelined(numBuf[T]{v: data}, op, chunks)
+// chunk returns the bounds of chunk k of K of segment i, with n
+// elements split into p segments.
+func chunk(n, p, i, K, k int) (lo, hi int) {
+	slo, shi := i*n/p, (i+1)*n/p
+	return slo + k*(shi-slo)/K, slo + (k+1)*(shi-slo)/K
 }
 
-func (c *Comm) allreducePipelined(b buf, op Op, chunks int) error {
+// ringAllreduce is the ring allreduce over the whole communicator with
+// every segment split into K chunks. No markDistribute between the
+// halves (see compress.go).
+func (c *Comm) ringAllreduce(b buf, op Op, K int) error {
 	seq := c.nextSeq()
 	if err := c.checkCollective(); err != nil {
 		return err
-	}
-	if chunks < 1 {
-		return fmt.Errorf("mpi: pipelined allreduce: chunk count %d < 1", chunks)
 	}
 	if c.Size() == 1 {
 		return nil
@@ -65,11 +66,134 @@ func (c *Comm) allreducePipelined(b buf, op Op, chunks int) error {
 	c.p.begin(scope)
 	defer c.p.end()
 
-	bounds := evenBounds(b.length(), c.Size())
-	if err := c.reduceScatterRingPipelined(b, op, bounds, seq, chunks); err != nil {
+	rg := c.commRing()
+	if err := c.reduceScatter(b, op, rg, seq, K); err != nil {
 		return err
 	}
-	return c.ringAllgatherPipelined(b, bounds, seq, chunks)
+	return c.allgather(b, rg, (rg.idx+1)%rg.p, seq, K)
+}
+
+// reduceScatter leaves segment (idx+1)%p fully reduced in b after p-1
+// steps: step s sends segment idx-s right and reduces segment idx-s-1
+// from the left.
+func (c *Comm) reduceScatter(b buf, op Op, rg ring, seq, K int) error {
+	n, p := b.length(), rg.p
+	tag := c.collTag(seq, phReduceScatter)
+	for step := 0; step < p-1; step++ {
+		sc, rc := (rg.idx-step+p)%p, (rg.idx-step-1+2*p)%p
+		for k := 0; k <= K; k++ {
+			if k < K {
+				lo, hi := chunk(n, p, sc, K, k)
+				if err := c.sendRaw(rg.right, tag, b.payload(lo, hi), b.bytesFor(hi-lo)); err != nil {
+					return err
+				}
+				transport.Hit(c.p.ep.ID(), transport.PointPipelineRSChunk)
+			}
+			if k > 0 {
+				m, err := c.recvRaw(rg.left, tag)
+				if err != nil {
+					return err
+				}
+				lo, hi := chunk(n, p, rc, K, k-1)
+				b.reduceIn(lo, hi, m.Data, op)
+			}
+		}
+	}
+	return nil
+}
+
+// allgather circulates complete segments so every member ends with all
+// of them, starting from segment start: (idx+1)%p after reduceScatter,
+// idx for a plain allgather of the member's own block. Chunk k of one
+// step's receive is chunk k of the next step's send, and its send comes
+// before the next receive into slot k, so a forwarding buffer holds at
+// most K chunks.
+func (c *Comm) allgather(b buf, rg ring, start, seq, K int) error {
+	n, p := b.length(), rg.p
+	tag := c.collTag(seq, phAllgather)
+	rl := relayOf(b)
+	defer rl.drop()
+	for step := 0; step < p-1; step++ {
+		sc, rc := (start-step+p)%p, (start-step-1+2*p)%p
+		for k := 0; k <= K; k++ {
+			if k < K {
+				lo, hi := chunk(n, p, sc, K, k)
+				if err := rl.send(c, rg.right, tag, k, lo, hi); err != nil {
+					return err
+				}
+				transport.Hit(c.p.ep.ID(), transport.PointPipelineAGChunk)
+			}
+			if k > 0 {
+				m, err := c.recvRaw(rg.left, tag)
+				if err != nil {
+					return err
+				}
+				lo, hi := chunk(n, p, rc, K, k-1)
+				rl.recv(k-1, lo, hi, m.Data, step < p-2)
+			}
+		}
+	}
+	return nil
+}
+
+// forwarder is a buffer whose ring-allgather chunks travel on as
+// received (compBuf; see "Forwarding" in compress.go). Chunk slot k is
+// the chunk's index among the K a step moves.
+type forwarder interface {
+	hold(k, lo, hi int, pay any) // setIn, keeping pay for the next step
+	forward(k int) any           // slot k's held payload, or nil
+	release(k int)               // after slot k's forwarding send returns
+	drop()                       // on every exit of the allgather
+}
+
+// relay runs a ring allgather's chunk traffic over b. A forwarder holds
+// each received chunk until its forwarding send returns; any other
+// buffer re-reads the tensor for every send and releases received
+// chunks at once.
+type relay struct {
+	b  buf
+	fw forwarder // nil: b does not forward
+}
+
+func relayOf(b buf) relay {
+	fw, _ := b.(forwarder)
+	return relay{b: b, fw: fw}
+}
+
+// send sends chunk slot k, [lo,hi): the chunk received one step earlier
+// if the buffer holds it, else the range read from the tensor (the
+// rank's own segment at step 0). Re-reading a range the allgather
+// decoded sends the same bits, since quantizing is idempotent.
+func (r relay) send(c *Comm, to, tag, k, lo, hi int) error {
+	var pay any
+	if r.fw != nil {
+		pay = r.fw.forward(k)
+	}
+	if pay == nil {
+		pay = r.b.payload(lo, hi)
+	}
+	err := c.sendRaw(to, tag, pay, r.b.bytesFor(hi-lo))
+	if r.fw != nil {
+		r.fw.release(k)
+	}
+	return err
+}
+
+// recv stores chunk slot k's received payload in [lo,hi); keep holds it
+// for the next step's send (false on the last step).
+func (r relay) recv(k, lo, hi int, pay any, keep bool) {
+	if r.fw != nil && keep {
+		r.fw.hold(k, lo, hi, pay)
+		return
+	}
+	r.b.setIn(lo, hi, pay)
+}
+
+// drop releases whatever the relay still holds.
+func (r relay) drop() {
+	if r.fw != nil {
+		r.fw.drop()
+	}
 }
 
 // PipelineChunksFor picks the chunk split factor K for a pipelined ring
@@ -102,86 +226,6 @@ const (
 	pipelineTargetChunk = 512 << 10
 	maxPipelineChunks   = 8
 )
-
-// reduceScatterRingPipelined is reduceScatterRing with each per-step
-// segment split into K chunks: the send of chunk k overlaps the receive
-// and reduction of chunk k-1. After p-1 steps rank r holds chunk (r+1)%p
-// of the result, exactly as the plain ring leaves it.
-func (c *Comm) reduceScatterRingPipelined(b buf, op Op, bounds []int, seq, K int) error {
-	p, r := c.Size(), c.rank
-	right, left := (r+1)%p, (r-1+p)%p
-	tag := c.collTag(seq, phPipeRS)
-	for step := 0; step < p-1; step++ {
-		sc := (r - step + p) % p
-		rc := (r - step - 1 + 2*p) % p
-		slo, rlo := bounds[sc], bounds[rc]
-		sb := evenBounds(bounds[sc+1]-slo, K)
-		rb := evenBounds(bounds[rc+1]-rlo, K)
-		for k := 0; k < K; k++ {
-			lo, hi := slo+sb[k], slo+sb[k+1]
-			if err := c.sendRaw(right, tag, b.payload(lo, hi), b.bytesFor(hi-lo)); err != nil {
-				return err
-			}
-			transport.Hit(c.p.ep.ID(), transport.PointPipelineRSChunk)
-			if k > 0 {
-				m, err := c.recvRaw(left, tag)
-				if err != nil {
-					return err
-				}
-				b.reduceIn(rlo+rb[k-1], rlo+rb[k], m.Data, op)
-			}
-		}
-		m, err := c.recvRaw(left, tag)
-		if err != nil {
-			return err
-		}
-		b.reduceIn(rlo+rb[K-1], rlo+rb[K], m.Data, op)
-	}
-	return nil
-}
-
-// ringAllgatherPipelined circulates the completed chunks with the same
-// K-way send/recv overlap; starting segment (r+1)%p matches the chunk the
-// pipelined reduce-scatter completed at this rank. Chunk k of one step's
-// receive is chunk k of the next step's send, and its send comes before
-// the next receive into slot k, so a forwarding buffer holds at most K
-// chunks.
-func (c *Comm) ringAllgatherPipelined(b buf, bounds []int, seq, K int) error {
-	p, r := c.Size(), c.rank
-	right, left := (r+1)%p, (r-1+p)%p
-	start := (r + 1) % p
-	tag := c.collTag(seq, phPipeAG)
-	rl := relayOf(b)
-	defer rl.drop()
-	for step := 0; step < p-1; step++ {
-		sc := (start - step + 2*p) % p
-		rc := (start - step - 1 + 2*p) % p
-		slo, rlo := bounds[sc], bounds[rc]
-		sb := evenBounds(bounds[sc+1]-slo, K)
-		rb := evenBounds(bounds[rc+1]-rlo, K)
-		keep := step < p-2
-		for k := 0; k < K; k++ {
-			lo, hi := slo+sb[k], slo+sb[k+1]
-			if err := rl.send(c, right, tag, k, lo, hi); err != nil {
-				return err
-			}
-			transport.Hit(c.p.ep.ID(), transport.PointPipelineAGChunk)
-			if k > 0 {
-				m, err := c.recvRaw(left, tag)
-				if err != nil {
-					return err
-				}
-				rl.recv(k-1, rlo+rb[k-1], rlo+rb[k], m.Data, keep)
-			}
-		}
-		m, err := c.recvRaw(left, tag)
-		if err != nil {
-			return err
-		}
-		rl.recv(K-1, rlo+rb[K-1], rlo+rb[K], m.Data, keep)
-	}
-	return nil
-}
 
 // --- algorithm selection -------------------------------------------------
 

@@ -4,7 +4,7 @@ import "sync/atomic"
 
 // Named protocol points. Layers above the transport call Hit at the
 // moments a fault-injection harness most wants to own: between the phases
-// of the ULFM repair pipeline, per chunk inside the pipelined ring, and
+// of the ULFM repair pipeline, per chunk inside the ring, and
 // around membership changes. With no hook installed a Hit is a single
 // atomic load, so the production path pays nothing.
 //
@@ -27,8 +27,11 @@ const (
 	// forwarding it down the tree. Hit once before the first forward and
 	// once after every forward, so the Nth hit is "after N-1 down-sends".
 	PointAgreeDecide = "mpi.agree.decide"
-	// PointPipelineRSChunk / PointPipelineAGChunk: one chunk of the
-	// pipelined ring has been sent (reduce-scatter / allgather half).
+	// PointPipelineRSChunk / PointPipelineAGChunk: one chunk of a ring
+	// has been sent (reduce-scatter / allgather half). Every ring in
+	// internal/mpi is the one K-chunk ring, so they fire on every ring
+	// chunk, a K = 1 ring's whole segments included; only the
+	// kill_mid_chunk* scenarios arm them, and those pin the pipelined ring.
 	PointPipelineRSChunk = "mpi.pipeline.rs.chunk"
 	PointPipelineAGChunk = "mpi.pipeline.ag.chunk"
 	// PointGrowSend: rank 0 of a Grow has handed membership to a newcomer.
