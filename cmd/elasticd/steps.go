@@ -56,10 +56,16 @@ type daemon struct {
 // caller to report.
 func (d *daemon) runSteps(start int) error {
 	nd, r := d.nd, d.nd.R
-	// One tensor for the life of the run, refilled every step: the
-	// reduction overwrites it in place, and everything that outlives the
-	// step (the checkpoint model, the newcomer state stream) copies out.
-	data := make([]float64, d.n)
+	// Two tensors for the life of the run: the contribution, written
+	// once, and the result, which every step's allreduce writes whole.
+	// The allreduce never writes in, so a retry after a repair re-reads
+	// it, and no step refills or snapshots anything. Everything that
+	// outlives the step (the checkpoint model, the newcomer state
+	// stream) copies out of data.
+	in, data := make([]float64, d.n), make([]float64, d.n)
+	for i := range in {
+		in[i] = float64(nd.Proc) + 1
+	}
 	// The rollback restore point is staged in one vector too: the store
 	// keeps its own copy of whatever it is handed.
 	var model tensor.Vector
@@ -68,10 +74,7 @@ func (d *daemon) runSteps(start int) error {
 	}
 	for step := start; step < d.steps; step++ {
 		transport.Hit(nd.Proc, transport.PointElasticRound)
-		for i := range data {
-			data[i] = float64(nd.Proc) + 1
-		}
-		if err := ulfm.AllreduceOpts(r, data, mpi.OpSum, d.opts); err != nil {
+		if err := ulfm.AllreduceInto(r, in, data, mpi.OpSum, d.opts); err != nil {
 			return fmt.Errorf("step %d: %w", step, err)
 		}
 		// A repair that adopted the rollback strategy leaves a one-shot

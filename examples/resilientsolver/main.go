@@ -69,8 +69,11 @@ func main() {
 		}
 		r := ulfm.New(comm, cluster, ulfm.DefaultPolicy())
 
-		// x starts as the all-ones vector, replicated everywhere.
-		x := make([]float64, n)
+		// x starts as the all-ones vector, replicated everywhere. part
+		// holds this worker's rows of A·x and y the assembled product:
+		// the allreduce reads part and writes y, so a retry after a
+		// repair re-reads the contribution as the worker left it.
+		x, part, y := make([]float64, n), make([]float64, n), make([]float64, n)
 		for i := range x {
 			x[i] = 1
 		}
@@ -87,7 +90,7 @@ func main() {
 			// Each live worker owns a deterministic slice of the rows;
 			// after a repair the slices recompute from the new size, so
 			// the lost worker's rows redistribute automatically.
-			y := make([]float64, n)
+			clear(part)
 			lo := r.Rank() * n / r.Size()
 			hi := (r.Rank() + 1) * n / r.Size()
 			for i := lo; i < hi; i++ {
@@ -96,12 +99,12 @@ func main() {
 				for j := 0; j < n; j++ {
 					s += row[j] * x[j]
 				}
-				y[i] = s
+				part[i] = s
 			}
 			// Resilient allreduce assembles the full y at every worker —
 			// if someone died, the repair shrinks the communicator and
 			// the iteration continues with redistributed rows.
-			if err := ulfm.Allreduce(r, y, mpi.OpSum); err != nil {
+			if err := ulfm.AllreduceInto(r, part, y, mpi.OpSum, mpi.AllreduceOptions{}); err != nil {
 				return fmt.Errorf("rank %d iter %d: %w", rank, it, err)
 			}
 			// Rayleigh quotient and normalization (replicated math).
@@ -117,9 +120,8 @@ func main() {
 			}
 			norm = math.Sqrt(norm)
 			for i := range y {
-				y[i] /= norm
+				x[i] = y[i] / norm
 			}
-			x = y
 		}
 		mu.Lock()
 		eig = append(eig, lambda)

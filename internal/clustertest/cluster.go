@@ -25,6 +25,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -356,23 +357,30 @@ func (w *Worker) Allreduce(algo mpi.AllreduceAlgo) (float64, error) {
 }
 
 // AllreduceOpts is Allreduce under explicit data-plane options, so
-// scenarios can run compressed collectives. The proc+1 contributions
+// scenarios can run compressed collectives. It runs the out-of-place
+// path the daemon ships: the contribution stays in its own buffer, the
+// result lands in a NaN-filled one, and the contribution must come back
+// unchanged, retries after a repair included. The proc+1 contributions
 // and their partial sums are small integers — exact in binary16 up to
 // 2048 — so under CodecFP16 the uniform-result check and the exact-sum
 // assertions still apply bit for bit at the world sizes tests use.
 func (w *Worker) AllreduceOpts(o mpi.AllreduceOptions) (float64, error) {
-	data := make([]float64, elems)
-	for i := range data {
-		data[i] = float64(w.Proc) + 1
+	mine := float64(w.Proc) + 1
+	in, out := make([]float64, elems), make([]float64, elems)
+	for i := range in {
+		in[i], out[i] = mine, math.NaN()
 	}
-	if err := ulfm.AllreduceOpts(w.R, data, mpi.OpSum, o); err != nil {
+	if err := ulfm.AllreduceInto(w.R, in, out, mpi.OpSum, o); err != nil {
 		return 0, err
 	}
-	for i := 1; i < len(data); i++ {
-		if data[i] != data[0] {
+	for i := range in {
+		if in[i] != mine {
+			return 0, fmt.Errorf("rank %d: input element %d = %v after the allreduce, want %v", w.Rank, i, in[i], mine)
+		}
+		if out[i] != out[0] {
 			return 0, fmt.Errorf("rank %d: element %d = %v, element 0 = %v (non-uniform result)",
-				w.Rank, i, data[i], data[0])
+				w.Rank, i, out[i], out[0])
 		}
 	}
-	return data[0], nil
+	return out[0], nil
 }

@@ -45,20 +45,32 @@ import (
 // type tag take.
 func packedWords(tag, count int) int { return (count*transport.RawElemBytes(byte(tag)) + 7) / 8 }
 
-// AllreduceAgreed reduces data elementwise with op across the
-// communicator's members in one fault-tolerant agreement (see above), so
-// its outcome is uniform by construction. ok is the agreed outcome: true
-// at every survivor, each holding the identical result in data, or false
-// at every survivor, with data untouched and the failures the decision
-// names recorded for the repair. err is a local error other than a member
-// failure — this process dead, above all. The element type must be one
-// the raw wire codec carries directly (transport.RawSendView): float32,
-// float64, int32, int64, uint8, uint32 or uint64.
+// AllreduceAgreed is AllreduceAgreedInto in place: data is both the
+// input and the output.
 func AllreduceAgreed[T Number](c *Comm, data []T, op Op) (ok bool, err error) {
-	red := newCarry(data, op)
-	if red == nil {
-		return false, fmt.Errorf("mpi: agreed allreduce of %T: no raw wire form", data)
+	return AllreduceAgreedInto(c, data, data, op)
+}
+
+// AllreduceAgreedInto reduces in elementwise with op across the
+// communicator's members into out in one fault-tolerant agreement (see
+// above), so its outcome is uniform by construction. ok is the agreed
+// outcome: true at every survivor, each holding the identical result in
+// out, or false at every survivor, with out untouched and the failures
+// the decision names recorded for the repair. in is only read, and may
+// be out. err is a local error other than a member failure — this
+// process dead, above all — or in and out unfit as one allreduce's
+// buffers (SameBuffer). The element type must be one the raw wire codec
+// carries directly (transport.RawSendView): float32, float64, int32,
+// int64, uint8, uint32 or uint64.
+func AllreduceAgreedInto[T Number](c *Comm, in, out []T, op Op) (ok bool, err error) {
+	if _, err := SameBuffer(in, out); err != nil {
+		return false, err
 	}
+	red := newCarry(in, op)
+	if red == nil {
+		return false, fmt.Errorf("mpi: agreed allreduce of %T: no raw wire form", in)
+	}
+	red.out = out
 	start := time.Now()
 	flags := uint32(1)
 	if c.Revoked() {
@@ -66,7 +78,14 @@ func AllreduceAgreed[T Number](c *Comm, data []T, op Op) (ok bool, err error) {
 	}
 	dec, err := c.agreeOn(flags, red)
 	if err == nil {
-		ok = dec.succeeded() && (c.Size() == 1 || red.store(dec))
+		switch {
+		case !dec.succeeded():
+		case c.Size() == 1: // the decision carries no payload: the result is in
+			ok = true
+			copy(out, in)
+		default:
+			ok = red.store(dec)
+		}
 		for _, pr := range dec.failed {
 			c.p.noteFailure(pr)
 		}
@@ -82,7 +101,7 @@ func AllreduceAgreed[T Number](c *Comm, data []T, op Op) (ok bool, err error) {
 // raw wire form. Every member answers the same: it depends only on the
 // arguments and the world size.
 func AgreedPath[T Number](c *Comm, data []T, o AllreduceOptions) bool {
-	b := allreduceBuf(data, o.Codec, nil)
+	b := allreduceBuf(data, data, o.Codec, nil)
 	bytes := b.bytesFor(len(data))
 	_, lossless := b.(numBuf[T])
 	return o.Algo == AlgoAuto && lossless && newCarry(data, OpSum) != nil &&
@@ -100,23 +119,25 @@ type agreeCarry interface {
 	store(dec *agreeMsg) bool
 }
 
-// carry is the agreeCarry over the caller's data, which it only reads
-// until store.
+// carry is the agreeCarry over the caller's buffers: it reads in and
+// writes only out, in store.
 type carry[T Number] struct {
-	tag     int // the elements' raw-codec type tag
-	data    []T
-	op      Op
-	acc, in []T // scratch: the running reduction, an unpacked payload
+	tag      int // the elements' raw-codec type tag
+	data     []T // the contribution (the caller's in)
+	out      []T
+	op       Op
+	acc, buf []T // scratch: the running reduction, an unpacked payload
 }
 
-// newCarry wraps data for an agreement, or returns nil when its element
-// type has no raw wire form (named types, int).
-func newCarry[T Number](data []T, op Op) agreeCarry {
+// newCarry wraps data for an in-place agreement (set out to reduce
+// elsewhere), or returns nil when its element type has no raw wire form
+// (named types, int).
+func newCarry[T Number](data []T, op Op) *carry[T] {
 	tag, _, _, ok := transport.RawSendView(data)
 	if !ok {
 		return nil
 	}
-	return &carry[T]{tag: int(tag), data: data, op: op}
+	return &carry[T]{tag: int(tag), data: data, out: data, op: op}
 }
 
 func (c *carry[T]) shape() (int, int) { return c.tag, len(c.data) }
@@ -131,17 +152,17 @@ func (c *carry[T]) reduce(dst []int64, ins [][]int64) {
 			c.acc, copied = append(c.acc[:0], c.data...), true
 			acc = c.acc
 		}
-		c.in = unpack(c.in, w, len(c.data))
-		reduceSlice(acc, c.in, c.op)
+		c.buf = unpack(c.buf, w, len(c.data))
+		reduceSlice(acc, acc, c.buf, c.op)
 	}
 	copy(wireBytes(dst), wireBytes(acc))
 }
 
 func (c *carry[T]) store(dec *agreeMsg) bool {
-	if dec.elem != c.tag || dec.count != len(c.data) || len(dec.data) != packedWords(c.tag, len(c.data)) {
+	if dec.elem != c.tag || dec.count != len(c.out) || len(dec.data) != packedWords(c.tag, len(c.out)) {
 		return false
 	}
-	unpack(c.data, dec.data, len(c.data))
+	unpack(c.out, dec.data, len(c.out))
 	return true
 }
 

@@ -51,22 +51,67 @@ type Number interface {
 // (virtBuf — used to simulate multi-hundred-MB gradient tensors without
 // allocating them).
 //
-// payload(lo, hi) is what a send of [lo,hi) puts on the wire. It is
-// valid until the Send it is passed to returns: numBuf and rawBuf lend a
-// view of their own storage and compBuf its one reused encode scratch,
-// which Send's borrow contract allows, so a schedule may write the sent
-// range, or take the next payload, only after that Send returns.
+// An allreduce buffer has two sides: in, the rank's contribution, which
+// no schedule writes, and out, where the result lands. They are one
+// slice for an in-place allreduce. Only the ring reads in directly: its
+// reduce-scatter sends the rank's own segment from in and reduces every
+// other segment once, as out = in ⊕ received, and its allgather writes
+// whatever is left. Every other schedule reduces a range more than once,
+// so it starts with inPlace, which copies in into out, and works on out.
+//
+// payload(lo, hi) and partial(lo, hi, own) are what a send of [lo,hi)
+// puts on the wire. Each is valid until the Send it is passed to
+// returns: numBuf and rawBuf lend a view of their own storage and
+// compBuf its one reused encode scratch, which Send's borrow contract
+// allows, so a schedule may write the sent range, or take the next
+// payload, only after that Send returns.
 type buf interface {
-	length() int               // logical element count
-	bytesFor(n int) int64      // wire size of n elements
-	payload(lo, hi int) any    // [lo,hi) for sending, valid until Send returns
-	setIn(lo, hi int, pay any) // overwrite [lo,hi) with a received payload
+	length() int            // logical element count
+	bytesFor(n int) int64   // wire size of n elements
+	payload(lo, hi int) any // out's [lo,hi) for sending
+	// partial is a ring reduce-scatter send of [lo,hi): the rank's own
+	// contribution from in when own, else the partial sum in out. It
+	// writes neither side.
+	partial(lo, hi int, own bool) any
+	setIn(lo, hi int, pay any) // overwrite out's [lo,hi) with a received payload
+	// reduceIn sets out's [lo,hi) to in's [lo,hi) combined with a
+	// received payload: out ⊕= pay once inPlace has made them one.
 	reduceIn(lo, hi int, pay any, op Op)
+	// inPlace copies in into out, where they differ, and returns the
+	// buffer that reads and writes out.
+	inPlace() buf
+}
+
+// SameBuffer reports whether in and out are one buffer — an in-place
+// allreduce — or returns an error when they cannot be an allreduce's
+// input and output: their lengths differ, or they partly overlap.
+func SameBuffer[T any](in, out []T) (bool, error) {
+	if len(in) != len(out) {
+		return false, fmt.Errorf("mpi: allreduce input of %d elements, output of %d", len(in), len(out))
+	}
+	if len(in) == 0 {
+		return false, nil
+	}
+	var z T
+	size := uintptr(len(in)) * unsafe.Sizeof(z)
+	i := uintptr(unsafe.Pointer(unsafe.SliceData(in)))
+	o := uintptr(unsafe.Pointer(unsafe.SliceData(out)))
+	switch {
+	case i == o:
+		return true, nil
+	case i < o+size && o < i+size:
+		return false, fmt.Errorf("mpi: allreduce input and output partly overlap")
+	}
+	return false, nil
 }
 
 // --- numeric buffers ---------------------------------------------------
 
-type numBuf[T Number] struct{ v []T }
+// numBuf reduces the contribution in into v; in is v in place.
+type numBuf[T Number] struct{ in, v []T }
+
+// inPlaceBuf is the numBuf reading and writing data.
+func inPlaceBuf[T Number](data []T) numBuf[T] { return numBuf[T]{in: data, v: data} }
 
 func (b numBuf[T]) length() int { return len(b.v) }
 
@@ -76,6 +121,18 @@ func (b numBuf[T]) bytesFor(n int) int64 {
 }
 
 func (b numBuf[T]) payload(lo, hi int) any { return b.v[lo:hi:hi] }
+
+func (b numBuf[T]) partial(lo, hi int, own bool) any {
+	if own {
+		return b.in[lo:hi:hi]
+	}
+	return b.v[lo:hi:hi]
+}
+
+func (b numBuf[T]) inPlace() buf {
+	copy(b.v, b.in) // a no-op when in is v
+	return inPlaceBuf(b.v)
+}
 
 func (b numBuf[T]) setIn(lo, hi int, pay any) {
 	if rp, ok := pay.(*transport.RawPayload); ok {
@@ -91,20 +148,20 @@ func (b numBuf[T]) setIn(lo, hi int, pay any) {
 }
 
 func (b numBuf[T]) reduceIn(lo, hi int, pay any, op Op) {
-	dst := b.v[lo:hi]
+	dst, src := b.v[lo:hi], b.in[lo:hi]
 	if rp, ok := pay.(*transport.RawPayload); ok {
-		// In-place reduction: combine straight out of the transport's
-		// frame buffer into the receive segment — no decoded scratch
-		// slice, one traversal instead of two.
+		// Combine straight out of the transport's frame buffer into the
+		// receive segment — no decoded scratch slice, one traversal
+		// instead of two.
 		if v, ok := lazyView[T](rp); ok {
-			reduceSlice(dst, v, op)
+			reduceSlice(dst, src, v, op)
 			rp.Release()
 			return
 		}
-		reduceSlice(dst, decodeLazy[T](rp), op)
+		reduceSlice(dst, src, decodeLazy[T](rp), op)
 		return
 	}
-	reduceSlice(dst, pay.([]T), op)
+	reduceSlice(dst, src, pay.([]T), op)
 }
 
 // lazyView returns a zero-copy typed view of a lazy raw payload for the
@@ -175,35 +232,41 @@ func payloadAs[T any](pay any) []T {
 	return pay.([]T)
 }
 
-func reduceSlice[T Number](dst, in []T, op Op) {
+// reduceSlice sets dst to a ⊕ in elementwise; dst may be a.
+func reduceSlice[T Number](dst, a, in []T, op Op) {
+	a, in = a[:len(dst)], in[:len(dst)]
 	switch op {
 	case OpSum:
 		for i := range dst {
-			dst[i] += in[i]
+			dst[i] = a[i] + in[i]
 		}
 	case OpProd:
 		for i := range dst {
-			dst[i] *= in[i]
+			dst[i] = a[i] * in[i]
 		}
 	case OpMax:
 		for i := range dst {
-			if in[i] > dst[i] {
-				dst[i] = in[i]
+			v := a[i]
+			if in[i] > v {
+				v = in[i]
 			}
+			dst[i] = v
 		}
 	case OpMin:
 		for i := range dst {
-			if in[i] < dst[i] {
-				dst[i] = in[i]
+			v := a[i]
+			if in[i] < v {
+				v = in[i]
 			}
+			dst[i] = v
 		}
 	case OpBAnd:
 		for i := range dst {
-			dst[i] = bitAnd(dst[i], in[i])
+			dst[i] = bitAnd(a[i], in[i])
 		}
 	case OpBOr:
 		for i := range dst {
-			dst[i] = bitOr(dst[i], in[i])
+			dst[i] = bitOr(a[i], in[i])
 		}
 	default:
 		panic(fmt.Sprintf("mpi: unknown op %v", op))
@@ -268,6 +331,10 @@ func (b rawBuf[T]) bytesFor(n int) int64 {
 
 func (b rawBuf[T]) payload(lo, hi int) any { return b.v[lo:hi:hi] }
 
+func (b rawBuf[T]) partial(lo, hi int, own bool) any { return b.payload(lo, hi) }
+
+func (b rawBuf[T]) inPlace() buf { return b }
+
 func (b rawBuf[T]) setIn(lo, hi int, pay any) {
 	copy(b.v[lo:hi], payloadAs[T](pay))
 }
@@ -286,5 +353,7 @@ type virtBuf struct{ bytes int64 }
 func (b virtBuf) length() int                        { return int(b.bytes) }
 func (b virtBuf) bytesFor(n int) int64               { return int64(n) }
 func (b virtBuf) payload(lo, hi int) any             { return nil }
+func (b virtBuf) partial(lo, hi int, own bool) any   { return nil }
+func (b virtBuf) inPlace() buf                       { return b }
 func (b virtBuf) setIn(lo, hi int, pay any)          {}
 func (b virtBuf) reduceIn(lo, hi int, pay any, o Op) {}

@@ -20,7 +20,7 @@ const (
 // Allreduce reduces data elementwise across all ranks with op, leaving the
 // identical result in data at every rank.
 func Allreduce[T Number](c *Comm, data []T, op Op) error {
-	return c.allreduce(numBuf[T]{v: data}, op)
+	return c.allreduce(inPlaceBuf(data), op)
 }
 
 // AllreduceVirtual performs an allreduce of a virtual payload of the given
@@ -86,6 +86,7 @@ func (c *Comm) allreduce(b buf, op Op) error {
 	if b.bytesFor(b.length()) > smallThreshold && b.length() >= c.Size() {
 		return c.ringAllreduce(b, op, 1)
 	}
+	b = b.inPlace()
 	seq := c.nextSeq()
 	if err := c.checkCollective(); err != nil {
 		return err

@@ -21,11 +21,14 @@ import (
 // borrows, so a steady fp16 allreduce allocates no payloads.
 //
 // Uniformity. ULFM requires every member to finish a collective with
-// bit-identical results. payload() quantizes the sender's own range in
-// place before sending, so a rank always holds exactly the values its
+// bit-identical results. payload() quantizes the sender's range of out
+// in place before sending, so a rank holds exactly the values its
 // receivers decode; because the binary16 round-trip is idempotent
 // (re-encoding an already-representable value returns its own bits),
-// this makes sends self-consistent everywhere.
+// this makes sends self-consistent everywhere. The ring's reduce-scatter
+// sends through partial(), which only encodes: its step 0 reads in,
+// which no schedule writes, and a partial sum it sends later is never
+// read again by the sender before the allgather overwrites it.
 //
 // Where the whole buffer is quantized. The tree, recursive doubling and
 // hierarchical schedules round-trip every rank's whole local buffer at
@@ -36,7 +39,7 @@ import (
 // leader ring's two halves. Every other caller of the one K-chunk ring
 // (pipeline.go: AlgoRing, Allreduce's ring branch, AlgoPipelinedRing)
 // skips that pass: each rank's first allgather send is its own finished
-// segment, which the send quantizes in place, and the allgather
+// segment, which payload() quantizes in place, and the allgather
 // overwrites every other segment with decoded binary16. Both roads end
 // with the same bits.
 //
@@ -115,12 +118,13 @@ func markDistribute(b buf) {
 	}
 }
 
-// compBuf wraps a float slice with the fp16 wire codec. Pointer
-// receiver: the distribution flag mutates during the collective.
+// compBuf is numBuf under the fp16 wire codec: it reduces the
+// contribution in into v (in is v in place). Pointer receiver: the
+// distribution flag mutates during the collective.
 type compBuf[T transport.Float] struct {
-	v    []T
-	dist bool
-	s    *f16Scratch
+	in, v []T
+	dist  bool
+	s     *f16Scratch
 }
 
 // f16Scratch is a communicator's reusable fp16 allreduce state, kept
@@ -160,17 +164,40 @@ func (b *compBuf[T]) length() int { return len(b.v) }
 
 func (b *compBuf[T]) bytesFor(n int) int64 { return int64(n) * 2 }
 
-// payload encodes [lo,hi) into the scratch, quantizing the range in
-// place until distribution (see the uniformity notes above).
+// payload encodes out's [lo,hi) into the scratch, quantizing the range
+// in place until distribution (see the uniformity notes above).
 func (b *compBuf[T]) payload(lo, hi int) any {
-	out := slices.Grow(b.s.out[:0], hi-lo)[:hi-lo]
-	b.s.out = out
+	out := b.scratch(hi - lo)
 	if b.dist {
 		transport.EncodeF16(out, b.v[lo:hi])
 	} else {
 		transport.EncodeQuantizeF16(out, b.v[lo:hi])
 	}
 	return out
+}
+
+// partial encodes in's (own) or out's [lo,hi) into the scratch and
+// writes neither.
+func (b *compBuf[T]) partial(lo, hi int, own bool) any {
+	src := b.v
+	if own {
+		src = b.in
+	}
+	out := b.scratch(hi - lo)
+	transport.EncodeF16(out, src[lo:hi])
+	return out
+}
+
+// scratch is the encode buffer resized to n elements.
+func (b *compBuf[T]) scratch(n int) transport.F16 {
+	b.s.out = slices.Grow(b.s.out[:0], n)[:n]
+	return b.s.out
+}
+
+func (b *compBuf[T]) inPlace() buf {
+	copy(b.v, b.in) // a no-op when in is v
+	b.in = b.v
+	return b
 }
 
 // hold is setIn that keeps pay's binary16 bytes in chunk slot k, for
@@ -241,39 +268,39 @@ func (b *compBuf[T]) setIn(lo, hi int, pay any) {
 }
 
 func (b *compBuf[T]) reduceIn(lo, hi int, pay any, op Op) {
-	dst := b.v[lo:hi]
+	dst, src := b.v[lo:hi], b.in[lo:hi]
 	switch p := pay.(type) {
 	case transport.F16:
-		f16Reduce(dst, p, op)
+		f16Reduce(dst, src, p, op)
 	case *transport.RawPayload:
 		// Fused decompress-and-reduce straight out of the transport's
 		// frame buffer: one traversal, no decoded scratch slice.
 		if v, ok := p.AsF16(); ok {
-			f16Reduce(dst, v, op)
+			f16Reduce(dst, src, v, op)
 			p.Release()
 			return
 		}
 		// Unviewable (misaligned, big-endian): decode, dispatch again.
 		b.reduceIn(lo, hi, decoded(p), op)
 	default:
-		numBuf[T]{v: b.v}.reduceIn(lo, hi, pay, op)
+		numBuf[T]{in: b.in, v: b.v}.reduceIn(lo, hi, pay, op)
 	}
 }
 
-// allreduceBuf builds the working buffer for an allreduce of data under
-// the requested codec. fp16 applies to the base float slice types;
-// anything else (integers, named float types) falls back to the lossless
-// numeric buffer regardless of the requested codec.
-func allreduceBuf[T Number](data []T, codec WireCodec, scratch *f16Scratch) buf {
+// allreduceBuf builds the working buffer for an allreduce of in into
+// out under the requested codec. fp16 applies to the base float slice
+// types; anything else (integers, named float types) falls back to the
+// lossless numeric buffer regardless of the requested codec.
+func allreduceBuf[T Number](in, out []T, codec WireCodec, scratch *f16Scratch) buf {
 	if codec == CodecFP16 {
-		switch v := any(data).(type) {
+		switch v := any(out).(type) {
 		case []float32:
-			return &compBuf[float32]{v: v, s: scratch}
+			return &compBuf[float32]{in: any(in).([]float32), v: v, s: scratch}
 		case []float64:
-			return &compBuf[float64]{v: v, s: scratch}
+			return &compBuf[float64]{in: any(in).([]float64), v: v, s: scratch}
 		}
 	}
-	return numBuf[T]{v: data}
+	return numBuf[T]{in: in, v: out}
 }
 
 // --- fp16 ---------------------------------------------------------------
@@ -283,30 +310,35 @@ func f16Set[T transport.Float](dst []T, in transport.F16) {
 	transport.DecodeF16(dst, in)
 }
 
-func f16Reduce[T transport.Float](dst []T, in transport.F16, op Op) {
+// f16Reduce sets dst to a combined with the decoded in; dst may be a.
+func f16Reduce[T transport.Float](dst, a []T, in transport.F16, op Op) {
 	checkLen(len(dst), len(in))
-	dst = dst[:len(in)]
+	dst, a = dst[:len(in)], a[:len(in)]
 	t := transport.Float16Table()
 	switch op {
 	case OpSum:
 		for i, h := range in {
-			dst[i] += T(t[h])
+			dst[i] = a[i] + T(t[h])
 		}
 	case OpProd:
 		for i, h := range in {
-			dst[i] *= T(t[h])
+			dst[i] = a[i] * T(t[h])
 		}
 	case OpMax:
 		for i, h := range in {
-			if v := T(t[h]); v > dst[i] {
-				dst[i] = v
+			v := a[i]
+			if w := T(t[h]); w > v {
+				v = w
 			}
+			dst[i] = v
 		}
 	case OpMin:
 		for i, h := range in {
-			if v := T(t[h]); v < dst[i] {
-				dst[i] = v
+			v := a[i]
+			if w := T(t[h]); w < v {
+				v = w
 			}
+			dst[i] = v
 		}
 	default:
 		panic(fmt.Sprintf("mpi: op %v not supported on compressed float payloads", op))

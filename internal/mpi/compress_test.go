@@ -91,16 +91,16 @@ func TestParseWireCodec(t *testing.T) {
 // allreduceBuf must apply fp16 only to base float slices;
 // integers always travel lossless no matter what was requested.
 func TestAllreduceBufCodecSelection(t *testing.T) {
-	if _, ok := allreduceBuf(make([]float32, 4), CodecFP16, nil).(*compBuf[float32]); !ok {
+	if _, ok := allreduceBuf(make([]float32, 4), make([]float32, 4), CodecFP16, nil).(*compBuf[float32]); !ok {
 		t.Error("float32 + fp16 did not build a compressed buffer")
 	}
-	if _, ok := allreduceBuf(make([]float64, 4), CodecFP16, nil).(*compBuf[float64]); !ok {
+	if _, ok := allreduceBuf(make([]float64, 4), make([]float64, 4), CodecFP16, nil).(*compBuf[float64]); !ok {
 		t.Error("float64 + fp16 did not build a compressed buffer")
 	}
-	if _, ok := allreduceBuf(make([]int64, 4), CodecFP16, nil).(numBuf[int64]); !ok {
+	if _, ok := allreduceBuf(make([]int64, 4), make([]int64, 4), CodecFP16, nil).(numBuf[int64]); !ok {
 		t.Error("int64 + fp16 did not fall back to the lossless buffer")
 	}
-	if _, ok := allreduceBuf(make([]float32, 4), CodecRaw, nil).(numBuf[float32]); !ok {
+	if _, ok := allreduceBuf(make([]float32, 4), make([]float32, 4), CodecRaw, nil).(numBuf[float32]); !ok {
 		t.Error("float32 + raw did not use the lossless buffer")
 	}
 }
@@ -264,7 +264,8 @@ func TestCompBufUnviewableF16Payload(t *testing.T) {
 	})
 	t.Run("reduceIn", func(t *testing.T) {
 		var released int
-		b := &compBuf[float64]{v: make([]float64, len(want))}
+		v := make([]float64, len(want))
+		b := &compBuf[float64]{in: v, v: v}
 		b.reduceIn(0, len(want), lazy(t, &released), OpSum)
 		check(t, b.v, released)
 	})

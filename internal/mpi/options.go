@@ -33,14 +33,29 @@ func (p AllreducePlan) String() string {
 	return fmt.Sprintf("algo=%s chunks=%d codec=%s", p.Algo, p.Chunks, p.Codec)
 }
 
-// AllreduceOpts runs an allreduce under explicit data-plane options,
-// by the plan PlanAllreduce resolves for the tensor's size and the
-// world. The plan depends on nothing else, so every member runs the
-// same schedule without a word exchanged, and a ULFM retry after a
-// shrink re-plans at the new world size by the same rule.
+// AllreduceOpts is AllreduceInto in place: data is both the input and
+// the output.
 func AllreduceOpts[T Number](c *Comm, data []T, op Op, o AllreduceOptions) error {
-	plan := PlanAllreduce(numBuf[T]{}.bytesFor(len(data)), c.Size(), o)
-	b := allreduceBuf(data, plan.Codec, &c.f16)
+	return AllreduceInto(c, data, data, op, o)
+}
+
+// AllreduceInto reduces in elementwise with op across the communicator
+// into out, under explicit data-plane options, by the plan
+// PlanAllreduce resolves for the tensor's size and the world. The plan
+// depends on nothing else, so every member runs the same schedule
+// without a word exchanged, and a ULFM retry after a shrink re-plans at
+// the new world size by the same rule.
+//
+// in is never written, and on success every element of out is. The two
+// may be one slice (an in-place allreduce), but not partly overlap. The
+// ring reads in and writes out directly; the other schedules, and a
+// world of one, copy in into out first and run in place.
+func AllreduceInto[T Number](c *Comm, in, out []T, op Op, o AllreduceOptions) error {
+	if _, err := SameBuffer(in, out); err != nil {
+		return err
+	}
+	plan := PlanAllreduce(numBuf[T]{}.bytesFor(len(in)), c.Size(), o)
+	b := allreduceBuf(in, out, plan.Codec, &c.f16)
 	start := time.Now()
 	err := c.runAllreduce(b, op, plan)
 	observeAllreduce(plan.Algo, start, err != nil)
@@ -71,9 +86,9 @@ func PlanAllreduce(bytes int64, world int, o AllreduceOptions) AllreducePlan {
 func (c *Comm) runAllreduce(b buf, op Op, plan AllreducePlan) error {
 	switch plan.Algo {
 	case AlgoRecursiveDoubling:
-		return c.allreduceRecDouble(b, op)
+		return c.allreduceRecDouble(b.inPlace(), op)
 	case AlgoHierarchical:
-		return c.allreduceHier(b, op)
+		return c.allreduceHier(b.inPlace(), op)
 	case AlgoPipelinedRing:
 		return c.ringAllreduce(b, op, plan.Chunks)
 	case AlgoRing:

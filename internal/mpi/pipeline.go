@@ -52,14 +52,16 @@ func chunk(n, p, i, K, k int) (lo, hi int) {
 }
 
 // ringAllreduce is the ring allreduce over the whole communicator with
-// every segment split into K chunks. No markDistribute between the
-// halves (see compress.go).
+// every segment split into K chunks. It reads b's input and writes its
+// output, whether or not they are one slice. No markDistribute between
+// the halves (see compress.go).
 func (c *Comm) ringAllreduce(b buf, op Op, K int) error {
 	seq := c.nextSeq()
 	if err := c.checkCollective(); err != nil {
 		return err
 	}
 	if c.Size() == 1 {
+		b.inPlace()
 		return nil
 	}
 	scope := &opScope{comm: c, members: c.memberSet(), abortOnRevoke: true}
@@ -73,9 +75,12 @@ func (c *Comm) ringAllreduce(b buf, op Op, K int) error {
 	return c.allgather(b, rg, (rg.idx+1)%rg.p, seq, K)
 }
 
-// reduceScatter leaves segment (idx+1)%p fully reduced in b after p-1
-// steps: step s sends segment idx-s right and reduces segment idx-s-1
-// from the left.
+// reduceScatter leaves segment (idx+1)%p fully reduced in b's output
+// after p-1 steps: step s sends segment idx-s right and reduces segment
+// idx-s-1 from the left. Step 0 sends the rank's own segment from the
+// input; each later step sends the partial sum the step before wrote.
+// Every segment but idx is reduced exactly once, as out = in ⊕ received,
+// and segment idx is left for the allgather to write.
 func (c *Comm) reduceScatter(b buf, op Op, rg ring, seq, K int) error {
 	n, p := b.length(), rg.p
 	tag := c.collTag(seq, phReduceScatter)
@@ -84,7 +89,7 @@ func (c *Comm) reduceScatter(b buf, op Op, rg ring, seq, K int) error {
 		for k := 0; k <= K; k++ {
 			if k < K {
 				lo, hi := chunk(n, p, sc, K, k)
-				if err := c.sendRaw(rg.right, tag, b.payload(lo, hi), b.bytesFor(hi-lo)); err != nil {
+				if err := c.sendRaw(rg.right, tag, b.partial(lo, hi, step == 0), b.bytesFor(hi-lo)); err != nil {
 					return err
 				}
 				transport.Hit(c.p.ep.ID(), transport.PointPipelineRSChunk)

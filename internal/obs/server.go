@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"time"
 )
 
@@ -13,6 +14,8 @@ import (
 //	/metrics  Prometheus text exposition of the registry
 //	/healthz  liveness probe ("ok")
 //	/varz     JSON dump of every metric (Registry.Snapshot)
+//	/debug/pprof/  the runtime profiles (net/http/pprof): CPU, heap,
+//	               goroutines, execution trace
 //
 // Daemons opt in with a listen flag (elasticd/rendezvousd -obs.listen);
 // port 0 binds an ephemeral port readable back through Addr.
@@ -37,6 +40,11 @@ func Serve(addr string, reg *Registry) (*Server, error) {
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/varz", s.handleVarz)
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	s.srv = &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
 	//lint:ignore goroleak the scrape listener lives for the process; Close tears it down via srv.Close
 	go s.srv.Serve(ln)

@@ -76,3 +76,23 @@ func TestServeNilRegistryUsesDefault(t *testing.T) {
 		t.Fatalf("default-registry metric not served")
 	}
 }
+
+// TestServerServesPprof: the profile index and a one-second CPU profile
+// (a gzipped protobuf) come off the same listener as /metrics.
+func TestServerServesPprof(t *testing.T) {
+	s, err := Serve("127.0.0.1:0", NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	base := "http://" + s.Addr()
+
+	code, _, body := get(t, base+"/debug/pprof/")
+	if code != http.StatusOK || !strings.Contains(body, "goroutine") {
+		t.Fatalf("/debug/pprof/ = %d, body:\n%s", code, body)
+	}
+	code, _, body = get(t, base+"/debug/pprof/profile?seconds=1")
+	if code != http.StatusOK || !strings.HasPrefix(body, "\x1f\x8b") {
+		t.Fatalf("/debug/pprof/profile = %d, %d bytes, want a gzipped profile", code, len(body))
+	}
+}

@@ -24,6 +24,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"strings"
 	"sync"
@@ -84,13 +85,15 @@ func (f *fixture) goSilent(w *worker) {
 	f.silent.Store(int64(w.proc))
 }
 
-// allreduce contributes proc+1 at every element and checks the result is
-// uniform across elements. The element value is returned for cross-worker
-// comparison.
+// allreduce contributes proc+1 at every element out of place, into a
+// NaN-filled result, as the daemon does, and checks the contribution is
+// unchanged and the result uniform across elements. The element value is
+// returned for cross-worker comparison.
 func (w *worker) allreduce(algo mpi.AllreduceAlgo) (float64, error) {
-	data := make([]float64, elems)
-	for i := range data {
-		data[i] = float64(w.proc) + 1
+	mine := float64(w.proc) + 1
+	in, out := make([]float64, elems), make([]float64, elems)
+	for i := range in {
+		in[i], out[i] = mine, math.NaN()
 	}
 	// The pipelined chunk count is pinned at the static default: the kill
 	// and delay rules below count chunk-point hits, so the split must not
@@ -99,16 +102,19 @@ func (w *worker) allreduce(algo mpi.AllreduceAlgo) (float64, error) {
 	if algo == mpi.AlgoPipelinedRing {
 		opts.Chunks = mpi.DefaultPipelineChunks
 	}
-	if err := ulfm.AllreduceOpts(w.r, data, mpi.OpSum, opts); err != nil {
+	if err := ulfm.AllreduceInto(w.r, in, out, mpi.OpSum, opts); err != nil {
 		return 0, err
 	}
-	for i := 1; i < len(data); i++ {
-		if data[i] != data[0] {
+	for i := range in {
+		if in[i] != mine {
+			return 0, fmt.Errorf("rank %d: input element %d = %v after the allreduce, want %v", w.rank, i, in[i], mine)
+		}
+		if out[i] != out[0] {
 			return 0, fmt.Errorf("rank %d: element %d = %v, element 0 = %v (non-uniform result)",
-				w.rank, i, data[i], data[0])
+				w.rank, i, out[i], out[0])
 		}
 	}
-	return data[0], nil
+	return out[0], nil
 }
 
 // outcome is what one worker reports back to the scenario.

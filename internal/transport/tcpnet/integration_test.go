@@ -11,6 +11,7 @@ package tcpnet_test
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -172,30 +173,43 @@ func runPipelinedWorker(srvAddr string, world, elems int, finished *sync.WaitGro
 	res.proc = cl.Proc()
 	victim := cl.Rank() == world-1
 
-	mkData := func() []float64 {
-		data := make([]float64, elems)
-		for i := range data {
-			data[i] = float64(cl.Proc()) + 1
+	// The chunk count is pinned explicitly (SPMD: the victim's doomed
+	// step-1 call below must split segments identically) and chosen so
+	// elems is not a multiple of world*K — the uneven-chunk case this test
+	// exists to exercise.
+	pipelined := mpi.AllreduceOptions{Algo: mpi.AlgoPipelinedRing, Chunks: mpi.DefaultPipelineChunks}
+	// Every rank reduces out of place, as the daemon does: the
+	// contribution is written once and must come back unchanged from
+	// both steps, the retry after the repair included; each result lands
+	// in a fresh NaN-filled buffer.
+	mine := float64(cl.Proc()) + 1
+	in := make([]float64, elems)
+	for i := range in {
+		in[i] = mine
+	}
+	reduce := func(step string) (float64, error) {
+		out := make([]float64, elems)
+		for i := range out {
+			out[i] = math.NaN()
 		}
-		return data
+		if err := ulfm.AllreduceInto(r, in, out, mpi.OpSum, pipelined); err != nil {
+			return 0, err
+		}
+		for i := range out {
+			if in[i] != mine {
+				return 0, fmt.Errorf("%s input element %d = %v, want %v", step, i, in[i], mine)
+			}
+			if out[i] != out[0] {
+				return 0, fmt.Errorf("%s element %d = %v, want %v", step, i, out[i], out[0])
+			}
+		}
+		return out[0], nil
 	}
 
-	// Step 0: full-world pipelined allreduce. The chunk count is pinned
-	// explicitly (SPMD: the victim's doomed step-1 call below must split
-	// segments identically) and chosen so elems is not a multiple of
-	// world*K — the uneven-chunk case this test exists to exercise.
-	pipelined := mpi.AllreduceOptions{Algo: mpi.AlgoPipelinedRing, Chunks: mpi.DefaultPipelineChunks}
-	data := mkData()
-	if err := ulfm.AllreduceOpts(r, data, mpi.OpSum, pipelined); err != nil {
+	// Step 0 is a full-world pipelined allreduce.
+	if res.step0, err = reduce("step0"); err != nil {
 		fail(err)
 		return
-	}
-	res.step0 = data[0]
-	for i := range data {
-		if data[i] != res.step0 {
-			fail(fmt.Errorf("step0 element %d = %v, want %v", i, data[i], res.step0))
-			return
-		}
 	}
 
 	if victim {
@@ -204,8 +218,7 @@ func runPipelinedWorker(srvAddr string, world, elems int, finished *sync.WaitGro
 		// before the endpoint drops. No leave message — the sockets
 		// closing are the only word of the death.
 		go func() {
-			d := mkData()
-			_ = mpi.AllreduceOpts(r.Comm(), d, mpi.OpSum, pipelined)
+			_ = mpi.AllreduceInto(r.Comm(), in, make([]float64, elems), mpi.OpSum, pipelined)
 		}()
 		//lint:ignore sleepytest chaos choreography: the death must land mid-collective, after the first chunks ship but before the ring completes
 		time.Sleep(50 * time.Millisecond)
@@ -220,17 +233,9 @@ func runPipelinedWorker(srvAddr string, world, elems int, finished *sync.WaitGro
 	//lint:ignore sleepytest the stale chunks arrive asynchronously from a peer that is now dead; nothing observable distinguishes "all arrived" from "still in flight"
 	time.Sleep(150 * time.Millisecond)
 
-	data = mkData()
-	if err := ulfm.AllreduceOpts(r, data, mpi.OpSum, pipelined); err != nil {
+	if res.step1, err = reduce("step1"); err != nil {
 		fail(err)
 		return
-	}
-	res.step1 = data[0]
-	for i := range data {
-		if data[i] != res.step1 {
-			fail(fmt.Errorf("step1 element %d = %v, want %v", i, data[i], res.step1))
-			return
-		}
 	}
 	res.size1 = r.Size()
 }

@@ -98,10 +98,11 @@ type ResilientComm struct {
 	events     []*metrics.Breakdown
 	pendingPol *pendingPolicy
 	rollback   bool // a rollback advice is armed (TakeRollback consumes)
-	// kept is the buffer AllreduceOpts remembers its caller's contribution
-	// in on the bandwidth path (a []T of the last element type used), kept
-	// across operations and regrown only when a longer tensor arrives.
-	kept any
+	// snap is where an in-place allreduce on the bandwidth path snapshots
+	// its caller's contribution (a []T of the last element type used),
+	// kept across operations and regrown only when a longer tensor
+	// arrives.
+	snap any
 }
 
 // New wraps a communicator. The cluster handle is needed to resolve
@@ -126,58 +127,69 @@ func (r *ResilientComm) Events() []*metrics.Breakdown {
 	return append([]*metrics.Breakdown(nil), r.events...)
 }
 
-// Allreduce is a resilient elementwise sum-reduction: on failure the
-// communicator is repaired and the operation retried with the caller's
-// original contribution, so survivors obtain the reduction over the
-// surviving contributions — the paper's forward recovery.
+// Allreduce is a resilient elementwise reduction in place: on failure
+// the communicator is repaired and the operation retried with the
+// caller's original contribution, so survivors obtain the reduction over
+// the surviving contributions — the paper's forward recovery.
 func Allreduce[T mpi.Number](r *ResilientComm, data []T, op mpi.Op) error {
-	return AllreduceWith(r, data, op, mpi.AlgoAuto)
+	return AllreduceOpts(r, data, op, mpi.AllreduceOptions{})
 }
 
-// AllreduceWith is Allreduce with an explicit schedule selection (see
-// mpi.AllreduceAlgo); every retry after a repair reuses the same
-// algorithm over the shrunken world.
-func AllreduceWith[T mpi.Number](r *ResilientComm, data []T, op mpi.Op, algo mpi.AllreduceAlgo) error {
-	return AllreduceOpts(r, data, op, mpi.AllreduceOptions{Algo: algo})
+// AllreduceOpts is AllreduceInto in place: data is both the input and
+// the output. On the bandwidth path a retry needs the contribution the
+// aborted attempt overwrote, so the failure-free path costs one
+// snapshot of data (into a buffer the ResilientComm keeps, with no
+// allocation); on the latency path it costs nothing.
+func AllreduceOpts[T mpi.Number](r *ResilientComm, data []T, op mpi.Op, o mpi.AllreduceOptions) error {
+	return AllreduceInto(r, data, data, op, o)
 }
 
-// AllreduceOpts is Allreduce under explicit data-plane options (schedule,
-// pipeline chunks, wire codec).
+// AllreduceInto is a resilient mpi.AllreduceInto: in is reduced across
+// the members into out under explicit data-plane options (schedule,
+// pipeline chunks, wire codec). in is never written, so every attempt
+// reads the caller's original contribution, and the failure-free path
+// costs no copy.
 //
 // On the latency path — where the options leave mpi.AllreduceOpts to its
 // static tree (mpi.AgreedPath) — the operation is one agreement that
-// carries the reduction (mpi.AllreduceAgreed): its outcome is already
-// uniform, so no separate agreement follows, and data is written only
-// with an agreed result, so nothing needs restoring before a retry.
+// carries the reduction (mpi.AllreduceAgreedInto): its outcome is already
+// uniform, so no separate agreement follows, and out is written only
+// with an agreed result.
 //
 // On the bandwidth path each attempt is the plain collective sealed by an
-// agreement. Each retry restores the caller's original contribution and
-// re-plans against the repaired communicator by the same pure function
-// (mpi.PlanAllreduce of the tensor size and the new world size), so a
-// size-derived chunk count follows the shrink on every survivor alike.
-// The contribution is remembered in a buffer the ResilientComm keeps, so the
-// failure-free path costs one copy and no allocation.
-func AllreduceOpts[T mpi.Number](r *ResilientComm, data []T, op mpi.Op, o mpi.AllreduceOptions) error {
-	if mpi.AgreedPath(r.comm, data, o) {
+// agreement. Each retry re-plans against the repaired communicator by the
+// same pure function (mpi.PlanAllreduce of the tensor size and the new
+// world size), so a size-derived chunk count follows the shrink on every
+// survivor alike. in and out may be one slice, as in AllreduceOpts; the
+// contribution is then snapshotted before the first attempt.
+func AllreduceInto[T mpi.Number](r *ResilientComm, in, out []T, op mpi.Op, o mpi.AllreduceOptions) error {
+	same, err := mpi.SameBuffer(in, out)
+	if err != nil {
+		return err
+	}
+	if mpi.AgreedPath(r.comm, in, o) {
 		return r.attempts(func() (bool, error) {
-			return mpi.AllreduceAgreed(r.comm, data, op)
+			return mpi.AllreduceAgreedInto(r.comm, in, out, op)
 		}, false)
 	}
-	orig, _ := r.kept.([]T)
-	if cap(orig) < len(data) {
-		orig = make([]T, len(data))
-		r.kept = orig
+	if same {
+		in = snapshot(r, in)
 	}
-	orig = orig[:len(data)]
-	copy(orig, data)
-	first := true
 	return r.Do(func() error {
-		if !first {
-			copy(data, orig) // the aborted attempt left partial sums behind
-		}
-		first = false
-		return mpi.AllreduceOpts(r.comm, data, op, o)
+		return mpi.AllreduceInto(r.comm, in, out, op, o)
 	})
+}
+
+// snapshot copies data into the ResilientComm's snapshot buffer.
+func snapshot[T mpi.Number](r *ResilientComm, data []T) []T {
+	s, _ := r.snap.([]T)
+	if cap(s) < len(data) {
+		s = make([]T, len(data))
+		r.snap = s
+	}
+	s = s[:len(data)]
+	copy(s, data)
+	return s
 }
 
 // AllreduceVirtual is the cost-model variant of Allreduce.
@@ -232,7 +244,7 @@ func Allgather[T any](r *ResilientComm, send []T, recvOf func(size int) []T) ([]
 // uniformly whether anyone failed, and all repair and retry in lockstep —
 // the trade-off (one agreement per operation) is the documented cost of
 // ULFM's uniform collectives. The small allreduce avoids it by being the
-// agreement (AllreduceOpts).
+// agreement (AllreduceInto).
 func (r *ResilientComm) Do(op func() error) error {
 	return r.attempts(func() (bool, error) {
 		err := op()
@@ -243,7 +255,7 @@ func (r *ResilientComm) Do(op func() error) error {
 // attempts is the repair-and-retry loop. op reports whether the attempt
 // succeeded and, if it failed here, why. With seal set that outcome is
 // local, and the members agree on it after every attempt; an operation
-// whose outcome is already agreed (mpi.AllreduceAgreed) passes false.
+// whose outcome is already agreed (mpi.AllreduceAgreedInto) passes false.
 func (r *ResilientComm) attempts(op func() (bool, error), seal bool) error {
 	for attempt := 0; ; attempt++ {
 		var sw *vtime.Stopwatch

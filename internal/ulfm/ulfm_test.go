@@ -3,6 +3,7 @@ package ulfm
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"testing"
@@ -483,8 +484,46 @@ func TestLatencyPathRetriesWithoutCopy(t *testing.T) {
 				return fmt.Errorf("rank %d: element %d = %v, want 12", rank, i, v)
 			}
 		}
-		if len(r.Events()) != 1 || r.kept != nil {
-			return fmt.Errorf("rank %d: %d repairs and a kept copy %T; want 1 and none", rank, len(r.Events()), r.kept)
+		if len(r.Events()) != 1 || r.snap != nil {
+			return fmt.Errorf("rank %d: %d repairs and a snapshot %T; want 1 and none", rank, len(r.Events()), r.snap)
+		}
+		return nil
+	})
+	if err := simnet.FirstError(errs); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAllreduceIntoRetriesFromUntouchedInput: on the bandwidth path an
+// out-of-place allreduce aborted by a death retries from in, which no
+// attempt wrote, so it needs no snapshot; out, NaN before the call, holds
+// the survivors' sum at every element.
+func TestAllreduceIntoRetriesFromUntouchedInput(t *testing.T) {
+	c := testCluster(1, 5)
+	errs := runWorld(t, c, func(rank int, r *ResilientComm, barrier func()) error {
+		barrier()
+		if rank == 2 {
+			c.Kill(r.Comm().Proc().ID())
+			return nil
+		}
+		in, out := make([]float64, 64<<10), make([]float64, 64<<10)
+		for i := range in {
+			in[i], out[i] = float64(rank+1), math.NaN()
+		}
+		opts := mpi.AllreduceOptions{Algo: mpi.AlgoPipelinedRing}
+		if err := AllreduceInto(r, in, out, mpi.OpSum, opts); err != nil {
+			return err
+		}
+		for i := range in {
+			if in[i] != float64(rank+1) || out[i] != 1+2+4+5 {
+				return fmt.Errorf("rank %d: element %d: in %v out %v, want %d and 12", rank, i, in[i], out[i], rank+1)
+			}
+		}
+		if len(r.Events()) != 1 || r.snap != nil {
+			return fmt.Errorf("rank %d: %d repairs and a snapshot %T; want 1 and none", rank, len(r.Events()), r.snap)
+		}
+		if err := AllreduceInto(r, in[1:], in[:len(in)-1], mpi.OpSum, opts); err == nil {
+			return fmt.Errorf("rank %d: partly overlapping buffers accepted", rank)
 		}
 		return nil
 	})
@@ -494,7 +533,7 @@ func TestLatencyPathRetriesWithoutCopy(t *testing.T) {
 }
 
 // TestRetryReducesOriginalAcrossLengths: on the bandwidth path (above
-// 64 KiB) the kept buffer is reused across operations of different
+// 64 KiB) the snapshot buffer is reused across operations of different
 // lengths — shorter (a stale tail behind the live prefix), then longer
 // (regrown) — and an operation that is aborted by a failure and retried
 // still reduces each survivor's original contribution at every element.
